@@ -13,6 +13,7 @@ from .assembly import (
     assemble_mass,
     assemble_mixed,
     build_mode_system,
+    l2_rho_error,
 )
 from .bessel import (
     BesselRoot,
@@ -42,7 +43,7 @@ from .geometry import (
     save_geometry,
 )
 from .manufactured import ManufacturedSolution, validate_derivation
-from .quadrature import QuadratureRule1D, build_element_rule, gauss_legendre
+from .quadrature import QuadratureRule1D, gauss_legendre
 from .solve import (
     EigenResult,
     SaddleSolution,

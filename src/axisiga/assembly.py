@@ -9,9 +9,18 @@ top forms) and converted to physical cylindrical components through the
 eta^{-1} maps, which multiply by rho and never divide — every integrand is
 smooth up to the axis.
 
-The mode m enters assembly only through eta^{-1}; since the integrands pair
-like components, the matrices depend on m only through m**2 and coincide for
-the symmetric (m > 0) and antisymmetric (m < 0) branches.
+Every integral runs over one table of all Gauss points, built per
+(complex, geometry, nq) in a single batched pass: the 1D basis tables of each
+direction, the geometry (rho, z, J, det J) at every point and the
+push-forwarded tilde values of every local basis function.  Each assembly
+routine contracts that table with one einsum (matrices then come from one
+COO build); the table is cheap, so each call builds its own and nothing is
+cached between calls.
+
+The mode m enters only through eta^{-1}, applied to the tabulated values;
+since the integrands pair like components, the matrices depend on m only
+through m**2 and coincide for the symmetric (m > 0) and antisymmetric (m < 0)
+branches.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .derham import DeRhamComplex2D, DeRhamError, eta_inverse
+from .derham import DeRhamComplex2D, DeRhamError, eta_inverse, tilde_push_forward
 from .geometry import EDGES, NurbsGeometry
 from .quadrature import gauss_legendre
 from .splines import SplineSpace1D
@@ -61,164 +70,122 @@ def default_nquad(complex_: DeRhamComplex2D) -> int:
 # quadrature tabulation
 # ---------------------------------------------------------------------------
 
-def _tabulate_direction(spaces: list[SplineSpace1D], nq: int):
-    """Per-element Gauss nodes/weights and local basis tables for a direction.
-
-    All spaces must share the same breakpoints.  Returns
-    (nodes (nel, nq), weights (nel, nq), tables) where tables[i] =
-    (firsts (nel,), vals (nel, nq, p_i+1)) for the i-th space.
-    """
-    z = spaces[0].breakpoints
-    for s in spaces[1:]:
-        if not np.array_equal(s.breakpoints, z):
-            raise AssemblyError("factor spaces disagree on breakpoints")
-    rule = gauss_legendre(nq)
-    nel = len(z) - 1
-    nodes = np.zeros((nel, nq))
-    weights = np.zeros((nel, nq))
-    for e in range(nel):
-        nodes[e], weights[e] = rule.mapped(z[e], z[e + 1])
-    tables = []
-    for s in spaces:
-        firsts = np.zeros(nel, dtype=int)
-        vals = np.zeros((nel, nq, s.degree + 1))
-        for e in range(nel):
-            for q in range(nq):
-                f, v = s.eval_basis(nodes[e, q])
-                vals[e, q] = v
-                if q == 0:
-                    firsts[e] = f
-                elif f != firsts[e]:
-                    raise AssemblyError("quadrature node left its element span")
-        tables.append((firsts, vals))
-    return nodes, weights, tables
-
-
-class _QuadCache:
-    """Element-wise quadrature data shared by all assembly passes."""
-
-    def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry, nq: int):
-        cx = complex_
-        if not np.array_equal(cx.s1.breakpoints, geometry.basis.space.s1.breakpoints) \
-                or not np.array_equal(cx.s2.breakpoints, geometry.basis.space.s2.breakpoints):
-            # analysis mesh refines the geometry mesh; only require nesting of
-            # geometry breakpoints into analysis breakpoints
-            for gz, az in ((geometry.basis.space.s1.breakpoints, cx.s1.breakpoints),
-                           (geometry.basis.space.s2.breakpoints, cx.s2.breakpoints)):
-                if not np.all(np.isin(np.round(gz, 12), np.round(az, 12))):
-                    raise AssemblyError(
-                        "geometry breakpoints must be nested in the analysis mesh")
-        self.complex = cx
-        self.geometry = geometry
-        self.nq = nq
-        self.nodes1, self.w1, self.tab1 = _tabulate_direction(
-            [cx.s1, cx.s1r], nq)
-        self.nodes2, self.w2, self.tab2 = _tabulate_direction(
-            [cx.s2, cx.s2r], nq)
-        self.nel1 = self.nodes1.shape[0]
-        self.nel2 = self.nodes2.shape[0]
-        # geometry data per element, computed lazily and cached
-        self._geo = {}
-
-    def geo(self, e1: int, e2: int):
-        """(rho, z, J (nq2d,2,2), det, wdet = gauss weights * det) per point."""
-        key = (e1, e2)
-        if key in self._geo:
-            return self._geo[key]
-        nq = self.nq
-        pts1 = self.nodes1[e1]
-        pts2 = self.nodes2[e2]
-        n2d = nq * nq
-        rho = np.zeros(n2d)
-        zz = np.zeros(n2d)
-        J = np.zeros((n2d, 2, 2))
-        det = np.zeros(n2d)
-        q = 0
-        for i in range(nq):
-            for j in range(nq):
-                r, z = self.geometry.map_point(pts1[i], pts2[j])
-                Jq, dq = self.geometry.jacobian(pts1[i], pts2[j])
-                rho[q], zz[q], J[q], det[q] = r, z, Jq, dq
-                q += 1
-        if np.any(det <= 0):
-            raise AssemblyError("non-positive Jacobian at a quadrature point")
-        w2d = np.outer(self.w1[e1], self.w2[e2]).ravel()
-        data = (rho, zz, J, det, w2d * det)
-        self._geo[key] = data
-        return data
-
-    def local_basis(self, space_id: tuple[int, int], e1: int, e2: int):
-        """2D local values for the factor space (d1_choice, d2_choice).
-
-        choice 0 = full-degree factor, 1 = reduced factor.  Returns
-        (global_indices (nloc,), values (nloc, nq2d)).
-        """
-        f1, v1 = self.tab1[space_id[0]]
-        f2, v2 = self.tab2[space_id[1]]
-        V = np.einsum("qa,rb->abqr", v1[e1], v2[e2])
-        pl1, pl2 = V.shape[:2]
-        V = V.reshape(pl1 * pl2, self.nq * self.nq)
-        n2 = (self.complex.s2.num_basis if space_id[1] == 0
-              else self.complex.s2r.num_basis)
-        i1 = f1[e1] + np.arange(pl1)
-        i2 = f2[e2] + np.arange(pl2)
-        idx = (i1[:, None] * n2 + i2[None, :]).ravel()
-        return idx, V
-
-
-# factor-space descriptors per form degree: (d1_choice, d2_choice, role)
-# role: 'c1'/'c2' covariant pair, 'p1'/'p2' Piola pair, 's' plain scalar,
-#       'd' density (1/det)
-_FACTORS = {
-    0: [((0, 0), "s")],
-    1: [((1, 0), "c1"), ((0, 1), "c2"), ((0, 0), "s")],
-    2: [((0, 1), "p1"), ((1, 0), "p2"), ((1, 1), "d")],
-    3: [((1, 1), "d")],
+# edge -> (direction of the fixed parametric coordinate, its value, sign of
+# the outward normal in the (T_z, -T_rho) convention)
+_EDGE_GEOM = {
+    "west": (0, 0.0, -1.0),
+    "east": (0, 1.0, +1.0),
+    "south": (1, 0.0, +1.0),
+    "north": (1, 1.0, -1.0),
 }
 
 
-def _tilde_components(cache: _QuadCache, k: int, e1: int, e2: int):
-    """All local Z^k basis functions as tilde 3-vectors at the quad points.
+def _direction_table(space: SplineSpace1D, nodes: np.ndarray):
+    """First indices (nel,) and values (nel, nq, p+1) of the local basis
+    functions of a 1D space at per-element nodes (nel, nq)."""
+    firsts, vals, _ = space.tabulate(nodes.ravel())
+    firsts = firsts.reshape(nodes.shape)
+    if np.any(firsts != firsts[:, :1]):
+        raise AssemblyError("quadrature node left its element span")
+    return firsts[:, 0], vals.reshape(nodes.shape + (space.degree + 1,))
 
-    Returns (global_indices (nloc,), U (nloc, nq2d, ncomp)) where global
-    indices refer to the stacked Z^k coefficient vector.
+
+class _QuadTable:
+    """Gauss points of all elements, or of the elements along one edge, with
+    the geometry and the quadrature weight of the cylindrical measure there.
+
+    Point arrays have shape (nel, nq): element e = e1 * nel2 + e2 and point
+    q = i * nq2 + j of the tensor rule.  ``dx`` is the weight of
+    rho drho dz, or of rho ds on an edge, where ``normal`` (nel, nq, 2) is the
+    outward unit normal.  One table serves every integral over its points.
     """
-    rho, zz, J, det, _ = cache.geo(e1, e2)
-    slices = cache.complex.block_slices(k)
-    ncomp = 3 if k in (1, 2) else 1
-    idx_all = []
-    blocks = []
-    for (space_id, role), sl in zip(_FACTORS[k], slices):
-        idx, V = cache.local_basis(space_id, e1, e2)
-        nloc = len(idx)
-        U = np.zeros((nloc, V.shape[1], ncomp))
-        if role == "s":
-            U[..., ncomp - 1] = V  # scalar factor: last component (or only one)
-        elif role == "c1":
-            # covariant push-forward of (N, 0): J^{-T} columns
-            U[..., 0] = V * (J[:, 1, 1] / det)
-            U[..., 1] = V * (-J[:, 0, 1] / det)
-        elif role == "c2":
-            U[..., 0] = V * (-J[:, 1, 0] / det)
-            U[..., 1] = V * (J[:, 0, 0] / det)
-        elif role == "p1":
-            # Piola push-forward of (N, 0): J columns / det
-            U[..., 0] = V * (J[:, 0, 0] / det)
-            U[..., 1] = V * (J[:, 1, 0] / det)
-        elif role == "p2":
-            U[..., 0] = V * (J[:, 0, 1] / det)
-            U[..., 1] = V * (J[:, 1, 1] / det)
-        elif role == "d":
-            U[..., ncomp - 1] = V / det
-        idx_all.append(idx + sl.start)
-        blocks.append(U)
-    return np.concatenate(idx_all), np.concatenate(blocks, axis=0)
 
+    def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
+                 nquad: int | None = None, edge: str | None = None):
+        cx = complex_
+        for gz, az in ((geometry.basis.space.s1.breakpoints, cx.s1.breakpoints),
+                       (geometry.basis.space.s2.breakpoints, cx.s2.breakpoints)):
+            if not np.all(np.isin(np.round(gz, 12), np.round(az, 12))):
+                raise AssemblyError(
+                    "geometry breakpoints must be nested in the analysis mesh")
+        self.complex = cx
+        rule = gauss_legendre(nquad or default_nquad(cx))
+        self.nodes, weights = [], []
+        for d, s in enumerate((cx.s1, cx.s2)):
+            if edge is not None and _EDGE_GEOM[edge][0] == d:
+                x, w = np.array([[_EDGE_GEOM[edge][1]]]), np.ones((1, 1))
+            else:
+                z = s.breakpoints
+                x, w = rule.mapped(z[:-1, None], z[1:, None])
+            self.nodes.append(x)
+            weights.append(w)
+        (nel1, nq1), (nel2, nq2) = self.nodes[0].shape, self.nodes[1].shape
+        grid = (nel1, nel2, nq1, nq2)
+        shape = (nel1 * nel2, nq1 * nq2)
+        pts = np.column_stack([
+            np.broadcast_to(self.nodes[0][:, None, :, None], grid).ravel(),
+            np.broadcast_to(self.nodes[1][None, :, None, :], grid).ravel()])
+        rho, z, J, det = geometry.evaluate(pts)
+        if np.any(det <= 0):
+            raise AssemblyError("non-positive Jacobian at a quadrature point")
+        self.rho, self.z = rho.reshape(shape), z.reshape(shape)
+        self.J, self.det = J.reshape(shape + (2, 2)), det.reshape(shape)
+        w = (weights[0][:, None, :, None]
+             * weights[1][None, :, None, :]).reshape(shape)
+        self.normal = None
+        if edge is None:
+            self.dx = w * self.det * self.rho
+        else:
+            fixed_dir, _, sign = _EDGE_GEOM[edge]
+            T = self.J[..., :, 1 - fixed_dir]
+            length = np.hypot(T[..., 0], T[..., 1])
+            self.normal = (sign * np.stack([T[..., 1], -T[..., 0]], axis=-1)
+                           / length[..., None])
+            self.dx = w * length * self.rho
 
-def _weight_values(weight, rho, zz):
-    if callable(weight):
-        return np.asarray(weight(rho, zz), dtype=float)
-    return float(weight) * np.ones_like(rho)
+    def basis(self, k: int):
+        """Every local Z^k basis function as tilde values at the points.
+
+        Returns (idx (nel, nloc), U (nel, nloc, nq, ncomp)): indices into the
+        stacked Z^k coefficient vector and the push-forwarded tilde values,
+        one component per stacked factor.
+        """
+        cx = self.complex
+        factors = cx.space_factors(k)
+        nel, nq = self.rho.shape
+        idx, blocks = [], []
+        for c, (space, sl) in enumerate(zip(factors, cx.block_slices(k))):
+            f1, v1 = _direction_table(space.s1, self.nodes[0])
+            f2, v2 = _direction_table(space.s2, self.nodes[1])
+            pl1, pl2 = v1.shape[2], v2.shape[2]
+            i1 = f1[:, None, None, None] + np.arange(pl1)[:, None]
+            i2 = f2[None, :, None, None] + np.arange(pl2)
+            idx.append((i1 * space.s2.num_basis + i2).reshape(nel, -1) + sl.start)
+            V = np.zeros((nel, pl1 * pl2, nq, len(factors)))
+            V[..., c] = np.einsum("Eia,Fjb->EFabij", v1, v2).reshape(
+                nel, pl1 * pl2, nq)
+            blocks.append(V)
+        U = tilde_push_forward(k, self.J[:, None], self.det[:, None],
+                               np.concatenate(blocks, axis=1))
+        return np.concatenate(idx, axis=1), U
+
+    def physical(self, m: int, k: int, U: np.ndarray) -> np.ndarray:
+        """eta^{-1} of basis tilde values (nel, nloc, nq, ncomp), keeping the
+        component axis."""
+        rho = self.rho[:, None, :]
+        if k in (1, 2):
+            return eta_inverse(m, k, rho, U)
+        return eta_inverse(m, k, rho, U[..., 0])[..., None]
+
+    def at_points(self, fn, *args) -> np.ndarray:
+        """fn(*args, rho, z), with the edge normals as a last argument on an
+        edge, called once on all points; the result gets the table's
+        (nel, nq) leading shape."""
+        pts = (self.rho.ravel(), self.z.ravel())
+        if self.normal is not None:
+            pts += (self.normal.reshape(-1, 2),)
+        out = np.asarray(fn(*args, *pts), dtype=float)
+        return out.reshape(self.rho.shape + out.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +193,7 @@ def _weight_values(weight, rho, zz):
 # ---------------------------------------------------------------------------
 
 def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
-                  k: int = 1, weight=1.0, nquad: int | None = None,
-                  cache: _QuadCache | None = None) -> sp.csr_matrix:
+                  k: int = 1, weight=1.0, nquad: int | None = None) -> sp.csr_matrix:
     """Weighted L2_rho mass matrix on Z^k_h for mode m.
 
     Entries are integrals weight * (eta^{-1} tilde_j) . (eta^{-1} tilde_i)
@@ -235,25 +201,20 @@ def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
     """
     if m == 0:
         raise DeRhamError("mode m must be nonzero")
-    if cache is None:
-        cache = _QuadCache(complex_, geometry, nquad or default_nquad(complex_))
+    tab = _QuadTable(complex_, geometry, nquad)
+    idx, U = tab.basis(k)
+    P = tab.physical(m, k, U)
+    if callable(weight):
+        wq = tab.dx * tab.at_points(weight)
+    else:
+        wq = tab.dx * float(weight)
+    local = np.einsum("eaqc,ebqc->eab", P, P * wq[:, None, :, None],
+                      optimize=True)
+    nloc = idx.shape[1]
     dim = complex_.dim(k)
-    rows, cols, vals = [], [], []
-    for e1 in range(cache.nel1):
-        for e2 in range(cache.nel2):
-            rho, zz, J, det, wdet = cache.geo(e1, e2)
-            idx, U = _tilde_components(cache, k, e1, e2)
-            if k in (1, 2):
-                P = eta_inverse(m, k, rho, U)
-            else:
-                P = eta_inverse(m, k, rho, U[..., 0])[..., None]
-            wq = wdet * rho * _weight_values(weight, rho, zz)
-            local = np.einsum("aqc,bqc,q->ab", P, P, wq)
-            rows.append(np.repeat(idx, len(idx)))
-            cols.append(np.tile(idx, len(idx)))
-            vals.append(local.ravel())
     M = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (local.ravel(), (np.repeat(idx, nloc, axis=1).ravel(),
+                         np.tile(idx, (1, nloc)).ravel())),
         shape=(dim, dim))
     M.sum_duplicates()
     return M
@@ -261,8 +222,7 @@ def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
 
 def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
                       m: int, weight=None, materials: MaterialConstants = VACUUM,
-                      nquad: int | None = None,
-                      cache: _QuadCache | None = None) -> sp.csr_matrix:
+                      nquad: int | None = None) -> sp.csr_matrix:
     """Curl-curl stiffness A_m = C^T M2(weight) C on Z^1_h.
 
     ``weight`` defaults to 1/mu.  The curl is applied exactly through the
@@ -270,8 +230,7 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
     """
     if weight is None:
         weight = 1.0 / materials.mu
-    M2 = assemble_mass(complex_, geometry, m, k=2, weight=weight,
-                       nquad=nquad, cache=cache)
+    M2 = assemble_mass(complex_, geometry, m, k=2, weight=weight, nquad=nquad)
     C = complex_.C
     A = (C.T @ M2 @ C).tocsr()
     return 0.5 * (A + A.T)
@@ -279,121 +238,75 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
 
 def assemble_mixed(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
                    weight=None, materials: MaterialConstants = VACUUM,
-                   nquad: int | None = None,
-                   cache: _QuadCache | None = None) -> sp.csr_matrix:
+                   nquad: int | None = None) -> sp.csr_matrix:
     """Gradient-coupling block B_m = M1(weight) G (Z^0 multipliers -> Z^1).
 
     ``weight`` defaults to the permittivity.
     """
     if weight is None:
         weight = materials.eps
-    M1 = assemble_mass(complex_, geometry, m, k=1, weight=weight,
-                       nquad=nquad, cache=cache)
+    M1 = assemble_mass(complex_, geometry, m, k=1, weight=weight, nquad=nquad)
     return (M1 @ complex_.G).tocsr()
 
 
 # ---------------------------------------------------------------------------
-# load assembly
+# load assembly and error norms
 # ---------------------------------------------------------------------------
 
-_EDGE_GEOM = {
-    # edge -> (fixed parametric coordinate value index/direction, sign of
-    # outward normal in the (T_z, -T_rho) convention)
-    "west": ("xi1", 0.0, -1.0),
-    "east": ("xi1", 1.0, +1.0),
-    "south": ("xi2", 0.0, +1.0),
-    "north": ("xi2", 1.0, -1.0),
-}
+def _load_vector(tab: _QuadTable, m: int, values: np.ndarray) -> np.ndarray:
+    """Integrals of values (nel, nq, 3) against eta_1^{-1} of every Z^1
+    basis function, with the table's measure."""
+    idx, U = tab.basis(1)
+    P = tab.physical(m, 1, U)
+    fe = np.einsum("eaqc,eqc,eq->ea", P, values, tab.dx)
+    return np.bincount(idx.ravel(), weights=fe.ravel(),
+                       minlength=tab.complex.dim(1))
 
 
 def assemble_load(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
-                  source=None, neumann=None, nquad: int | None = None,
-                  cache: _QuadCache | None = None) -> np.ndarray:
+                  source=None, neumann=None, nquad: int | None = None) -> np.ndarray:
     """Load vector on Z^1_h for mode m.
 
     source(m, rho, z) -> (npts, 3): cylindrical components of the current
     density Fourier coefficient; integrated against eta_1^{-1} of each test
-    function with measure rho drho dz.
+    function with measure rho drho dz.  It is called once, with the
+    quadrature points of all elements.
 
     neumann(m, rho, z, normal) -> (npts, 3): surface term density
     (mu^{-1} curl A) x n on edges labeled 'neumann', integrated with the line
-    measure rho |T| dt.
+    measure rho |T| dt.  It is called once per such edge, with rho and z of
+    shape (npts,) and the outward unit normals (n_rho, n_z) as an array of
+    shape (npts, 2).
     """
     if m == 0:
         raise DeRhamError("mode m must be nonzero")
-    if cache is None:
-        cache = _QuadCache(complex_, geometry, nquad or default_nquad(complex_))
     f = np.zeros(complex_.dim(1))
     if source is not None:
-        for e1 in range(cache.nel1):
-            for e2 in range(cache.nel2):
-                rho, zz, J, det, wdet = cache.geo(e1, e2)
-                idx, U = _tilde_components(cache, 1, e1, e2)
-                P = eta_inverse(m, 1, rho, U)
-                Jv = np.asarray(source(m, rho, zz), dtype=float)
-                np.add.at(f, idx, np.einsum("aqc,qc,q->a", P, Jv, wdet * rho))
+        tab = _QuadTable(complex_, geometry, nquad)
+        f += _load_vector(tab, m, tab.at_points(source, m))
     if neumann is not None:
-        f += _neumann_load(cache, m, neumann)
+        for edge in EDGES:
+            if geometry.edge_labels[edge] == "neumann":
+                tab = _QuadTable(complex_, geometry, nquad, edge)
+                f += _load_vector(tab, m, tab.at_points(neumann, m))
     return f
 
 
-def _neumann_load(cache: _QuadCache, m: int, neumann) -> np.ndarray:
-    cx = cache.complex
-    geo = cache.geometry
-    nq = cache.nq
-    f = np.zeros(cx.dim(1))
-    slices = cx.block_slices(1)
-    for edge in EDGES:
-        if geo.edge_labels[edge] != "neumann":
-            continue
-        fixed_dir, fixed_val, sign = _EDGE_GEOM[edge]
-        along = cache.nodes2 if fixed_dir == "xi1" else cache.nodes1
-        wts = cache.w2 if fixed_dir == "xi1" else cache.w1
-        nel = along.shape[0]
-        for e in range(nel):
-            for q in range(nq):
-                t = along[e, q]
-                w = wts[e, q]
-                xi = (fixed_val, t) if fixed_dir == "xi1" else (t, fixed_val)
-                rho, z = geo.map_point(*xi)
-                J, det = geo.jacobian(*xi)
-                T = J[:, 1] if fixed_dir == "xi1" else J[:, 0]
-                nrmT = float(np.hypot(T[0], T[1]))
-                normal = sign * np.array([T[1], -T[0]]) / nrmT
-                g = np.asarray(neumann(m, np.array([rho]), np.array([z]),
-                                       normal), dtype=float).reshape(3)
-                # local Z1 test functions on the edge point
-                idx, U = _edge_basis(cache, xi, J, det, slices)
-                P = eta_inverse(m, 1, np.array([rho]), U)[:, 0, :]
-                f[idx] += (P @ g) * w * nrmT * rho
-    return f
+def l2_rho_error(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
+                 k: int, coeffs: np.ndarray, reference,
+                 nquad: int | None = None) -> float:
+    """Weighted L2_rho norm of eta^{-1} u_h - reference for a Z^k field.
 
-
-def _edge_basis(cache: _QuadCache, xi, J, det, slices):
-    """Local tilde 3-vectors of all Z1 basis functions nonzero at point xi."""
-    cx = cache.complex
-    JTinv = np.array([[J[1, 1], -J[1, 0]], [-J[0, 1], J[0, 0]]]) / det
-    idx_all, rows = [], []
-    specs = [(cx.X1a, "c1"), (cx.X1b, "c2"), (cx.X0, "s")]
-    for (space, role), sl in zip(specs, slices):
-        f1, v1 = space.s1.eval_basis(xi[0])
-        f2, v2 = space.s2.eval_basis(xi[1])
-        V = np.outer(v1, v2).ravel()
-        i1 = f1 + np.arange(len(v1))
-        i2 = f2 + np.arange(len(v2))
-        idx = (i1[:, None] * space.s2.num_basis + i2[None, :]).ravel()
-        U = np.zeros((len(idx), 1, 3))
-        if role == "s":
-            U[:, 0, 2] = V
-        elif role == "c1":
-            U[:, 0, 0] = V * JTinv[0, 0]
-            U[:, 0, 1] = V * JTinv[1, 0]
-        else:
-            U[:, 0, 0] = V * JTinv[0, 1]
-            U[:, 0, 1] = V * JTinv[1, 1]
-        idx_all.append(idx + sl.start)
-        rows.append(U)
-    return np.concatenate(idx_all), np.concatenate(rows, axis=0)
+    ``coeffs`` are the Z^k coefficients of u_h; reference(m, rho, z) returns
+    the physical cylindrical components, of shape (npts, 3) for k in {1, 2}
+    and (npts,) otherwise.
+    """
+    tab = _QuadTable(complex_, geometry, nquad)
+    idx, U = tab.basis(k)
+    phys = np.einsum("eaqc,ea->eqc", tab.physical(m, k, U),
+                     np.asarray(coeffs, dtype=float)[idx])
+    ref = tab.at_points(reference, m).reshape(phys.shape)
+    return float(np.sqrt(np.sum(np.sum((phys - ref) ** 2, axis=-1) * tab.dx)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +433,13 @@ def build_mode_system(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
                       source=None, neumann=None,
                       nquad: int | None = None) -> ModeSystem:
     """Assemble A_m, M_m, B_m and the load for one mode, with BC maps."""
-    cache = _QuadCache(complex_, geometry, nquad or default_nquad(complex_))
     M = assemble_mass(complex_, geometry, m, k=1, weight=materials.eps,
-                      cache=cache)
+                      nquad=nquad)
     A = assemble_curlcurl(complex_, geometry, m, materials=materials,
-                          cache=cache)
+                          nquad=nquad)
     B = (M @ complex_.G).tocsr()
     f = assemble_load(complex_, geometry, m, source=source, neumann=neumann,
-                      cache=cache)
+                      nquad=nquad)
     return ModeSystem(
         m=m, complex=complex_, geometry=geometry, materials=materials,
         A=A, M=M, B=B, f=f,

@@ -18,7 +18,6 @@ from .studies import RUNNERS, StudyConfig, StudyError
 _LIST_FIELDS = {"degrees", "subdivisions", "modes"}
 _FLOAT_FIELDS = {"eps", "mu", "gamma", "radius", "length"}
 _INT_FIELDS = {"eigs", "seed"}
-_BOOL_FIELDS = {"sequential"}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -49,8 +48,6 @@ def _coerce(key: str, val):
             return float(val)
         if key in _INT_FIELDS:
             return int(val)
-        if key in _BOOL_FIELDS:
-            return val.lower() in ("1", "true", "yes")
     return val
 
 
@@ -63,8 +60,6 @@ def _make_config(study: str, args) -> StudyConfig:
         v = getattr(args, key, None)
         if v is not None:
             values["out_dir" if key == "out" else key] = v
-    if args.sequential:
-        values["sequential"] = True
     cfg = StudyConfig(study=study)
     for key, val in values.items():
         if not hasattr(cfg, key):
@@ -90,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
             continue
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--out", help="output directory for CSV/JSON")
-        p.add_argument("--sequential", action="store_true",
-                       help="deterministic sequential execution")
         p.add_argument("--degrees", help="comma list, e.g. 2,3")
         p.add_argument("--subdivisions", help="comma list, e.g. 4,8,16")
         p.add_argument("--modes", help="comma list of signed modes, e.g. 1,-2")
@@ -124,7 +117,6 @@ config file schema (key = value per line, '#' comments):
   gamma          manufactured-solution parameter (source)
   radius, length pillbox cavity dimensions in meters
   seed           random seed recorded in reports
-  sequential     true for deterministic ordering
   out_dir        output directory
 """
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import push_forward_values
 from .splines import (
     KnotVector,
     SplineSpace1D,
@@ -137,18 +138,6 @@ def build_complex(knots1, knots2, degrees=None) -> DeRhamComplex2D:
     if degrees is None:
         degrees = (None, None)
     return DeRhamComplex2D(as_space(knots1, degrees[0]), as_space(knots2, degrees[1]))
-
-
-def grad_matrix(complex_: DeRhamComplex2D) -> sp.csr_matrix:
-    return complex_.G
-
-
-def curl_matrix(complex_: DeRhamComplex2D) -> sp.csr_matrix:
-    return complex_.C
-
-
-def div_matrix(complex_: DeRhamComplex2D) -> sp.csr_matrix:
-    return complex_.D
 
 
 def exactness_report(complex_: DeRhamComplex2D, m: int = 1) -> dict:
@@ -282,44 +271,46 @@ class ModeSpace:
         factors are transformed accordingly (k=2 third component and k=3 are
         densities, scaled by 1/det J).
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        factors = self.complex.space_factors(k)
-        slices = self.complex.block_slices(k)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[0] != self.dim(k):
-            raise DeRhamError("coefficient vector has wrong length")
-        raw = np.stack(
-            [f.eval_field(coeffs[s], pts) for f, s in zip(factors, slices)],
-            axis=-1,
-        )
-        if k == 0 or geometry is None:
-            return raw[..., 0] if k in (0, 3) else raw
-        out = np.array(raw)
-        for q, xi in enumerate(pts):
-            J, det = geometry.jacobian(*xi)
-            if k == 1:
-                JT_inv = np.array([[J[1, 1], -J[1, 0]], [-J[0, 1], J[0, 0]]]) / det
-                out[q, :2] = JT_inv @ raw[q, :2]
-            elif k == 2:
-                out[q, :2] = (J @ raw[q, :2]) / det
-                out[q, 2] = raw[q, 2] / det
-            elif k == 3:
-                out[q] = raw[q] / det
-        return out[..., 0] if k == 3 else out
+        return self._eval(k, coeffs, pts, geometry)[1]
 
     def eval_field(self, k: int, coeffs: np.ndarray, pts: np.ndarray,
                    geometry=None) -> FieldEvaluation:
         """Tilde and physical cylindrical values of a mode field."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        tilde = self.eval_tilde(k, coeffs, pts, geometry)
-        if geometry is None:
-            rho = pts[:, 0]
-        else:
-            rho = np.array([geometry.map_point(*xi)[0] for xi in pts])
+        pts, tilde, rho = self._eval(k, coeffs, pts, geometry)
         phys = eta_inverse(self.m, k, rho, tilde)
         return FieldEvaluation(points=pts, rho=rho, tilde=tilde, physical=phys)
 
+    def _eval(self, k, coeffs, pts, geometry):
+        """(points, tilde values, physical rho) of a Z^k field."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape[0] != self.dim(k):
+            raise DeRhamError("coefficient vector has wrong length")
+        tilde = np.stack(
+            [f.eval_field(coeffs[s], pts) for f, s in
+             zip(self.complex.space_factors(k), self.complex.block_slices(k))],
+            axis=-1,
+        )
+        rho = pts[:, 0]
+        if geometry is not None:
+            rho, _, J, det = geometry.evaluate(pts)
+            tilde = tilde_push_forward(k, J, det, tilde)
+        return pts, (tilde[..., 0] if k in (0, 3) else tilde), rho
 
-def eval_mode_field(mode_space: ModeSpace, k: int, coeffs, pts,
-                    geometry=None) -> FieldEvaluation:
-    return mode_space.eval_field(k, coeffs, pts, geometry)
+
+def tilde_push_forward(k: int, J: np.ndarray, det: np.ndarray,
+                       tilde: np.ndarray) -> np.ndarray:
+    """Tilde values of a Z^k field on the cross-section from its parametric
+    tilde values, given J_F (..., 2, 2) and det J_F (...) at the points.
+
+    tilde has shape (..., ncomp), one component per stacked factor of Z^k.
+    The k=1 pair is covariant, the k=2 pair Piola; the k=1 third component
+    is a scalar and the k=2 third component and k=3 are densities.
+    """
+    if k == 0:
+        return tilde
+    if k == 3:
+        return push_forward_values("2", J, det, tilde[..., 0])[..., None]
+    pair = push_forward_values("1" if k == 1 else "1*", J, det, tilde[..., :2])
+    third = push_forward_values("0" if k == 1 else "2", J, det, tilde[..., 2])
+    return np.concatenate([pair, third[..., None]], axis=-1)

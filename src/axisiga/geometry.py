@@ -66,39 +66,48 @@ class NurbsGeometry:
 
     def _validate(self, nsample: int = 7):
         xs = np.linspace(0.02, 0.98, nsample)
-        for u in xs:
-            for v in xs:
-                _, det = self.jacobian(u, v)
-                if det < 1e-10:
-                    raise GeometryError(
-                        f"degenerate Jacobian det {det:.3e} at ({u:.2f}, {v:.2f})")
-                rho, _ = self.map_point(u, v)
-                if rho < -1e-12:
-                    raise GeometryError(f"negative rho at ({u:.2f}, {v:.2f})")
+        grid = np.array([(u, v) for u in xs for v in xs])
+        rho, _, _, det = self.evaluate(grid)
+        bad = np.flatnonzero(det < 1e-10)
+        if bad.size:
+            u, v = grid[bad[0]]
+            raise GeometryError(
+                f"degenerate Jacobian det {det[bad[0]]:.3e} at ({u:.2f}, {v:.2f})")
+        bad = np.flatnonzero(rho < -1e-12)
+        if bad.size:
+            u, v = grid[bad[0]]
+            raise GeometryError(f"negative rho at ({u:.2f}, {v:.2f})")
         if self.edge_labels["west"] == "axis":
-            for v in np.linspace(0.0, 1.0, nsample):
-                rho, _ = self.map_point(0.0, v)
-                if abs(rho) > 1e-12:
-                    raise GeometryError("declared axis edge does not lie on rho = 0")
+            axis = np.column_stack([np.zeros(nsample),
+                                    np.linspace(0.0, 1.0, nsample)])
+            if np.any(np.abs(self.evaluate(axis)[0]) > 1e-12):
+                raise GeometryError("declared axis edge does not lie on rho = 0")
 
     # -- evaluation ---------------------------------------------------------
 
+    def evaluate(self, pts):
+        """F = (rho, z), J_F and det J_F at paired parametric points, in one pass.
+
+        pts has shape (npts, 2).  Returns (rho (npts,), z (npts,),
+        J (npts, 2, 2), det (npts,)); column j of J is dF/dxi_j.
+        """
+        f1, f2, N, dN1, dN2 = self.basis.eval_points(pts)
+        block = self.basis.space.local_block(self.control, f1, f2)
+        X = np.einsum("qij,qijc->qc", N, block)
+        J = np.stack([np.einsum("qij,qijc->qc", dN1, block),
+                      np.einsum("qij,qijc->qc", dN2, block)], axis=-1)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        return X[:, 0], X[:, 1], J, det
+
     def map_point(self, xi1: float, xi2: float) -> np.ndarray:
         """Physical point F(xi) = (rho, z)."""
-        f1, f2, N, _, _ = self.basis.eval(xi1, xi2)
-        p1, p2 = N.shape
-        block = self.control[f1 : f1 + p1, f2 : f2 + p2]
-        return np.einsum("ij,ijc->c", N, block)
+        rho, z, _, _ = self.evaluate([(xi1, xi2)])
+        return np.array([rho[0], z[0]])
 
     def jacobian(self, xi1: float, xi2: float) -> tuple[np.ndarray, float]:
         """Jacobian J_F(xi) and its determinant."""
-        f1, f2, _, dN1, dN2 = self.basis.eval(xi1, xi2)
-        p1, p2 = dN1.shape
-        block = self.control[f1 : f1 + p1, f2 : f2 + p2]
-        col1 = np.einsum("ij,ijc->c", dN1, block)
-        col2 = np.einsum("ij,ijc->c", dN2, block)
-        J = np.column_stack([col1, col2])
-        return J, float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+        _, _, J, det = self.evaluate([(xi1, xi2)])
+        return J[0], float(det[0])
 
     @property
     def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -119,34 +128,58 @@ class NurbsGeometry:
 _FORM_KINDS = ("0", "1", "1*", "2")
 
 
-def pullback(k: str, geometry: NurbsGeometry, xi, value):
-    """Pull a physical field value at F(xi) back to the parametric square."""
+def _inverse_transpose(J: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """J^{-T} of a stack of 2x2 matrices (..., 2, 2)."""
+    adj_t = np.stack([np.stack([J[..., 1, 1], -J[..., 1, 0]], axis=-1),
+                      np.stack([-J[..., 0, 1], J[..., 0, 0]], axis=-1)], axis=-2)
+    return adj_t / np.asarray(det)[..., None, None]
+
+
+def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...j->...i", A, v)
+
+
+def pullback_values(k: str, J, det, value):
+    """Pull physical field values back to the parametric square, given J_F
+    (..., 2, 2) and det J_F (...) at the points.  ``value`` has shape
+    (..., 2) for the vector kinds '1' and '1*' and (...) otherwise."""
     if k not in _FORM_KINDS:
         raise GeometryError(f"unknown form kind {k!r}")
-    J, det = geometry.jacobian(*xi)
+    J, det, value = np.asarray(J), np.asarray(det), np.asarray(value)
     if k == "0":
         return value
     if k == "1":
-        return J.T @ np.asarray(value)
+        return _apply(np.swapaxes(J, -1, -2), value)
     if k == "1*":
-        Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
-        return det * (Jinv @ np.asarray(value))
+        J_inv = np.swapaxes(_inverse_transpose(J, det), -1, -2)
+        return det[..., None] * _apply(J_inv, value)
     return det * value
+
+
+def push_forward_values(k: str, J, det, value):
+    """Inverse of :func:`pullback_values` for the same form kind."""
+    if k not in _FORM_KINDS:
+        raise GeometryError(f"unknown form kind {k!r}")
+    J, det, value = np.asarray(J), np.asarray(det), np.asarray(value)
+    if k == "0":
+        return value
+    if k == "1":
+        return _apply(_inverse_transpose(J, det), value)
+    if k == "1*":
+        return _apply(J / det[..., None, None], value)
+    return value / det
+
+
+def pullback(k: str, geometry: NurbsGeometry, xi, value):
+    """Pull a physical field value at F(xi) back to the parametric square."""
+    J, det = geometry.jacobian(*xi)
+    return pullback_values(k, J, det, value)
 
 
 def push_forward(k: str, geometry: NurbsGeometry, xi, value):
     """Inverse of :func:`pullback` for the same form kind."""
-    if k not in _FORM_KINDS:
-        raise GeometryError(f"unknown form kind {k!r}")
     J, det = geometry.jacobian(*xi)
-    if k == "0":
-        return value
-    if k == "1":
-        JT_inv = np.array([[J[1, 1], -J[1, 0]], [-J[0, 1], J[0, 0]]]) / det
-        return JT_inv @ np.asarray(value)
-    if k == "1*":
-        return (J @ np.asarray(value)) / det
-    return value / det
+    return push_forward_values(k, J, det, value)
 
 
 # -- built-in geometries ----------------------------------------------------

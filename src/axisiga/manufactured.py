@@ -27,6 +27,8 @@ symbolically and can be cross-validated against finite differences of the
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import sympy as spy
 
@@ -62,6 +64,34 @@ def _lambdify_vec(exprs):
     return call
 
 
+@lru_cache(maxsize=16)
+def _derive(gamma: float, materials: MaterialConstants):
+    """Lambdified per-mode closed forms (a, b, j) for one (gamma, materials).
+
+    The sympy derivation dominates construction, so it is done once per
+    parameter set; the returned dicts are shared and must not be mutated.
+    """
+    g = spy.Rational(gamma) if gamma.is_integer() else spy.Float(gamma)
+    f1 = (5 - _Z) ** 3 * _RHO ** (g + 1) * spy.exp(-_RHO)
+    f2 = _RHO**2 * (5 - _Z) ** g
+    f3 = (1 - spy.cos(5 - _Z)) * _RHO ** (g + 1)
+    zero = spy.Integer(0)
+    a_sym = {
+        3: (f1, zero, zero),
+        2: (zero, zero, f3),
+        -1: (zero, -f2 / 2, zero),
+        -3: (zero, f2 / 2, zero),
+    }
+    b_sym = {m: curl_mode(a, m) for m, a in a_sym.items()}
+    mu_inv = 1.0 / materials.mu
+    j_sym = {
+        m: tuple(mu_inv * c for c in curl_mode(b, -m))
+        for m, b in b_sym.items()
+    }
+    return tuple({m: _lambdify_vec(e) for m, e in table.items()}
+                 for table in (a_sym, b_sym, j_sym))
+
+
 class ManufacturedSolution:
     """Per-mode closed forms for A, B = curl A, J = mu^{-1} curl B and the
     Neumann boundary datum, on the rectangle [0, 1] x [4, 5]."""
@@ -69,26 +99,7 @@ class ManufacturedSolution:
     def __init__(self, gamma: float, materials: MaterialConstants = VACUUM):
         self.gamma = float(gamma)
         self.materials = materials
-        g = spy.Rational(gamma) if float(gamma).is_integer() else spy.Float(gamma)
-        f1 = (5 - _Z) ** 3 * _RHO ** (g + 1) * spy.exp(-_RHO)
-        f2 = _RHO**2 * (5 - _Z) ** g
-        f3 = (1 - spy.cos(5 - _Z)) * _RHO ** (g + 1)
-        zero = spy.Integer(0)
-        self._a_sym = {
-            3: (f1, zero, zero),
-            2: (zero, zero, f3),
-            -1: (zero, -f2 / 2, zero),
-            -3: (zero, f2 / 2, zero),
-        }
-        self._b_sym = {m: curl_mode(a, m) for m, a in self._a_sym.items()}
-        mu_inv = 1.0 / materials.mu
-        self._j_sym = {
-            m: tuple(mu_inv * c for c in curl_mode(b, -m))
-            for m, b in self._b_sym.items()
-        }
-        self._a_fn = {m: _lambdify_vec(e) for m, e in self._a_sym.items()}
-        self._b_fn = {m: _lambdify_vec(e) for m, e in self._b_sym.items()}
-        self._j_fn = {m: _lambdify_vec(e) for m, e in self._j_sym.items()}
+        self._a_fn, self._b_fn, self._j_fn = _derive(self.gamma, materials)
 
     def _eval(self, table, m, rho, z):
         rho = np.asarray(rho, dtype=float)
@@ -113,12 +124,14 @@ class ManufacturedSolution:
         return self._eval(self._j_fn, m, rho, z)
 
     def neumann(self, m, rho, z, normal):
-        """Surface datum (mu^{-1} b) x n; ``normal`` = (n_rho, n_z).
+        """Surface datum (mu^{-1} b) x n; ``normal`` = (n_rho, n_z) per point,
+        of shape (..., 2) matching rho.
 
         Matches the ``neumann`` callback signature of assemble_load.
         """
         w = self.b(m, rho, z) / self.materials.mu
-        n_r, n_z = float(normal[0]), float(normal[1])
+        normal = np.asarray(normal, dtype=float)
+        n_r, n_z = normal[..., 0], normal[..., 1]
         g = np.zeros_like(w)
         g[..., 0] = w[..., 2] * n_z
         g[..., 1] = -w[..., 2] * n_r

@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature and per-element rules with cylindrical weight.
+"""Gauss-Legendre quadrature rules.
 
 Nodes are computed as roots of the Legendre polynomial by Newton iteration
 started from Chebyshev guesses; rules are cached per order.
@@ -63,66 +63,3 @@ def gauss_legendre(n: int) -> QuadratureRule1D:
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
     return QuadratureRule1D(n, x, w)
-
-
-@dataclass(frozen=True)
-class ElementRule2D:
-    """Tensor quadrature on one parametric element, with physical metadata.
-
-    ``weights`` already include both 1D Gauss weights, the element scaling,
-    |det J_F| and the cylindrical factor rho, so a weighted-L2_rho integral
-    is simply ``sum(f(points) * weights)``.
-    """
-
-    element: tuple[tuple[float, float], tuple[float, float]]
-    points: np.ndarray        # (nq, 2) parametric
-    phys_points: np.ndarray   # (nq, 2) physical (rho, z)
-    jacobians: np.ndarray     # (nq, 2, 2)
-    dets: np.ndarray          # (nq,)
-    weights: np.ndarray       # (nq,) includes rho * |det J|
-    param_weights: np.ndarray  # (nq,) parametric measure only
-
-
-def build_element_rule(geometry, element, n: int) -> ElementRule2D:
-    """Quadrature rule for the weighted measure rho drho dz on one element.
-
-    Parameters
-    ----------
-    geometry : NurbsGeometry
-        Cross-section map F; must be regular (det J_F > 0) on the element.
-    element : ((a1, b1), (a2, b2))
-        Parametric bounds of the Bezier element.
-    n : int
-        Gauss points per direction.
-    """
-    (a1, b1), (a2, b2) = element
-    rule = gauss_legendre(n)
-    x1, w1 = rule.mapped(a1, b1)
-    x2, w2 = rule.mapped(a2, b2)
-    P1, P2 = np.meshgrid(x1, x2, indexing="ij")
-    W = np.outer(w1, w2).ravel()
-    pts = np.column_stack([P1.ravel(), P2.ravel()])
-    nq = len(pts)
-    phys = np.zeros((nq, 2))
-    jacs = np.zeros((nq, 2, 2))
-    dets = np.zeros(nq)
-    for q, (u, v) in enumerate(pts):
-        phys[q] = geometry.map_point(u, v)
-        J, d = geometry.jacobian(u, v)
-        jacs[q] = J
-        dets[q] = d
-    if np.any(dets <= 0.0):
-        raise QuadratureError("non-positive Jacobian determinant at a quadrature node")
-    rho = phys[:, 0]
-    if np.any(rho < -1e-12):
-        raise QuadratureError("negative rho at a quadrature node")
-    rho = np.maximum(rho, 0.0)
-    return ElementRule2D(
-        element=((a1, b1), (a2, b2)),
-        points=pts,
-        phys_points=phys,
-        jacobians=jacs,
-        dets=dets,
-        weights=W * dets * rho,
-        param_weights=W,
-    )

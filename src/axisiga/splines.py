@@ -96,32 +96,51 @@ class KnotVector:
         return float(max(r.max(), (1.0 / r).max()))
 
 
-def _find_span(knots: np.ndarray, p: int, n: int, x: float) -> int:
-    """Index i with knots[i] <= x < knots[i+1], left limit at the right end."""
-    if x >= knots[n]:
-        return n - 1
-    if x <= knots[p]:
-        return p
-    return int(np.searchsorted(knots, x, side="right")) - 1
+def _cox_de_boor(knots: np.ndarray, p: int, n: int, xs: np.ndarray):
+    """First indices, values and first derivatives of the p+1 possibly-nonzero
+    basis functions at every point of ``xs``, in one vectorized pass.
 
-
-def _basis_funs(knots: np.ndarray, p: int, span: int, x: float) -> np.ndarray:
-    """Cox-DeBoor triangle: the p+1 possibly-nonzero values at x."""
-    vals = np.zeros(p + 1)
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    vals[0] = 1.0
+    The span of x is the index i with knots[i] <= x < knots[i+1], taken as the
+    left limit at the right end.  The Cox-DeBoor triangle is run up to degree
+    p-1, whose values give the derivatives, and then closed to degree p.
+    Returns (firsts (npts,), vals (npts, p+1), ders (npts, p+1)).
+    """
+    span = np.clip(np.searchsorted(knots, xs, side="right") - 1, p, n - 1)
+    npts = len(xs)
+    vals = np.zeros((npts, p + 1))
+    vals[:, 0] = 1.0
+    ders = np.zeros((npts, p + 1))
+    left = np.zeros((npts, p + 1))
+    right = np.zeros((npts, p + 1))
     for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
+        if j == p:
+            low = vals[:, :p].copy()
+        left[:, j] = xs - knots[span + 1 - j]
+        right[:, j] = knots[span + j] - xs
+        saved = np.zeros(npts)
         for r in range(j):
-            denom = right[r + 1] + left[j - r]
-            temp = vals[r] / denom if denom != 0.0 else 0.0
-            vals[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        vals[j] = saved
-    return vals
+            denom = right[:, r + 1] + left[:, j - r]
+            temp = np.divide(vals[:, r], denom, out=np.zeros(npts),
+                             where=denom != 0.0)
+            vals[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        vals[:, j] = saved
+    if p > 0:
+        # d/dx B_{i,p} = p (B_{i,p-1} / (k_{i+p} - k_i)
+        #                   - B_{i+1,p-1} / (k_{i+p+1} - k_{i+1})),
+        # with low[:, a] = B_{span-p+1+a, p-1}
+        for a in range(p + 1):
+            i = span - p + a
+            if a >= 1:
+                d = knots[i + p] - knots[i]
+                ders[:, a] += np.divide(low[:, a - 1], d, out=np.zeros(npts),
+                                        where=d > 0.0)
+            if a < p:
+                d = knots[i + p + 1] - knots[i + 1]
+                ders[:, a] -= np.divide(low[:, a], d, out=np.zeros(npts),
+                                        where=d > 0.0)
+        ders *= p
+    return span - p, vals, ders
 
 
 class SplineSpace1D:
@@ -148,66 +167,50 @@ class SplineSpace1D:
     def h(self) -> float:
         return float(self.kv.element_sizes.max())
 
-    def _check_x(self, x: float) -> None:
-        if not (0.0 <= x <= 1.0):
-            raise SplineError(f"evaluation point {x} outside [0, 1]")
+    def tabulate(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First indices, values and first derivatives of the p+1
+        possibly-nonzero basis functions at every point of ``xs``.
+
+        Returns (firsts (npts,), vals (npts, p+1), ders (npts, p+1)).
+        """
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        bad = ~((xs >= 0.0) & (xs <= 1.0))
+        if np.any(bad):
+            raise SplineError(f"evaluation point {xs[bad][0]} outside [0, 1]")
+        return _cox_de_boor(self.knots, self.degree, self.num_basis, xs)
 
     def eval_basis(self, x: float) -> tuple[int, np.ndarray]:
         """Values of the p+1 possibly-nonzero basis functions at x.
 
         Returns the index of the first of them together with the values.
         """
-        self._check_x(x)
-        p = self.degree
-        span = _find_span(self.knots, p, self.num_basis, x)
-        return span - p, _basis_funs(self.knots, p, span, x)
+        firsts, vals, _ = self.tabulate(x)
+        return int(firsts[0]), vals[0]
 
     def eval_basis_deriv(self, x: float, order: int = 1) -> tuple[int, np.ndarray]:
         """First derivatives of the p+1 local basis functions at x."""
         if order != 1:
             raise SplineError("only first derivatives are supported")
-        self._check_x(x)
-        p = self.degree
-        if p == 0:
-            span = _find_span(self.knots, p, self.num_basis, x)
-            return span, np.zeros(1)
-        span = _find_span(self.knots, p, self.num_basis, x)
-        low = _basis_funs(self.knots, p - 1, span, x)  # indices span-p+1 .. span
-        ders = np.zeros(p + 1)
-        for k, i in enumerate(range(span - p, span + 1)):
-            a = 0.0
-            if i >= span - p + 1:
-                d = self.knots[i + p] - self.knots[i]
-                if d > 0.0:
-                    a = low[i - (span - p + 1)] / d
-            b = 0.0
-            if i + 1 <= span:
-                d = self.knots[i + p + 1] - self.knots[i + 1]
-                if d > 0.0:
-                    b = low[i - (span - p)] / d
-            ders[k] = p * (a - b)
-        return span - p, ders
+        firsts, _, ders = self.tabulate(x)
+        return int(firsts[0]), ders[0]
+
+    def _local_indices(self, firsts: np.ndarray) -> np.ndarray:
+        return firsts[:, None] + np.arange(self.degree + 1)
 
     def eval_field(self, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Evaluate sum_i c_i B_i at the given points."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros(xs.shape)
-        for q, x in enumerate(xs):
-            first, vals = self.eval_basis(x)
-            out[q] = vals @ coeffs[first : first + self.degree + 1]
-        return out
+        firsts, vals, _ = self.tabulate(xs)
+        c = np.asarray(coeffs, dtype=float)[self._local_indices(firsts)]
+        return np.einsum("qa,qa->q", vals, c)
 
     def collocation_matrix(self, xs: np.ndarray, deriv: bool = False) -> sp.csr_matrix:
         """Sparse matrix of basis (or derivative) values at the given points."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        rows, cols, vals = [], [], []
-        for q, x in enumerate(xs):
-            first, v = (self.eval_basis_deriv(x) if deriv else self.eval_basis(x))
-            for j, val in enumerate(v):
-                rows.append(q)
-                cols.append(first + j)
-                vals.append(val)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(len(xs), self.num_basis))
+        firsts, vals, ders = self.tabulate(xs)
+        rows = np.repeat(np.arange(len(firsts)), self.degree + 1)
+        cols = self._local_indices(firsts).ravel()
+        data = (ders if deriv else vals).ravel()
+        return sp.csr_matrix((data, (rows, cols)),
+                             shape=(len(firsts), self.num_basis))
 
 
 def make_knot_vector(breakpoints, degree: int, multiplicities) -> KnotVector:
@@ -297,6 +300,20 @@ class TensorSplineSpace:
     def ravel(self, i1, i2):
         return i1 * self.s2.num_basis + i2
 
+    def tabulate(self, pts) -> tuple:
+        """1D tables of both directions at paired points pts (npts, 2).
+
+        Returns (f1, v1, d1, f2, v2, d2) as in :meth:`SplineSpace1D.tabulate`.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self.s1.tabulate(pts[:, 0]) + self.s2.tabulate(pts[:, 1])
+
+    def local_block(self, array: np.ndarray, f1: np.ndarray, f2: np.ndarray):
+        """Per-point (p1+1, p2+1) blocks of a coefficient-shaped array."""
+        i1 = self.s1._local_indices(f1)[:, :, None]
+        i2 = self.s2._local_indices(f2)[:, None, :]
+        return array[i1, i2]
+
     def eval_field(self, coeffs: np.ndarray, pts: np.ndarray,
                    deriv: bool = False) -> np.ndarray:
         """Evaluate a 2D spline field (and optionally its gradient) at points.
@@ -304,21 +321,15 @@ class TensorSplineSpace:
         pts has shape (npts, 2).  Returns values of shape (npts,) or, with
         deriv=True, (npts, 3) holding (value, d/dxi1, d/dxi2).
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        f1, v1, d1, f2, v2, d2 = self.tabulate(pts)
         c = np.asarray(coeffs, dtype=float).reshape(self.shape)
-        p1, p2 = self.s1.degree, self.s2.degree
-        out = np.zeros((len(pts), 3 if deriv else 1))
-        for q, (x, y) in enumerate(pts):
-            f1, v1 = self.s1.eval_basis(x)
-            f2, v2 = self.s2.eval_basis(y)
-            block = c[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1]
-            out[q, 0] = v1 @ block @ v2
-            if deriv:
-                _, d1 = self.s1.eval_basis_deriv(x)
-                _, d2 = self.s2.eval_basis_deriv(y)
-                out[q, 1] = d1 @ block @ v2
-                out[q, 2] = v1 @ block @ d2
-        return out[:, 0] if not deriv else out
+        block = self.local_block(c, f1, f2)
+        value = np.einsum("qa,qab,qb->q", v1, block, v2)
+        if not deriv:
+            return value
+        return np.stack([value,
+                         np.einsum("qa,qab,qb->q", d1, block, v2),
+                         np.einsum("qa,qab,qb->q", v1, block, d2)], axis=-1)
 
 
 class NurbsBasis:
@@ -333,27 +344,33 @@ class NurbsBasis:
         self.space = space
         self.weights = weights
 
+    def eval_points(self, pts):
+        """Local rational basis values and first derivatives at paired points.
+
+        pts has shape (npts, 2).  Returns (first1, first2, N, dN1, dN2) where
+        first1/first2 have shape (npts,) and the arrays have shape
+        (npts, p1+1, p2+1), covering the possibly-nonzero local functions.
+        """
+        f1, v1, d1, f2, v2, d2 = self.space.tabulate(pts)
+        w = self.space.local_block(self.weights, f1, f2)
+        B = np.einsum("qa,qb->qab", v1, v2)
+        B1 = np.einsum("qa,qb->qab", d1, v2)
+        B2 = np.einsum("qa,qb->qab", v1, d2)
+        W = (w * B).sum(axis=(1, 2))[:, None, None]
+        if np.any(W <= 0.0):
+            raise SplineError("non-positive NURBS denominator")
+        W1 = (w * B1).sum(axis=(1, 2))[:, None, None]
+        W2 = (w * B2).sum(axis=(1, 2))[:, None, None]
+        N = w * B / W
+        dN1 = w * (B1 * W - B * W1) / W**2
+        dN2 = w * (B2 * W - B * W2) / W**2
+        return f1, f2, N, dN1, dN2
+
     def eval(self, x: float, y: float):
         """Local rational basis values and first derivatives at (x, y).
 
         Returns (first1, first2, N, dN1, dN2) where the arrays have shape
         (p1+1, p2+1) and cover the possibly-nonzero local functions.
         """
-        s1, s2 = self.space.s1, self.space.s2
-        f1, v1 = s1.eval_basis(x)
-        f2, v2 = s2.eval_basis(y)
-        _, d1 = s1.eval_basis_deriv(x) if s1.degree > 0 else (f1, np.zeros(1))
-        _, d2 = s2.eval_basis_deriv(y) if s2.degree > 0 else (f2, np.zeros(1))
-        w = self.weights[f1 : f1 + s1.degree + 1, f2 : f2 + s2.degree + 1]
-        B = np.outer(v1, v2)
-        B1 = np.outer(d1, v2)
-        B2 = np.outer(v1, d2)
-        W = float((w * B).sum())
-        if W <= 0.0:
-            raise SplineError("non-positive NURBS denominator")
-        W1 = float((w * B1).sum())
-        W2 = float((w * B2).sum())
-        N = w * B / W
-        dN1 = w * (B1 * W - B * W1) / W**2
-        dN2 = w * (B2 * W - B * W2) / W**2
-        return f1, f2, N, dN1, dN2
+        f1, f2, N, dN1, dN2 = self.eval_points([(x, y)])
+        return int(f1[0]), int(f2[0]), N[0], dN1[0], dN2[0]

@@ -16,6 +16,7 @@ from axisiga.assembly import (
     essential_dofs_z0,
     essential_dofs_z1,
     free_dofs,
+    l2_rho_error,
 )
 from axisiga.derham import DeRhamComplex2D, DeRhamError, ModeSpace
 from axisiga.geometry import pillbox_section, rectangle
@@ -318,3 +319,146 @@ class TestModeSystem:
         s2 = build_mode_system(cx, geo, m=2)
         assert s1.A is not s2.A
         assert np.abs((s1.A - s2.A).toarray()).max() > 0  # genuinely m-dependent
+
+
+class TestErrorNorm:
+    def test_zero_field_gives_reference_norm(self):
+        # u_h = 0, k=0 reference rho: int rho^2 * rho drho dz = 1/4
+        cx = make_complex(2, 2)
+        err = l2_rho_error(cx, UNIT, 1, 0, np.zeros(cx.dim(0)),
+                           lambda m, r, z: r)
+        assert err == pytest.approx(0.5, rel=1e-13)
+
+    def test_represented_field_has_zero_error(self):
+        # all-ones X2 coefficients are the constant density 1 (partition of
+        # unity); on the unit square det J = 1, so eta^{-1} gives 1
+        cx = make_complex(2, 3)
+        err = l2_rho_error(cx, UNIT, 2, 3, np.ones(cx.dim(3)),
+                           lambda m, r, z: np.ones_like(r))
+        assert err <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# pointwise oracle for the batched tabulation
+# ---------------------------------------------------------------------------
+
+def _oracle_basis(cx, geo, m, k, xi):
+    """Physical components (dim_k, ncomp) of every Z^k basis function at one
+    parametric point, from map_point, jacobian and eval_basis only."""
+    rho, _ = geo.map_point(*xi)
+    J, det = geo.jacobian(*xi)
+    ncomp = 3 if k in (1, 2) else 1
+    blocks = []
+    for c, space in enumerate(cx.space_factors(k)):
+        full = []
+        for s, x in ((space.s1, xi[0]), (space.s2, xi[1])):
+            f, v = s.eval_basis(x)
+            row = np.zeros(s.num_basis)
+            row[f : f + len(v)] = v
+            full.append(row)
+        T = np.zeros((space.dim, ncomp))
+        T[:, c] = np.outer(*full).ravel()
+        blocks.append(T)
+    T = np.vstack(blocks)
+    if k == 1:      # covariant pair: J^{-T} v
+        T[:, :2] = T[:, :2] @ np.linalg.inv(J)
+    elif k == 2:    # Piola pair J v / det, density third component
+        T[:, :2] = T[:, :2] @ J.T / det
+        T[:, 2] /= det
+    elif k == 3:
+        T /= det
+    if k == 0:
+        return rho / m * T
+    if k == 1:
+        return np.column_stack([(rho * T[:, 0] - T[:, 2]) / m,
+                                rho * T[:, 1] / m, T[:, 2]])
+    if k == 2:
+        return np.column_stack([T[:, 0], T[:, 1],
+                                (rho * T[:, 2] + T[:, 0]) / m])
+    return T
+
+
+def _gauss_points(space, nq):
+    rule = gauss_legendre(nq)
+    for a, b in space.elements:
+        yield from zip(*rule.mapped(a, b))
+
+
+def _oracle_mass(cx, geo, m, k):
+    nq = default_nquad(cx)
+    M = np.zeros((cx.dim(k), cx.dim(k)))
+    for x1, w1 in _gauss_points(cx.s1, nq):
+        for x2, w2 in _gauss_points(cx.s2, nq):
+            P = _oracle_basis(cx, geo, m, k, (x1, x2))
+            rho = geo.map_point(x1, x2)[0]
+            M += w1 * w2 * geo.jacobian(x1, x2)[1] * rho * (P @ P.T)
+    return M
+
+
+def _oracle_source_load(cx, geo, m, source):
+    nq = default_nquad(cx)
+    f = np.zeros(cx.dim(1))
+    for x1, w1 in _gauss_points(cx.s1, nq):
+        for x2, w2 in _gauss_points(cx.s2, nq):
+            rho, z = geo.map_point(x1, x2)
+            g = source(m, np.array([rho]), np.array([z]))[0]
+            f += (w1 * w2 * geo.jacobian(x1, x2)[1] * rho
+                  * _oracle_basis(cx, geo, m, 1, (x1, x2)) @ g)
+    return f
+
+
+def _oracle_neumann_load(cx, geo, m, neumann):
+    nq = default_nquad(cx)
+    f = np.zeros(cx.dim(1))
+    edges = {"west": (0, 0.0), "east": (0, 1.0), "south": (1, 0.0),
+             "north": (1, 1.0)}
+    for edge, (fixed, value) in edges.items():
+        if geo.edge_labels[edge] != "neumann":
+            continue
+        along = cx.s2 if fixed == 0 else cx.s1
+        for t, w in _gauss_points(along, nq):
+            xi = (value, t) if fixed == 0 else (t, value)
+            rho, z = geo.map_point(*xi)
+            J, _ = geo.jacobian(*xi)
+            T = J[:, 1 - fixed]
+            normal = np.array([T[1], -T[0]]) / np.hypot(*T)
+            outward = J[:, fixed] * (1.0 if value == 1.0 else -1.0)
+            normal *= np.sign(normal @ outward)
+            g = neumann(m, np.array([rho]), np.array([z]), normal[None])[0]
+            f += (w * np.hypot(*T) * rho
+                  * _oracle_basis(cx, geo, m, 1, xi) @ g)
+    return f
+
+
+def _source(m, rho, z):
+    return np.stack([rho * z, rho**2 + m, z * z - rho], axis=-1)
+
+
+def _neumann(m, rho, z, normal):
+    n_r, n_z = normal[..., 0], normal[..., 1]
+    return np.stack([n_r * z, n_z * rho + m, rho * z + n_r], axis=-1)
+
+
+class TestPointwiseOracle:
+    """The batched tabulation reproduces a point-by-point assembly built from
+    the scalar public API to round-off."""
+
+    @pytest.mark.parametrize("name", ["rectangle", "pillbox-section",
+                                      "quarter-annulus"])
+    def test_mass_and_loads(self, name):
+        from axisiga.geometry import BUILTIN_GEOMETRIES
+        geo = BUILTIN_GEOMETRIES[name]()
+        cx = make_complex(2, 3)
+        m = -3
+        rel = lambda a, b: np.abs(a - b).max() / np.abs(b).max()
+        for k in range(4):
+            M = assemble_mass(cx, geo, m, k=k).toarray()
+            assert rel(M, _oracle_mass(cx, geo, m, k)) <= 1e-13
+        f = assemble_load(cx, geo, m, source=_source)
+        assert rel(f, _oracle_source_load(cx, geo, m, _source)) <= 1e-13
+        f = assemble_load(cx, geo, m, neumann=_neumann)
+        ref = _oracle_neumann_load(cx, geo, m, _neumann)
+        if name == "pillbox-section":   # PEC walls and the axis only
+            assert not f.any() and not ref.any()
+        else:
+            assert rel(f, ref) <= 1e-13

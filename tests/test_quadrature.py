@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
+from axisiga.assembly import _QuadTable
+from axisiga.derham import DeRhamComplex2D
 from axisiga.geometry import quarter_annulus, rectangle
-from axisiga.quadrature import (
-    ElementRule2D,
-    QuadratureError,
-    build_element_rule,
-    gauss_legendre,
-)
+from axisiga.quadrature import QuadratureError, gauss_legendre
+from axisiga.splines import SplineSpace1D, make_knot_vector
 
 
 class TestGaussLegendre:
@@ -65,38 +63,48 @@ class TestGaussLegendre:
             (0.75**4 - 0.25**4) / 4, abs=1e-15)
 
 
+def table(geo, breaks1, breaks2, n):
+    """Quadrature table of the cylindrical measure on the mesh with the given
+    breakpoints (degree-1 spaces; only the mesh matters)."""
+    mult = lambda z: [2] + [1] * (len(z) - 2) + [2]
+    s1 = SplineSpace1D(make_knot_vector(breaks1, 1, mult(breaks1)))
+    s2 = SplineSpace1D(make_knot_vector(breaks2, 1, mult(breaks2)))
+    return _QuadTable(DeRhamComplex2D(s1, s2), geo, n)
+
+
 class TestElementRule:
+    """The per-element rule for rho drho dz, from the assembly table: ``dx``
+    includes both Gauss weights, the element scaling, det J_F and rho."""
+
     def test_unit_square_rho_weight(self):
         geo = rectangle(0, 1, 0, 1)
-        r = build_element_rule(geo, ((0, 1), (0, 1)), 3)
-        assert isinstance(r, ElementRule2D)
+        r = table(geo, [0, 1], [0, 1], 3)
         # integral of rho over the unit square
-        assert r.weights.sum() == pytest.approx(0.5, abs=1e-14)
+        assert r.dx.sum() == pytest.approx(0.5, abs=1e-14)
 
     def test_polynomial_integral(self):
         geo = rectangle(0, 1, 0, 1)
-        r = build_element_rule(geo, ((0, 1), (0, 1)), 3)
-        rho, z = r.phys_points.T
+        r = table(geo, [0, 1], [0, 1], 3)
         # integral rho^3 z^2 drho dz = 1/12 (weights already include one rho)
-        val = np.sum(r.weights * rho**2 * z**2)
+        val = np.sum(r.dx * r.rho**2 * r.z**2)
         assert val == pytest.approx(1.0 / 12.0, abs=1e-14)
 
     def test_axis_element_weights_finite(self):
         geo = rectangle(0, 1, 0, 1)
-        r = build_element_rule(geo, ((0, 0.25), (0, 1)), 4)
-        assert np.all(np.isfinite(r.weights))
-        assert np.all(r.weights >= 0)
+        r = table(geo, [0, 0.25, 0.5, 0.75, 1], [0, 1], 4)
+        axis_element = r.dx[0]  # parametric element (0, 0.25) x (0, 1)
+        assert np.all(np.isfinite(axis_element))
+        assert np.all(axis_element >= 0)
 
     @pytest.mark.parametrize("a,b", [(0, 1), (1, 2), (3, 4)])
     def test_affine_tensor_exactness(self, a, b):
         # with n points: rho^i z^j exact for i+1, j <= 2n-1
         n = 3
         geo = rectangle(1, 2, float(a), float(b))
-        r = build_element_rule(geo, ((0, 1), (0, 1)), n)
-        rho, z = r.phys_points.T
+        r = table(geo, [0, 1], [0, 1], n)
         for i in range(2 * n - 2):
             for j in range(2 * n):
-                val = np.sum(r.weights * rho**i * z**j)
+                val = np.sum(r.dx * r.rho**i * r.z**j)
                 exact = ((2.0 ** (i + 2) - 1.0) / (i + 2)
                          * (float(b) ** (j + 1) - float(a) ** (j + 1)) / (j + 1))
                 assert val == pytest.approx(exact, rel=1e-13)
@@ -106,7 +114,5 @@ class TestElementRule:
         # int rho dA = int_1^2 int_0^{pi/2} (r cos t) r dt dr = 7/3
         # rational integrand, so high-order Gauss converges but is not exact
         geo = quarter_annulus(1.0, 2.0)
-        total = 0.0
-        for elem in geo.elements():
-            total += build_element_rule(geo, elem, 16).weights.sum()
-        assert total == pytest.approx(7.0 / 3.0, rel=1e-9)
+        r = table(geo, *geo.breakpoints, 16)
+        assert r.dx.sum() == pytest.approx(7.0 / 3.0, rel=1e-9)

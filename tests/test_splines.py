@@ -274,3 +274,36 @@ def test_dimension_formula_property(p, nel):
     kv = KnotVector.uniform(p, nel)
     assert kv.num_basis == int(kv.multiplicities.sum()) - (p + 1)
     assert len(kv.knots) == kv.num_basis + p + 1
+
+
+class TestTabulateAgainstScipy:
+    """The batched Cox-DeBoor tables against scipy.interpolate.BSpline."""
+
+    @pytest.mark.parametrize("space", [
+        uniform_space(1, 3),
+        uniform_space(3, 5),
+        SplineSpace1D(make_knot_vector([0, 0.3, 0.5, 1], 2, [3, 2, 1, 3])),
+        SplineSpace1D(make_knot_vector([0, 0.5, 1], 3, [4, 4, 4])),
+    ], ids=["p1", "p3", "p2-double-knot", "p3-discontinuous"])
+    def test_values_and_derivatives(self, space):
+        from scipy.interpolate import BSpline
+        spaces = [space]
+        if np.all(space.kv.regularities[1:-1] >= 0):
+            spaces.append(reduce_degree_regularity(space))
+        rng = np.random.default_rng(8)
+        for s in spaces:
+            # breakpoints (including x = 1) and random interior points
+            xs = np.concatenate([s.breakpoints, rng.uniform(0, 1, 50)])
+            firsts, vals, ders = s.tabulate(xs)
+            full_v = np.zeros((len(xs), s.num_basis))
+            full_d = np.zeros((len(xs), s.num_basis))
+            cols = firsts[:, None] + np.arange(s.degree + 1)
+            np.put_along_axis(full_v, cols, vals, axis=1)
+            np.put_along_axis(full_d, cols, ders, axis=1)
+            ref = BSpline(s.knots, np.eye(s.num_basis), s.degree)
+            # scipy is right-continuous at breakpoints, the left limit at 1
+            assert np.abs(full_v - ref(xs)).max() <= 1e-14
+            if s.degree > 0:
+                assert np.abs(full_d - ref(xs, nu=1)).max() <= 1e-12
+            else:
+                assert not full_d.any()

@@ -137,13 +137,12 @@ class TestCli:
             "subdivisions 1 2\n"
             "modes = 2\n")
         code = main(["exactness", "--config", str(cfg), "--modes", "5",
-                     "--out", str(tmp_path), "--sequential"])
+                     "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "exactness.json").read_text())
         assert payload["config"]["degrees"] == [3]
         assert payload["config"]["subdivisions"] == [1, 2]
         assert payload["config"]["modes"] == [5]  # flag wins over file
-        assert payload["config"]["sequential"] is True
 
     def test_csv_byte_reproducible(self, tmp_path):
         args = ["exactness", "--degrees", "2", "--subdivisions", "2",
