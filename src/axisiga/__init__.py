@@ -6,12 +6,12 @@ analytic pillbox reference."""
 
 from .assembly import (
     MaterialConstants,
+    MeshForms,
     ModeSystem,
     VACUUM,
     assemble_curlcurl,
     assemble_load,
     assemble_mass,
-    assemble_mixed,
     build_mode_system,
     l2_rho_error,
 )

@@ -14,18 +14,19 @@ Every integral runs over one table of all Gauss points, built per
 direction, the geometry (rho, z, J, det J) at every point and the
 push-forwarded tilde values of every local basis function.  Each assembly
 routine contracts that table with one einsum (matrices then come from one
-COO build); the table is cheap, so each call builds its own and nothing is
-cached between calls.
+COO build).
 
-The mode m enters only through eta^{-1}, applied to the tabulated values;
-since the integrands pair like components, the matrices depend on m only
-through m**2 and coincide for the symmetric (m > 0) and antisymmetric (m < 0)
-branches.
+The mode m enters only through eta^{-1}, whose factors 1/m multiply whole
+components: all of k=0, the (rho, z) pair of k=1, the theta component of
+k=2, none of k=3.  The integrands pair like components, so every matrix is
+M_k(m) = X_k + Y_k / m**2 (Y_k from the 1/m components at m = 1), the same
+for m and -m.  ``MeshForms`` assembles X and Y once per mesh; a mode then
+costs two sparse axpys, the product M G and its load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,6 +193,44 @@ class _QuadTable:
 # matrix assembly
 # ---------------------------------------------------------------------------
 
+# components of eta^{-1} tilde that carry the factor 1/m, per form degree
+_INV_M_COMPONENTS = {0: (0,), 1: (0, 1), 2: (2,), 3: ()}
+
+
+def _mass_parts(tab: _QuadTable, k: int, weight):
+    """(X, Y) with the weighted Z^k mass M_k(m) = X + Y / m**2: the
+    integrals over the eta^{-1} components free of 1/m and over those that
+    carry it, both tabulated at m = 1."""
+    idx, U = tab.basis(k)
+    P = tab.physical(1, k, U)
+    if callable(weight):
+        wq = tab.dx * tab.at_points(weight)
+    else:
+        wq = tab.dx * float(weight)
+    local = np.einsum("eaqc,ebqc->ceab", P, P * wq[:, None, :, None],
+                      optimize=True)
+    inv_m = np.isin(np.arange(P.shape[-1]), _INV_M_COMPONENTS[k])
+    nloc, dim = idx.shape[1], tab.complex.dim(k)
+    ij = (np.repeat(idx, nloc, axis=1).ravel(), np.tile(idx, (1, nloc)).ravel())
+    return tuple(sp.csr_matrix((local[comps].sum(axis=0).ravel(), ij),
+                               shape=(dim, dim)) for comps in (~inv_m, inv_m))
+
+
+def _curlcurl_parts(tab: _QuadTable, weight):
+    """(X, Y) with the symmetrized C^T M2(weight) C = X + Y / m**2."""
+    C = tab.complex.C
+    AA = [(C.T @ M2 @ C).tocsr() for M2 in _mass_parts(tab, 2, weight)]
+    return tuple(0.5 * (A + A.T) for A in AA)
+
+
+def _at_mode(parts, m: int) -> sp.csr_matrix:
+    """X + Y / m**2 for mode m."""
+    if m == 0:
+        raise DeRhamError("mode m must be nonzero")
+    X, Y = parts
+    return (X + Y / m**2).tocsr()
+
+
 def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
                   k: int = 1, weight=1.0, nquad: int | None = None) -> sp.csr_matrix:
     """Weighted L2_rho mass matrix on Z^k_h for mode m.
@@ -199,25 +238,8 @@ def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
     Entries are integrals weight * (eta^{-1} tilde_j) . (eta^{-1} tilde_i)
     rho drho dz; ``weight`` is a constant or a callable of (rho, z).
     """
-    if m == 0:
-        raise DeRhamError("mode m must be nonzero")
     tab = _QuadTable(complex_, geometry, nquad)
-    idx, U = tab.basis(k)
-    P = tab.physical(m, k, U)
-    if callable(weight):
-        wq = tab.dx * tab.at_points(weight)
-    else:
-        wq = tab.dx * float(weight)
-    local = np.einsum("eaqc,ebqc->eab", P, P * wq[:, None, :, None],
-                      optimize=True)
-    nloc = idx.shape[1]
-    dim = complex_.dim(k)
-    M = sp.csr_matrix(
-        (local.ravel(), (np.repeat(idx, nloc, axis=1).ravel(),
-                         np.tile(idx, (1, nloc)).ravel())),
-        shape=(dim, dim))
-    M.sum_duplicates()
-    return M
+    return _at_mode(_mass_parts(tab, k, weight), m)
 
 
 def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
@@ -230,23 +252,8 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
     """
     if weight is None:
         weight = 1.0 / materials.mu
-    M2 = assemble_mass(complex_, geometry, m, k=2, weight=weight, nquad=nquad)
-    C = complex_.C
-    A = (C.T @ M2 @ C).tocsr()
-    return 0.5 * (A + A.T)
-
-
-def assemble_mixed(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
-                   weight=None, materials: MaterialConstants = VACUUM,
-                   nquad: int | None = None) -> sp.csr_matrix:
-    """Gradient-coupling block B_m = M1(weight) G (Z^0 multipliers -> Z^1).
-
-    ``weight`` defaults to the permittivity.
-    """
-    if weight is None:
-        weight = materials.eps
-    M1 = assemble_mass(complex_, geometry, m, k=1, weight=weight, nquad=nquad)
-    return (M1 @ complex_.G).tocsr()
+    tab = _QuadTable(complex_, geometry, nquad)
+    return _at_mode(_curlcurl_parts(tab, weight), m)
 
 
 # ---------------------------------------------------------------------------
@@ -313,49 +320,27 @@ def l2_rho_error(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
 # essential boundary conditions
 # ---------------------------------------------------------------------------
 
-def essential_dofs_z1(complex_: DeRhamComplex2D, edge_labels: dict) -> np.ndarray:
-    """Constrained Z^1 DoFs for PEC (dirichlet) edges: the tangential-trace
-    coefficients of the meridian pair plus the u_theta (X0 factor) boundary
-    coefficients.  The axis edge constrains nothing."""
+def essential_dofs(complex_: DeRhamComplex2D, k: int,
+                   edge_labels: dict) -> np.ndarray:
+    """Constrained Z^k DoFs (k in {0, 1}) on dirichlet (PEC) edges.
+
+    On each such edge, every factor of Z^k whose 1D space across the edge
+    has full degree is fixed at its first or last index in that direction;
+    the reduced-degree (normal) factor stays free.  The axis constrains
+    nothing.
+    """
+    if k not in (0, 1):
+        raise AssemblyError(f"essential DoFs are defined for k in {{0, 1}}, not {k}")
     cx = complex_
-    n1, n2 = cx.s1.num_basis, cx.s2.num_basis
-    n2r = cx.s2r.num_basis
-    offs = cx.block_slices(1)
-    out: set[int] = set()
-    for edge in EDGES:
-        if edge_labels.get(edge) != "dirichlet":
-            continue
-        if edge == "west":
-            out.update(offs[1].start + 0 * n2r + np.arange(n2r))
-            out.update(offs[2].start + 0 * n2 + np.arange(n2))
-        elif edge == "east":
-            out.update(offs[1].start + (n1 - 1) * n2r + np.arange(n2r))
-            out.update(offs[2].start + (n1 - 1) * n2 + np.arange(n2))
-        elif edge == "south":
-            out.update(offs[0].start + np.arange(n1 - 1) * n2 + 0)
-            out.update(offs[2].start + np.arange(n1) * n2 + 0)
-        elif edge == "north":
-            out.update(offs[0].start + np.arange(n1 - 1) * n2 + (n2 - 1))
-            out.update(offs[2].start + np.arange(n1) * n2 + (n2 - 1))
-    return np.array(sorted(out), dtype=int)
-
-
-def essential_dofs_z0(complex_: DeRhamComplex2D, edge_labels: dict) -> np.ndarray:
-    """Constrained Z^0 multiplier DoFs on dirichlet edges."""
-    n1, n2 = complex_.s1.num_basis, complex_.s2.num_basis
-    out: set[int] = set()
-    for edge in EDGES:
-        if edge_labels.get(edge) != "dirichlet":
-            continue
-        if edge == "west":
-            out.update(0 * n2 + np.arange(n2))
-        elif edge == "east":
-            out.update((n1 - 1) * n2 + np.arange(n2))
-        elif edge == "south":
-            out.update(np.arange(n1) * n2 + 0)
-        elif edge == "north":
-            out.update(np.arange(n1) * n2 + (n2 - 1))
-    return np.array(sorted(out), dtype=int)
+    out = [np.array([], dtype=int)]
+    for space, sl in zip(cx.space_factors(k), cx.block_slices(k)):
+        index = sl.start + np.arange(space.dim).reshape(space.shape)
+        for edge in EDGES:
+            d, side, _ = _EDGE_GEOM[edge]
+            full = (space.s1, space.s2)[d].degree == cx.degrees[d]
+            if full and edge_labels.get(edge) == "dirichlet":
+                out.append(np.take(index, -1 if side else 0, axis=d))
+    return np.unique(np.concatenate(out))
 
 
 def free_dofs(dim: int, constrained: np.ndarray) -> np.ndarray:
@@ -365,18 +350,9 @@ def free_dofs(dim: int, constrained: np.ndarray) -> np.ndarray:
 
 
 def apply_essential_bc(matrix, row_free: np.ndarray,
-                       col_free: np.ndarray | None = None):
-    """Restrict a matrix (or vector) to free rows/columns."""
-    if sp.issparse(matrix):
-        out = matrix.tocsr()[row_free]
-        if col_free is not None:
-            out = out[:, col_free]
-        return out.tocsr()
-    arr = np.asarray(matrix)
-    if arr.ndim == 1:
-        return arr[row_free]
-    out = arr[np.ix_(row_free, col_free if col_free is not None else row_free)]
-    return out
+                       col_free: np.ndarray) -> sp.csr_matrix:
+    """Restrict a sparse matrix to free rows and columns."""
+    return matrix.tocsr()[row_free][:, col_free].tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +369,13 @@ class ModeSystem:
 
     m: int
     complex: DeRhamComplex2D
-    geometry: NurbsGeometry
     materials: MaterialConstants
     A: sp.csr_matrix            # curl-curl (weight 1/mu) on Z1
     M: sp.csr_matrix            # mass (weight eps) on Z1
     B: sp.csr_matrix            # M(eps) G: Z0 -> Z1
     f: np.ndarray               # load on Z1
-    constrained_z1: np.ndarray = field(default_factory=lambda: np.array([], int))
-    constrained_z0: np.ndarray = field(default_factory=lambda: np.array([], int))
+    constrained_z1: np.ndarray
+    constrained_z0: np.ndarray
 
     @property
     def parity(self) -> str:
@@ -428,21 +403,40 @@ class ModeSystem:
         return u
 
 
-def build_mode_system(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
-                      m: int, materials: MaterialConstants = VACUUM,
-                      source=None, neumann=None,
-                      nquad: int | None = None) -> ModeSystem:
-    """Assemble A_m, M_m, B_m and the load for one mode, with BC maps."""
-    M = assemble_mass(complex_, geometry, m, k=1, weight=materials.eps,
-                      nquad=nquad)
-    A = assemble_curlcurl(complex_, geometry, m, materials=materials,
-                          nquad=nquad)
-    B = (M @ complex_.G).tocsr()
-    f = assemble_load(complex_, geometry, m, source=source, neumann=neumann,
-                      nquad=nquad)
+class MeshForms:
+    """The mode-independent parts of one mesh's Galerkin matrices.
+
+    The constructor does the work: one quadrature table, the eps-weighted
+    Z^1 mass and the symmetrized 1/mu curl-curl C^T M2 C, each split as
+    X + Y / m**2, and the constrained Z^1/Z^0 DoFs of the dirichlet edges.
+    """
+
+    def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
+                 materials: MaterialConstants = VACUUM,
+                 nquad: int | None = None):
+        tab = _QuadTable(complex_, geometry, nquad)
+        self.complex, self.geometry = complex_, geometry
+        self.materials, self.nquad = materials, nquad
+        self.mass = _mass_parts(tab, 1, materials.eps)
+        self.curlcurl = _curlcurl_parts(tab, 1.0 / materials.mu)
+        self.constrained_z1 = essential_dofs(complex_, 1, geometry.edge_labels)
+        self.constrained_z0 = essential_dofs(complex_, 0, geometry.edge_labels)
+
+
+def build_mode_system(forms: MeshForms, m: int, source=None,
+                      neumann=None) -> ModeSystem:
+    """A_m, M_m, B_m = M_m G and the load of mode m, with BC maps.
+
+    The matrices are axpys of the parts in ``forms``; only the load
+    (``assemble_load``) is integrated per mode.
+    """
+    M = _at_mode(forms.mass, m)
+    cx, geo = forms.complex, forms.geometry
     return ModeSystem(
-        m=m, complex=complex_, geometry=geometry, materials=materials,
-        A=A, M=M, B=B, f=f,
-        constrained_z1=essential_dofs_z1(complex_, geometry.edge_labels),
-        constrained_z0=essential_dofs_z0(complex_, geometry.edge_labels),
+        m=m, complex=cx, materials=forms.materials,
+        A=_at_mode(forms.curlcurl, m), M=M, B=(M @ cx.G).tocsr(),
+        f=assemble_load(cx, geo, m, source=source, neumann=neumann,
+                        nquad=forms.nquad),
+        constrained_z1=forms.constrained_z1,
+        constrained_z0=forms.constrained_z0,
     )

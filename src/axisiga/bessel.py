@@ -91,21 +91,22 @@ class BesselRoot:
     value: float
 
 
-def bessel_root(m: int, n: int, kind: str = "J") -> BesselRoot:
-    """Find chi_{mn} or chi'_{mn} by pi/8 scan plus bisection to 1e-13.
+def bessel_roots(m: int, count: int, kind: str = "J") -> list[float]:
+    """The first ``count`` positive roots of J_m ('J') or J_m' ('Jprime'):
+    one pi/8 scan, each sign change it passes bisected to 1e-13.
 
     The trivial root of J_m' at x = 0 (m >= 2, and J_m itself for m >= 1)
     is excluded: indexing starts from the first strictly positive root.
     """
-    if n < 1:
-        raise BesselError("root index n must be >= 1")
+    if count < 1:
+        raise BesselError("root count (index n) must be >= 1")
     if kind not in ("J", "Jprime"):
         raise BesselError(f"unknown kind {kind!r}")
     f = (lambda x: bessel_j(m, x)) if kind == "J" else (lambda x: bessel_j_prime(m, x))
     step = math.pi / 8.0
     x_prev = 1e-6 if m == 0 else max(1e-6, 0.5 * m)
     f_prev = f(x_prev)
-    found = 0
+    roots = []
     x = x_prev
     while x < _X_MAX - step:
         x += step
@@ -115,22 +116,27 @@ def bessel_root(m: int, n: int, kind: str = "J") -> BesselRoot:
             x_prev = x
             continue
         if fx == 0.0 or (fx > 0) != (f_prev > 0):
-            found += 1
-            if found == n:
-                a, b, fa = x_prev, x, f_prev
-                for _ in range(200):
-                    c = 0.5 * (a + b)
-                    fc = f(c)
-                    if fc == 0.0 or (b - a) < 1e-13:
-                        a = b = c
-                        break
-                    if (fc > 0) == (fa > 0):
-                        a, fa = c, fc
-                    else:
-                        b = c
-                return BesselRoot(m, n, kind, 0.5 * (a + b))
+            a, b, fa = x_prev, x, f_prev
+            for _ in range(200):
+                c = 0.5 * (a + b)
+                fc = f(c)
+                if fc == 0.0 or (b - a) < 1e-13:
+                    a = b = c
+                    break
+                if (fc > 0) == (fa > 0):
+                    a, fa = c, fc
+                else:
+                    b = c
+            roots.append(0.5 * (a + b))
+            if len(roots) == count:
+                return roots
         x_prev, f_prev = x, fx
-    raise BesselError(f"bracket for root {n} of order {m} not found below {_X_MAX}")
+    raise BesselError(f"bracket for root {count} of order {m} not found below {_X_MAX}")
+
+
+def bessel_root(m: int, n: int, kind: str = "J") -> BesselRoot:
+    """chi_{mn} or chi'_{mn}: the last of ``bessel_roots(m, n, kind)``."""
+    return BesselRoot(m, n, kind, bessel_roots(m, n, kind)[-1])
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,11 @@ def pillbox_frequency(kind: str, m: int, n: int, q: int, spec: PillboxSpec) -> f
         chi = bessel_root(m, n, "Jprime").value
     else:
         raise BesselError(f"unknown cavity mode kind {kind!r}")
+    return _omega(chi, q, spec)
+
+
+def _omega(chi: float, q: int, spec: PillboxSpec) -> float:
+    """Angular frequency of the mode with radial root chi, axial index q."""
     c = 1.0 / math.sqrt(spec.eps * spec.mu)
     return c * math.sqrt((chi / spec.radius) ** 2 + (q * math.pi / spec.length) ** 2)
 
@@ -177,24 +188,21 @@ def pillbox_spectrum(spec: PillboxSpec, m: int, count: int,
     the enumeration; a BesselError is raised if they truncate the list (the
     largest kept frequency must beat every excluded candidate).
     """
+    chi = bessel_roots(m, n_max, "J")
+    chi_prime = bessel_roots(m, n_max + 1, "Jprime")
     entries = []
     for n in range(1, n_max + 1):
-        for q in range(0, q_max + 1):
-            entries.append({"kind": "TM", "m": m, "n": n, "q": q,
-                            "omega": pillbox_frequency("TM", m, n, q, spec)})
-        for q in range(1, q_max + 1):
-            entries.append({"kind": "TE", "m": m, "n": n, "q": q,
-                            "omega": pillbox_frequency("TE", m, n, q, spec)})
+        for kind, roots, q_min in (("TM", chi, 0), ("TE", chi_prime, 1)):
+            for q in range(q_min, q_max + 1):
+                entries.append({"kind": kind, "m": m, "n": n, "q": q,
+                                "omega": _omega(roots[n - 1], q, spec)})
     entries.sort(key=lambda e: e["omega"])
     if len(entries) < count:
         raise BesselError("enumeration bounds too small for requested count")
     cutoff = entries[count - 1]["omega"]
-    c = 1.0 / math.sqrt(spec.eps * spec.mu)
     # smallest frequency any excluded (n > n_max or q > q_max) mode could have
-    min_excluded = c * min(
-        bessel_root(m, n_max + 1, "Jprime").value / spec.radius,
-        (q_max + 1) * math.pi / spec.length,
-    )
+    min_excluded = min(_omega(chi_prime[n_max], 0, spec),
+                       _omega(0.0, q_max + 1, spec))
     if min_excluded < cutoff:
         raise BesselError("enumeration bounds truncate the spectrum; raise n_max/q_max")
     return entries[:count]

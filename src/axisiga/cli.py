@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     except (SolveError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except StudyError as exc:
+    except ValueError as exc:       # StudyError and the layers' input errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = config.out_dir or "."

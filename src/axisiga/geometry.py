@@ -113,15 +113,6 @@ class NurbsGeometry:
     def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.basis.space.s1.breakpoints, self.basis.space.s2.breakpoints)
 
-    def elements(self):
-        """Parametric Bezier elements as ((a1,b1),(a2,b2)) tuples."""
-        z1, z2 = self.breakpoints
-        out = []
-        for i in range(len(z1) - 1):
-            for j in range(len(z2) - 1):
-                out.append(((z1[i], z1[i + 1]), (z2[j], z2[j + 1])))
-        return out
-
 
 # -- pullbacks / push-forwards ----------------------------------------------
 

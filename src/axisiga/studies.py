@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .assembly import MaterialConstants, build_mode_system, l2_rho_error
+from .assembly import (MaterialConstants, MeshForms, build_mode_system,
+                       l2_rho_error)
 from .bessel import PillboxSpec, pillbox_frequency, pillbox_spectrum
 from .derham import DeRhamComplex2D
 from .geometry import BUILTIN_GEOMETRIES, NurbsGeometry, load_geometry, rectangle
@@ -64,14 +66,37 @@ class StudyConfig:
             raise StudyError("modes: mode 0 is out of scope")
         if any(p < 1 for p in self.degrees):
             raise StudyError("degrees: need p >= 1")
+        if any(s < 1 for s in self.subdivisions):
+            raise StudyError("subdivisions: need at least one element")
         if self.eps <= 0 or self.mu <= 0:
             raise StudyError("material constants must be positive")
         if self.eigs < 1:
             raise StudyError("eigs: need at least one eigenvalue")
+        if self.target:
+            _parse_target(self.target)
+        if (self.geometry and self.geometry not in BUILTIN_GEOMETRIES
+                and not os.path.isfile(self.geometry)):
+            raise StudyError(f"geometry: {self.geometry!r} is neither a "
+                             "builtin name nor a file")
 
     @property
     def materials(self) -> MaterialConstants:
         return MaterialConstants(self.eps, self.mu)
+
+
+def _parse_target(target: str) -> tuple[str, int, int]:
+    """(kind, n, q) of a rate target 'TE,n,q' (n, q >= 1) or 'TM,n,q'
+    (n >= 1, q >= 0)."""
+    kind, *nums = [t.strip() for t in target.split(",")]
+    ok = kind in ("TE", "TM") and len(nums) == 2 and all(
+        t.isdigit() for t in nums)
+    if ok:
+        n, q = int(nums[0]), int(nums[1])
+        ok = n >= 1 and q >= (1 if kind == "TE" else 0)
+    if not ok:
+        raise StudyError(f"target: {target!r} is not TE,n,q (n, q >= 1) "
+                         "or TM,n,q (n >= 1, q >= 0)")
+    return kind, n, q
 
 
 @dataclass
@@ -154,9 +179,8 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
         target_idx = None
         target_omega = None
         if config.target:
-            kind, n, q = config.target.split(",")
-            target_omega = pillbox_frequency(kind.strip(), abs(m), int(n),
-                                             int(q), spec)
+            kind, n, q = _parse_target(config.target)
+            target_omega = pillbox_frequency(kind, abs(m), n, q, spec)
             big = pillbox_spectrum(spec, abs(m), 80)
             target_idx = int(np.argmin(
                 [abs(e["omega"] - target_omega) for e in big]))
@@ -165,7 +189,8 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
             for sub in config.subdivisions:
                 t0 = time.time()
                 cx = _build_complex(p, sub)
-                sys_ = build_mode_system(cx, geo, m, materials=mats)
+                # the temporary MeshForms is freed before the dense solve
+                sys_ = build_mode_system(MeshForms(cx, geo, mats), m)
                 A, M, _, _ = sys_.reduced()
                 count = (config.eigs if target_idx is None
                          else max(config.eigs, target_idx + 1))
@@ -230,10 +255,11 @@ def run_source_study(config: StudyConfig) -> StudyReport:
             err2_total = 0.0
             dofs_total = 0
             cx = _build_complex(p, sub)
+            forms = MeshForms(cx, geo, mats)
             for m in config.modes:
                 sys_ = build_mode_system(
-                    cx, geo, m, materials=mats,
-                    source=manufactured.current, neumann=manufactured.neumann)
+                    forms, m, source=manufactured.current,
+                    neumann=manufactured.neumann)
                 A, _, B, f = sys_.reduced()
                 sol = solve_saddle_point(A, B.toarray(), f)
                 u = sys_.expand_z1(sol.u)

@@ -4,22 +4,22 @@ import scipy.sparse as sp
 import sympy
 
 from axisiga.assembly import (
+    AssemblyError,
     MaterialConstants,
+    MeshForms,
     VACUUM,
     apply_essential_bc,
     assemble_curlcurl,
     assemble_load,
     assemble_mass,
-    assemble_mixed,
     build_mode_system,
     default_nquad,
-    essential_dofs_z0,
-    essential_dofs_z1,
+    essential_dofs,
     free_dofs,
     l2_rho_error,
 )
 from axisiga.derham import DeRhamComplex2D, DeRhamError, ModeSpace
-from axisiga.geometry import pillbox_section, rectangle
+from axisiga.geometry import pillbox_section, quarter_annulus, rectangle
 from axisiga.quadrature import gauss_legendre
 from axisiga.splines import KnotVector, SplineSpace1D
 
@@ -30,6 +30,7 @@ def make_complex(p, nel):
 
 
 UNIT = rectangle(0, 1, 0, 1)
+UNIT_MATERIALS = MaterialConstants(1.0, 1.0)
 
 
 class TestMass:
@@ -110,7 +111,7 @@ class TestCurlCurl:
         # pencil = dim of the constrained multiplier space
         cx = make_complex(2, 2)
         geo = pillbox_section(1.0, 1.0)
-        sys_ = build_mode_system(cx, geo, m=1, materials=MaterialConstants(1.0, 1.0))
+        sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
         A, M, _, _ = sys_.reduced()
         vals = np.linalg.eigvalsh(
             np.linalg.solve(M.toarray(), A.toarray()) @ np.eye(A.shape[0]))
@@ -122,19 +123,14 @@ class TestCurlCurl:
 
 
 class TestMixed:
-    def test_equals_mass_times_gradient(self):
-        cx = make_complex(2, 2)
-        B = assemble_mixed(cx, UNIT, m=1, weight=1.0)
-        M = assemble_mass(cx, UNIT, m=1, weight=1.0)
-        assert np.abs((B - M @ cx.G).toarray()).max() <= 1e-14 * np.abs(
-            B.toarray()).max()
+    """The gradient-coupling block B = M(eps) G of a mode system."""
 
     def test_independent_pointwise_assembly(self):
         # reassemble B by evaluating the physical mode gradient of each
         # multiplier basis function pointwise and integrating directly
         p, nel, m = 1, 2, 2
         cx = make_complex(p, nel)
-        B = assemble_mixed(cx, UNIT, m=m, weight=1.0).toarray()
+        B = build_mode_system(MeshForms(cx, UNIT, UNIT_MATERIALS), m).B.toarray()
         ms = ModeSpace(cx, m)
         nq = default_nquad(cx)
         rule = gauss_legendre(nq)
@@ -168,7 +164,7 @@ class TestMixed:
 
     def test_constant_multiplier_column(self):
         cx = make_complex(2, 2)
-        B = assemble_mixed(cx, UNIT, m=1, weight=1.0)
+        B = build_mode_system(MeshForms(cx, UNIT, UNIT_MATERIALS), 1).B
         M = assemble_mass(cx, UNIT, m=1, weight=1.0)
         ones = np.ones(cx.dim(0))
         # grad of a constant in tilde variables is (0, 0, -const)
@@ -224,8 +220,8 @@ class TestEssentialBC:
     def test_all_neumann_removes_nothing(self):
         cx = make_complex(2, 2)
         labels = {e: "neumann" for e in ("west", "east", "south", "north")}
-        assert essential_dofs_z1(cx, labels).size == 0
-        assert essential_dofs_z0(cx, labels).size == 0
+        assert essential_dofs(cx, 1, labels).size == 0
+        assert essential_dofs(cx, 0, labels).size == 0
 
     def test_all_pec_rectangle_count(self):
         cx = make_complex(2, 2)
@@ -235,13 +231,13 @@ class TestEssentialBC:
         # per edge: one factor row of the tangential meridian block plus one
         # X0 row; the four X0 corners are shared between adjacent edges
         expect = 2 * (n2r + n2) + 2 * ((n1 - 1) + n1) - 4
-        assert essential_dofs_z1(cx, labels).size == expect
+        assert essential_dofs(cx, 1, labels).size == expect
 
     def test_axis_never_constrained(self):
         cx = make_complex(2, 2)
         labels = {"west": "axis", "east": "dirichlet",
                   "south": "dirichlet", "north": "dirichlet"}
-        dofs = essential_dofs_z1(cx, labels)
+        dofs = essential_dofs(cx, 1, labels)
         sl = cx.block_slices(1)
         n2 = cx.s2.num_basis
         # interior west-edge u_theta DoFs: on the axis but not on the
@@ -258,8 +254,8 @@ class TestEssentialBC:
         cx = make_complex(2, 3)
         labels = {"west": "axis", "east": "neumann",
                   "south": "neumann", "north": "dirichlet"}
-        z1c = essential_dofs_z1(cx, labels)
-        z0f = free_dofs(cx.dim(0), essential_dofs_z0(cx, labels))
+        z1c = essential_dofs(cx, 1, labels)
+        z0f = free_dofs(cx.dim(0), essential_dofs(cx, 0, labels))
         G = cx.G.tocsc()
         for j in z0f:
             rows = G[:, j].nonzero()[0]
@@ -269,8 +265,7 @@ class TestEssentialBC:
         # solved eigenmode has vanishing tangential trace on the PEC boundary
         cx = make_complex(2, 3)
         geo = pillbox_section(1.0, 1.0)
-        sys_ = build_mode_system(cx, geo, m=1,
-                                 materials=MaterialConstants(1.0, 1.0))
+        sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
         A, M, _, _ = sys_.reduced()
         from axisiga.solve import solve_generalized_eig
         res = solve_generalized_eig(A, M, 1)
@@ -294,18 +289,23 @@ class TestEssentialBC:
         labels = {"west": "axis", "east": "dirichlet",
                   "south": "neumann", "north": "neumann"}
         M = assemble_mass(cx, UNIT, m=1)
-        con = essential_dofs_z1(cx, labels)
+        con = essential_dofs(cx, 1, labels)
         fr = free_dofs(cx.dim(1), con)
         red = apply_essential_bc(M, fr, fr)
         assert red.shape == (len(fr), len(fr))
         assert sp.issparse(red)
+
+    def test_only_z0_and_z1(self):
+        labels = {e: "dirichlet" for e in ("west", "east", "south", "north")}
+        with pytest.raises(AssemblyError):
+            essential_dofs(make_complex(1, 1), 2, labels)
 
 
 class TestModeSystem:
     def test_build_and_shapes(self):
         cx = make_complex(2, 2)
         geo = pillbox_section(0.035, 0.1)
-        sys_ = build_mode_system(cx, geo, m=26)
+        sys_ = build_mode_system(MeshForms(cx, geo), m=26)
         assert sys_.A.shape == (cx.dim(1), cx.dim(1))
         assert sys_.B.shape == (cx.dim(1), cx.dim(0))
         assert sys_.parity == "symmetric"
@@ -315,10 +315,30 @@ class TestModeSystem:
         # systems for different modes share no mutable state
         cx = make_complex(1, 2)
         geo = pillbox_section(1.0, 1.0)
-        s1 = build_mode_system(cx, geo, m=1)
-        s2 = build_mode_system(cx, geo, m=2)
+        forms = MeshForms(cx, geo)
+        s1 = build_mode_system(forms, m=1)
+        s2 = build_mode_system(forms, m=2)
         assert s1.A is not s2.A
         assert np.abs((s1.A - s2.A).toarray()).max() > 0  # genuinely m-dependent
+
+    def test_one_mesh_serves_every_mode(self):
+        # X + Y/m^2 from one MeshForms against a per-mode pointwise oracle
+        # on a curved geometry
+        cx = make_complex(2, 3)
+        geo = quarter_annulus(1.0, 2.0)
+        mats = MaterialConstants(2.0, 0.25)
+        forms = MeshForms(cx, geo, mats)
+        rel = lambda a, b: np.abs(a - b).max() / np.abs(b).max()
+        C, G = cx.C.toarray(), cx.G.toarray()
+        for m in (1, -1, 2, 26):
+            sys_ = build_mode_system(forms, m)
+            M = mats.eps * _oracle_mass(cx, geo, m, 1)
+            A = C.T @ (_oracle_mass(cx, geo, m, 2) / mats.mu) @ C
+            assert rel(sys_.M.toarray(), M) <= 1e-13
+            assert rel(sys_.A.toarray(), 0.5 * (A + A.T)) <= 1e-13
+            assert rel(sys_.B.toarray(), M @ G) <= 1e-13
+        assert (build_mode_system(forms, 2).A
+                != build_mode_system(forms, -2).A).nnz == 0
 
 
 class TestErrorNorm:
@@ -443,13 +463,14 @@ class TestPointwiseOracle:
     """The batched tabulation reproduces a point-by-point assembly built from
     the scalar public API to round-off."""
 
-    @pytest.mark.parametrize("name", ["rectangle", "pillbox-section",
-                                      "quarter-annulus"])
-    def test_mass_and_loads(self, name):
+    @pytest.mark.parametrize("name,m", [
+        pytest.param(name, m, id=name if m == -3 else f"{name}-m{m}")
+        for name in ("rectangle", "pillbox-section", "quarter-annulus")
+        for m in (-3, 1, 26)])
+    def test_mass_and_loads(self, name, m):
         from axisiga.geometry import BUILTIN_GEOMETRIES
         geo = BUILTIN_GEOMETRIES[name]()
         cx = make_complex(2, 3)
-        m = -3
         rel = lambda a, b: np.abs(a - b).max() / np.abs(b).max()
         for k in range(4):
             M = assemble_mass(cx, geo, m, k=k).toarray()

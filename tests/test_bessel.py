@@ -158,3 +158,18 @@ class TestPillbox:
         omegas = [e["omega"] for e in sp]
         assert omegas == sorted(omegas)
         assert len(sp) == 11
+
+    def test_truncation_guard(self):
+        # one radial index suffices for the lowest m=1 mode (TE111) but not
+        # for the lowest 30
+        assert pillbox_spectrum(self.spec, 1, 1, n_max=1)[0]["kind"] == "TE"
+        with pytest.raises(BesselError):
+            pillbox_spectrum(self.spec, 1, 30, n_max=1)
+
+    @pytest.mark.parametrize("m", [0, 26])
+    def test_spectrum_entries_equal_frequencies(self, m):
+        # the spectrum's one scan per root kind gives the same roots as the
+        # per-mode lookup, bit for bit
+        for e in pillbox_spectrum(self.spec, m, 30):
+            assert e["omega"] == pillbox_frequency(e["kind"], m, e["n"],
+                                                   e["q"], self.spec)

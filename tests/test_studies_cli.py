@@ -26,6 +26,14 @@ class TestConfig:
         {"degrees": (0,)},
         {"eps": -1.0},
         {"eigs": 0},
+        {"subdivisions": (4, 0)},
+        {"target": "TE,3"},
+        {"target": "TE,3,0"},
+        {"target": "TM,0,1"},
+        {"target": "TM,1,-1"},
+        {"target": "TX,1,1"},
+        {"target": "TE,a,1"},
+        {"geometry": "nope"},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(StudyError):
@@ -123,6 +131,12 @@ class TestCli:
 
     def test_bad_flag_value(self, capsys):
         assert main(["exactness", "--modes", "0"]) == 1
+
+    def test_runner_input_error(self, capsys):
+        # the dense-rank cap of the exactness report: exit 1, no traceback
+        assert main(["exactness", "--degrees", "2",
+                     "--subdivisions", "40"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
