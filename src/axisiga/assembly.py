@@ -9,19 +9,19 @@ top forms) and converted to physical cylindrical components through the
 eta^{-1} maps, which multiply by rho and never divide — every integrand is
 smooth up to the axis.
 
-Every integral runs over one table of all Gauss points, built per
-(complex, geometry, nq) in a single batched pass: the 1D basis tables of each
-direction, the geometry (rho, z, J, det J) at every point and the
-push-forwarded tilde values of every local basis function.  Each assembly
-routine contracts that table with one einsum (matrices then come from one
-COO build).
+Every integral runs over one table of Gauss points, built in a single
+batched pass: the 1D basis tables of each direction, the geometry
+(rho, z, J, det J) at every point and the push-forwarded tilde values of
+every local basis function.  Each assembly routine contracts a table with one
+einsum (matrices then come from one COO build).
 
 The mode m enters only through eta^{-1}, whose factors 1/m multiply whole
 components: all of k=0, the (rho, z) pair of k=1, the theta component of
 k=2, none of k=3.  The integrands pair like components, so every matrix is
 M_k(m) = X_k + Y_k / m**2 (Y_k from the 1/m components at m = 1), the same
-for m and -m.  ``MeshForms`` assembles X and Y once per mesh; a mode then
-costs two sparse axpys, the product M G and its load.
+for m and -m.  ``MeshForms`` owns one mesh's tables and assembles X and Y
+once; a mode then costs two sparse axpys, the product M G, and its load and
+error norms on the same tables.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ class _QuadTable:
                 raise AssemblyError(
                     "geometry breakpoints must be nested in the analysis mesh")
         self.complex = cx
+        self._kept = {}
         rule = gauss_legendre(nquad or default_nquad(cx))
         self.nodes, weights = [], []
         for d, s in enumerate((cx.s1, cx.s2)):
@@ -169,6 +170,13 @@ class _QuadTable:
         U = tilde_push_forward(k, self.J[:, None], self.det[:, None],
                                np.concatenate(blocks, axis=1))
         return np.concatenate(idx, axis=1), U
+
+    def shared_basis(self, k: int):
+        """``basis(k)``, kept from the first call on for the per-mode
+        integrals; the matrix parts call ``basis`` so that theirs is freed."""
+        if k not in self._kept:
+            self._kept[k] = self.basis(k)
+        return self._kept[k]
 
     def physical(self, m: int, k: int, U: np.ndarray) -> np.ndarray:
         """eta^{-1} of basis tilde values (nel, nloc, nq, ncomp), keeping the
@@ -263,16 +271,17 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
 def _load_vector(tab: _QuadTable, m: int, values: np.ndarray) -> np.ndarray:
     """Integrals of values (nel, nq, 3) against eta_1^{-1} of every Z^1
     basis function, with the table's measure."""
-    idx, U = tab.basis(1)
+    idx, U = tab.shared_basis(1)
     P = tab.physical(m, 1, U)
     fe = np.einsum("eaqc,eqc,eq->ea", P, values, tab.dx)
     return np.bincount(idx.ravel(), weights=fe.ravel(),
                        minlength=tab.complex.dim(1))
 
 
-def assemble_load(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
-                  source=None, neumann=None, nquad: int | None = None) -> np.ndarray:
-    """Load vector on Z^1_h for mode m.
+def assemble_load(forms: MeshForms, m: int, source=None,
+                  neumann=None) -> np.ndarray:
+    """Load vector on Z^1_h for mode m, on the quadrature tables of
+    ``forms``.
 
     source(m, rho, z) -> (npts, 3): cylindrical components of the current
     density Fourier coefficient; integrated against eta_1^{-1} of each test
@@ -287,29 +296,26 @@ def assemble_load(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
     """
     if m == 0:
         raise DeRhamError("mode m must be nonzero")
-    f = np.zeros(complex_.dim(1))
+    f = np.zeros(forms.complex.dim(1))
     if source is not None:
-        tab = _QuadTable(complex_, geometry, nquad)
-        f += _load_vector(tab, m, tab.at_points(source, m))
+        f += _load_vector(forms.table, m, forms.table.at_points(source, m))
     if neumann is not None:
-        for edge in EDGES:
-            if geometry.edge_labels[edge] == "neumann":
-                tab = _QuadTable(complex_, geometry, nquad, edge)
-                f += _load_vector(tab, m, tab.at_points(neumann, m))
+        for tab in forms.edge_tables:
+            f += _load_vector(tab, m, tab.at_points(neumann, m))
     return f
 
 
-def l2_rho_error(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
-                 k: int, coeffs: np.ndarray, reference,
-                 nquad: int | None = None) -> float:
-    """Weighted L2_rho norm of eta^{-1} u_h - reference for a Z^k field.
+def l2_rho_error(forms: MeshForms, m: int, k: int, coeffs: np.ndarray,
+                 reference) -> float:
+    """Weighted L2_rho norm of eta^{-1} u_h - reference for a Z^k field, on
+    the interior quadrature table of ``forms``.
 
     ``coeffs`` are the Z^k coefficients of u_h; reference(m, rho, z) returns
     the physical cylindrical components, of shape (npts, 3) for k in {1, 2}
     and (npts,) otherwise.
     """
-    tab = _QuadTable(complex_, geometry, nquad)
-    idx, U = tab.basis(k)
+    tab = forms.table
+    idx, U = tab.shared_basis(k)
     phys = np.einsum("eaqc,ea->eqc", tab.physical(m, k, U),
                      np.asarray(coeffs, dtype=float)[idx])
     ref = tab.at_points(reference, m).reshape(phys.shape)
@@ -404,19 +410,24 @@ class ModeSystem:
 
 
 class MeshForms:
-    """The mode-independent parts of one mesh's Galerkin matrices.
+    """One mesh's quadrature and the mode-independent parts of its Galerkin
+    matrices.
 
-    The constructor does the work: one quadrature table, the eps-weighted
-    Z^1 mass and the symmetrized 1/mu curl-curl C^T M2 C, each split as
-    X + Y / m**2, and the constrained Z^1/Z^0 DoFs of the dirichlet edges.
+    The constructor does the work: the quadrature table of all elements and
+    one per neumann edge, on which every mode's load and error norms run, the
+    eps-weighted Z^1 mass and the symmetrized 1/mu curl-curl C^T M2 C, each
+    split as X + Y / m**2, and the constrained Z^1/Z^0 DoFs of the dirichlet
+    edges.
     """
 
     def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
                  materials: MaterialConstants = VACUUM,
                  nquad: int | None = None):
-        tab = _QuadTable(complex_, geometry, nquad)
-        self.complex, self.geometry = complex_, geometry
-        self.materials, self.nquad = materials, nquad
+        self.complex, self.materials = complex_, materials
+        self.table = tab = _QuadTable(complex_, geometry, nquad)
+        self.edge_tables = [_QuadTable(complex_, geometry, nquad, edge)
+                            for edge in EDGES
+                            if geometry.edge_labels[edge] == "neumann"]
         self.mass = _mass_parts(tab, 1, materials.eps)
         self.curlcurl = _curlcurl_parts(tab, 1.0 / materials.mu)
         self.constrained_z1 = essential_dofs(complex_, 1, geometry.edge_labels)
@@ -428,15 +439,14 @@ def build_mode_system(forms: MeshForms, m: int, source=None,
     """A_m, M_m, B_m = M_m G and the load of mode m, with BC maps.
 
     The matrices are axpys of the parts in ``forms``; only the load
-    (``assemble_load``) is integrated per mode.
+    (``assemble_load``, on the tables of ``forms``) is integrated per mode.
     """
     M = _at_mode(forms.mass, m)
-    cx, geo = forms.complex, forms.geometry
+    cx = forms.complex
     return ModeSystem(
         m=m, complex=cx, materials=forms.materials,
         A=_at_mode(forms.curlcurl, m), M=M, B=(M @ cx.G).tocsr(),
-        f=assemble_load(cx, geo, m, source=source, neumann=neumann,
-                        nquad=forms.nquad),
+        f=assemble_load(forms, m, source=source, neumann=neumann),
         constrained_z1=forms.constrained_z1,
         constrained_z0=forms.constrained_z0,
     )

@@ -88,36 +88,41 @@ class SaddleSolution:
 def solve_saddle_point(A, B, f) -> SaddleSolution:
     """Direct symmetric-indefinite solve of the KKT system.
 
-    The constraint block is rescaled internally (B' = sigma B with
+    A and B may be sparse or dense; their entries are written straight into
+    the dense KKT matrix, and the residuals use them as passed.  The
+    constraint block is rescaled internally (B' = sigma B with
     sigma = ||A|| / ||B||) so that the factorization is well conditioned even
     when the material constants make ||A|| and ||B|| differ by many orders of
     magnitude; the multiplier is rescaled back on return.
     """
-    Ad, Bd = _dense(A), _dense(B)
+    A, B = (a if sp.issparse(a) else np.asarray(a, dtype=float)
+            for a in (A, B))
     f = np.asarray(f, dtype=float)
-    n, k = Bd.shape
-    if Ad.shape != (n, n) or f.shape != (n,):
+    n, k = B.shape
+    if A.shape != (n, n) or f.shape != (n,):
         raise SolveError("inconsistent saddle-point block shapes")
-    nrm_a = np.abs(Ad).max()
-    nrm_b = np.abs(Bd).max()
+    a, b = sp.coo_matrix(A), sp.coo_matrix(B)
+    a.sum_duplicates()
+    b.sum_duplicates()
+    nrm_a = np.abs(a.data).max(initial=0.0)
+    nrm_b = np.abs(b.data).max(initial=0.0)
     if nrm_b == 0.0:
         raise SolveError("constraint block B is zero")
     sigma = nrm_a / nrm_b if nrm_a > 0 else 1.0
-    Bs = sigma * Bd
-    K = np.zeros((n + k, n + k))
-    K[:n, :n] = Ad
-    K[:n, n:] = Bs
-    K[n:, :n] = Bs.T
+    # Fortran order: LAPACK factors K in place, without a copy
+    K = np.zeros((n + k, n + k), order="F")
+    K[a.row, a.col] = a.data
+    K[b.row, n + b.col] = K[n + b.col, b.row] = sigma * b.data
     rhs = np.concatenate([f, np.zeros(k)])
     try:
-        x = sla.solve(K, rhs, assume_a="sym")
+        x = sla.solve(K, rhs, assume_a="sym", overwrite_a=True)
     except sla.LinAlgError as exc:
         raise SolveError(f"saddle-point factorization failed: {exc}") from exc
     u = x[:n]
     p = sigma * x[n:]
-    r1 = np.linalg.norm(Ad @ u + Bd @ p - f) / max(np.linalg.norm(f), 1.0)
+    r1 = np.linalg.norm(A @ u + B @ p - f) / max(np.linalg.norm(f), 1.0)
     nu = np.linalg.norm(u)
-    r2 = np.linalg.norm(Bd.T @ u) / nu if nu > 0 else 0.0
+    r2 = np.linalg.norm(B.T @ u) / nu if nu > 0 else 0.0
     return SaddleSolution(u, p, r1, r2)
 
 

@@ -176,16 +176,17 @@ class TestMixed:
 class TestLoad:
     def test_zero_source(self):
         cx = make_complex(1, 2)
-        f = assemble_load(cx, UNIT, m=1,
+        f = assemble_load(MeshForms(cx, UNIT), m=1,
                           source=lambda m, r, z: np.zeros(r.shape + (3,)))
         assert np.abs(f).max() == 0.0
 
     def test_linearity(self):
         cx = make_complex(2, 2)
         src = lambda m, r, z: np.stack([r * z, r**2, z], axis=-1)
-        f1 = assemble_load(cx, UNIT, m=2, source=src)
+        forms = MeshForms(cx, UNIT)
+        f1 = assemble_load(forms, m=2, source=src)
         f3 = assemble_load(
-            cx, UNIT, m=2,
+            forms, m=2,
             source=lambda m, r, z: 3.0 * src(m, r, z))
         assert np.allclose(f3, 3 * f1, atol=1e-14 * np.abs(f1).max())
 
@@ -199,7 +200,7 @@ class TestLoad:
             "south": "dirichlet", "north": "dirichlet"})
         g = lambda m, r, z, n: np.stack(
             [np.zeros_like(r), np.zeros_like(r), np.ones_like(r)], axis=-1)
-        f = assemble_load(cx, geo, m=1, neumann=g)
+        f = assemble_load(MeshForms(cx, geo), m=1, neumann=g)
         sl = cx.block_slices(1)
         # only u_theta (X0) entries on the east edge are loaded
         assert np.abs(f[sl[0]]).max() <= 1e-14
@@ -345,7 +346,7 @@ class TestErrorNorm:
     def test_zero_field_gives_reference_norm(self):
         # u_h = 0, k=0 reference rho: int rho^2 * rho drho dz = 1/4
         cx = make_complex(2, 2)
-        err = l2_rho_error(cx, UNIT, 1, 0, np.zeros(cx.dim(0)),
+        err = l2_rho_error(MeshForms(cx, UNIT), 1, 0, np.zeros(cx.dim(0)),
                            lambda m, r, z: r)
         assert err == pytest.approx(0.5, rel=1e-13)
 
@@ -353,9 +354,34 @@ class TestErrorNorm:
         # all-ones X2 coefficients are the constant density 1 (partition of
         # unity); on the unit square det J = 1, so eta^{-1} gives 1
         cx = make_complex(2, 3)
-        err = l2_rho_error(cx, UNIT, 2, 3, np.ones(cx.dim(3)),
+        err = l2_rho_error(MeshForms(cx, UNIT), 2, 3, np.ones(cx.dim(3)),
                            lambda m, r, z: np.ones_like(r))
         assert err <= 1e-14
+
+
+class TestSharedTables:
+    """One MeshForms serves the loads and error norms of every mode."""
+
+    def test_each_mode_matches_a_fresh_mesh(self):
+        # a value kept on the tables that depends on the mode would leak
+        # from one mode into the next
+        cx = make_complex(2, 3)
+        geo = quarter_annulus(1.0, 2.0)
+        rng = np.random.default_rng(4)
+        u1, u2 = rng.standard_normal(cx.dim(1)), rng.standard_normal(cx.dim(2))
+
+        def results(forms, m):
+            return (assemble_load(forms, m, source=_source),
+                    assemble_load(forms, m, neumann=_neumann),
+                    l2_rho_error(forms, m, 1, u1, _source),
+                    l2_rho_error(forms, m, 2, u2, _source))
+
+        shared = MeshForms(cx, geo)
+        assert shared.edge_tables
+        for m in (1, -3, 1):
+            got, fresh = results(shared, m), results(MeshForms(cx, geo), m)
+            for a, b in zip(got, fresh):
+                assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +501,10 @@ class TestPointwiseOracle:
         for k in range(4):
             M = assemble_mass(cx, geo, m, k=k).toarray()
             assert rel(M, _oracle_mass(cx, geo, m, k)) <= 1e-13
-        f = assemble_load(cx, geo, m, source=_source)
+        forms = MeshForms(cx, geo)
+        f = assemble_load(forms, m, source=_source)
         assert rel(f, _oracle_source_load(cx, geo, m, _source)) <= 1e-13
-        f = assemble_load(cx, geo, m, neumann=_neumann)
+        f = assemble_load(forms, m, neumann=_neumann)
         ref = _oracle_neumann_load(cx, geo, m, _neumann)
         if name == "pillbox-section":   # PEC walls and the axis only
             assert not f.any() and not ref.any()

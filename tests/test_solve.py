@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from axisiga.solve import (
     SolveError,
@@ -58,12 +59,22 @@ class TestGeneralizedEig:
             solve_generalized_eig(A, np.eye(2), 1)
 
 
+def _solve_both(A, B, f):
+    """The KKT solution for dense and for sparse (A, B), after checking
+    that both give the same u and p."""
+    dense = solve_saddle_point(A, B, f)
+    sparse = solve_saddle_point(sp.csr_matrix(A), sp.csr_matrix(B), f)
+    for a, b in ((sparse.u, dense.u), (sparse.p, dense.p)):
+        assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0)
+    return dense, sparse
+
+
 class TestSaddlePoint:
     def test_hand_solved_2x2(self):
-        sol = solve_saddle_point(np.array([[2.0]]), np.array([[1.0]]),
-                                 np.array([3.0]))
-        assert sol.u == pytest.approx([0.0], abs=1e-12)
-        assert sol.p == pytest.approx([3.0], abs=1e-12)
+        for sol in _solve_both(np.array([[2.0]]), np.array([[1.0]]),
+                               np.array([3.0])):
+            assert sol.u == pytest.approx([0.0], abs=1e-12)
+            assert sol.p == pytest.approx([3.0], abs=1e-12)
 
     def test_consistent_data_zero_multiplier(self):
         rng = np.random.default_rng(1)
@@ -73,10 +84,10 @@ class TestSaddlePoint:
         # u0 orthogonal to range-constraint: B^T u0 = 0
         ns = np.linalg.svd(B.T)[2][2:].T  # null-space basis of B^T
         u0 = ns @ rng.standard_normal(3)
-        sol = solve_saddle_point(A, B, A @ u0)
-        assert np.allclose(sol.u, u0, atol=1e-10)
-        assert np.abs(sol.p).max() <= 1e-10 * np.abs(A @ u0).max()
-        assert sol.residual_gauge <= 1e-10
+        for sol in _solve_both(A, B, A @ u0):
+            assert np.allclose(sol.u, u0, atol=1e-10)
+            assert np.abs(sol.p).max() <= 1e-10 * np.abs(A @ u0).max()
+            assert sol.residual_gauge <= 1e-10
 
     def test_extreme_scale_separation(self):
         # mimics 1/mu ~ 1e6 stiffness against eps ~ 1e-12 constraint blocks
@@ -85,13 +96,14 @@ class TestSaddlePoint:
         A = 1e6 * (X @ X.T + 8 * np.eye(8))
         B = 1e-12 * rng.standard_normal((8, 3))
         f = rng.standard_normal(8)
-        sol = solve_saddle_point(A, B, f)
-        assert sol.residual_primal <= 1e-10
-        assert sol.residual_gauge <= 1e-10
+        for sol in _solve_both(A, B, f):
+            assert sol.residual_primal <= 1e-10
+            assert sol.residual_gauge <= 1e-10
 
     def test_zero_constraint_rejected(self):
-        with pytest.raises(SolveError):
-            solve_saddle_point(np.eye(2), np.zeros((2, 1)), np.ones(2))
+        for B in (np.zeros((2, 1)), sp.csr_matrix((2, 1))):
+            with pytest.raises(SolveError):
+                solve_saddle_point(np.eye(2), B, np.ones(2))
 
 
 class TestConvergenceRate:

@@ -34,6 +34,7 @@ class TestConfig:
         {"target": "TX,1,1"},
         {"target": "TE,a,1"},
         {"geometry": "nope"},
+        {"modes": (3, 3)},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(StudyError):
@@ -106,6 +107,22 @@ class TestSourceStudy:
         parities = {r["parity"] for r in rep.rows if r["m"] == -1}
         assert parities == {"antisymmetric"}
 
+    def test_one_set_of_tables_per_mesh(self, monkeypatch):
+        # the interior table and one per neumann edge (east and south of the
+        # default rectangle), however many modes share the mesh
+        from axisiga import assembly
+        built = []
+        init = assembly._QuadTable.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(assembly._QuadTable, "__init__", counted)
+        run_source_study(StudyConfig(study="source", degrees=(2,),
+                                     subdivisions=(4,), modes=(1, 2)))
+        assert len(built) == 1 + 2
+
 
 class TestCli:
     def test_info(self, capsys):
@@ -131,6 +148,10 @@ class TestCli:
 
     def test_bad_flag_value(self, capsys):
         assert main(["exactness", "--modes", "0"]) == 1
+
+    def test_duplicate_mode(self, capsys):
+        assert main(["source", "--modes", "3,3"]) == 1
+        assert "error: modes: duplicate mode 3" in capsys.readouterr().err
 
     def test_runner_input_error(self, capsys):
         # the dense-rank cap of the exactness report: exit 1, no traceback
