@@ -29,50 +29,50 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray   # columns, M-orthonormal
     residuals: np.ndarray
-    num_filtered: int          # kernel eigenvalues removed by thresholding
-    threshold: float
+    num_filtered: int          # kernel dimension skipped below the pairs
+    threshold: float           # largest kernel |lambda|, 0 without a kernel
 
 
-def _dense(a):
-    return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+KERNEL_GAP = 1e6   # least lambda[kernel_dim] / |lambda[kernel_dim - 1]|
 
 
-def solve_generalized_eig(A, M, count: int,
-                          zero_rel_threshold: float = 1e-6) -> EigenResult:
-    """The ``count`` smallest eigenvalues of (A, M) above the kernel threshold.
+def solve_generalized_eig(A, M, count: int, kernel_dim: int) -> EigenResult:
+    """The ``count`` smallest eigenpairs of (A, M) above its kernel.
 
-    A must be symmetric positive semi-definite and M symmetric positive
-    definite.  The gradient kernel of curl-curl pencils is filtered by the
-    relative threshold tau = zero_rel_threshold * max(lambda); by exactness
-    of the discrete complex the kernel eigenvalues sit many orders of
-    magnitude below the first physical one.
+    A is symmetric positive semi-definite with a ``kernel_dim``-dimensional
+    kernel (for a curl-curl pencil the gradients of the free Z^0 DoFs, by
+    exactness of the complex) and M is symmetric positive definite.  LAPACK
+    computes only pairs kernel_dim - 1 .. kernel_dim + count - 1, in place on
+    Fortran-ordered copies of A and M.  SolveError is raised unless
+    lambda[kernel_dim] >= KERNEL_GAP * |lambda[kernel_dim - 1]|.
     """
-    Ad, Md = _dense(A), _dense(M)
-    if Ad.shape != Md.shape or Ad.shape[0] != Ad.shape[1]:
+    A, M = (a if sp.issparse(a) else np.asarray(a, dtype=float)
+            for a in (A, M))
+    if A.shape != M.shape or A.shape != A.shape[::-1]:
         raise SolveError("A and M must be square with equal shapes")
-    if np.abs(Ad - Ad.T).max() > 1e-10 * max(np.abs(Ad).max(), 1.0):
+    if abs(A - A.T).max() > 1e-10 * max(abs(A).max(), 1.0):
         raise SolveError("A is not symmetric")
+    if count < 1 or not 0 <= kernel_dim <= A.shape[0] - count:
+        raise SolveError(f"order {A.shape[0]} has no {count} eigenpairs "
+                         f"above a {kernel_dim}-dimensional kernel")
+    k0 = min(kernel_dim, 1)    # the largest kernel pair, if any, comes first
+    dense = (a.toarray(order="F") if sp.issparse(a)
+             else np.array(a, order="F") for a in (A, M))
     try:
-        vals, vecs = sla.eigh(Ad, Md)
+        vals, vecs = sla.eigh(
+            *dense, subset_by_index=[kernel_dim - k0, kernel_dim + count - 1],
+            overwrite_a=True, overwrite_b=True)
     except sla.LinAlgError as exc:
         raise SolveError(f"generalized eigensolve failed: {exc}") from exc
-    tau = zero_rel_threshold * abs(vals[-1])
-    keep = np.nonzero(vals > tau)[0]
-    num_filtered = Ad.shape[0] - len(keep)
-    if count > len(keep):
-        raise SolveError(
-            f"requested {count} eigenvalues, only {len(keep)} above threshold")
-    idx = keep[:count]
-    vals_k = vals[idx]
-    vecs_k = vecs[:, idx]
-    res = np.zeros(count)
-    for j in range(count):
-        av = Ad @ vecs_k[:, j]
-        mv = Md @ vecs_k[:, j]
-        num = np.linalg.norm(av - vals_k[j] * mv)
-        den = np.linalg.norm(av) + abs(vals_k[j]) * np.linalg.norm(mv)
-        res[j] = num / den if den > 0 else 0.0
-    return EigenResult(vals_k, vecs_k, res, num_filtered, tau)
+    threshold = float(abs(vals[0])) if k0 else 0.0
+    if not vals[k0] >= KERNEL_GAP * threshold:
+        raise SolveError(f"no gap above kernel_dim={kernel_dim}: lambda = "
+                         f"{vals[k0]:.3e} after |lambda| = {threshold:.3e}")
+    vals, vecs = vals[k0:], vecs[:, k0:]
+    AV, LMV = A @ vecs, (M @ vecs) * vals
+    num, av, lmv = (np.linalg.norm(X, axis=0) for X in (AV - LMV, AV, LMV))
+    res = np.divide(num, av + lmv, out=np.zeros(count), where=av + lmv > 0)
+    return EigenResult(vals, vecs, res, kernel_dim, threshold)
 
 
 @dataclass(frozen=True)

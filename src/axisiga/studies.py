@@ -187,6 +187,9 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
             big = pillbox_spectrum(spec, abs(m), 80)
             target_idx = int(np.argmin(
                 [abs(e["omega"] - target_omega) for e in big]))
+            if big[target_idx]["omega"] != target_omega:
+                raise StudyError(f"target: {config.target} is not among the "
+                                 f"{len(big)} lowest analytic modes of m={m}")
         for p in config.degrees:
             errs, hs = [], []
             for sub in config.subdivisions:
@@ -194,13 +197,20 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
                 cx = _build_complex(p, sub)
                 # the temporary MeshForms is freed before the dense solve
                 sys_ = build_mode_system(MeshForms(cx, geo, mats), m)
-                A, M, _, _ = sys_.reduced()
+                A, M, B, _ = sys_.reduced()
                 count = (config.eigs if target_idx is None
                          else max(config.eigs, target_idx + 1))
-                res = solve_generalized_eig(A, M, count)
+                # the kernel is the gradients of the free Z^0 DoFs
+                res = solve_generalized_eig(A, M, count, B.shape[1])
                 omegas = np.sqrt(res.eigenvalues)
                 dt = time.perf_counter() - t0
                 dofs = A.shape[0]
+                report.metadata.setdefault("eig_solves", []).append({
+                    "p": p, "subdivisions": sub, "m": m,
+                    "kernel_dim": res.num_filtered,
+                    "gap_ratio": (float(res.eigenvalues[0] / res.threshold)
+                                  if res.threshold else None),
+                    "max_residual": float(res.residuals.max())})
                 for i in range(config.eigs):
                     rel = abs(omegas[i] - omegas_ref[i]) / omegas_ref[i]
                     report.add(p, sub, m, dofs, f"omega_{i + 1}",
@@ -251,6 +261,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
         geo = rectangle(0.0, 1.0, 4.0, 5.0, edge_labels={
             "west": "axis", "east": "neumann",
             "south": "neumann", "north": "dirichlet"})
+    primal = 0.0
     for p in config.degrees:
         errs, hs = [], []
         for sub in config.subdivisions:
@@ -265,6 +276,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
                     neumann=manufactured.neumann)
                 A, _, B, f = sys_.reduced()
                 sol = solve_saddle_point(A, B, f)
+                primal = max(primal, sol.residual_primal)
                 u = sys_.expand_z1(sol.u)
                 # B_h = C u against the closed-form induction
                 err2_total += l2_rho_error(forms, m, 2, cx.C @ u,
@@ -280,6 +292,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
         if len(errs) >= 3:
             report.add(p, "", "", "", "rate_B_error",
                        convergence_rate(hs, errs))
+    report.metadata["kkt_max_residual_primal"] = primal
     return report
 
 

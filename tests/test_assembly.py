@@ -267,9 +267,9 @@ class TestEssentialBC:
         cx = make_complex(2, 3)
         geo = pillbox_section(1.0, 1.0)
         sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
-        A, M, _, _ = sys_.reduced()
+        A, M, B, _ = sys_.reduced()
         from axisiga.solve import solve_generalized_eig
-        res = solve_generalized_eig(A, M, 1)
+        res = solve_generalized_eig(A, M, 1, B.shape[1])
         u = sys_.expand_z1(res.eigenvectors[:, 0])
         ms = ModeSpace(cx, 1)
         ts = np.linspace(0, 1, 11)

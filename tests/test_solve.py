@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+from axisiga.assembly import MaterialConstants, MeshForms, build_mode_system
+from axisiga.derham import DeRhamComplex2D
+from axisiga.geometry import BUILTIN_GEOMETRIES
 from axisiga.solve import (
     SolveError,
     convergence_rate,
@@ -15,7 +19,7 @@ from axisiga.quadrature import gauss_legendre
 class TestGeneralizedEig:
     def test_diagonal_with_kernel(self):
         A = np.diag([0.0, 1.0, 4.0])
-        res = solve_generalized_eig(A, np.eye(3), 2)
+        res = solve_generalized_eig(A, np.eye(3), 2, 1)
         assert res.eigenvalues == pytest.approx([1.0, 4.0])
         assert res.num_filtered == 1
 
@@ -35,7 +39,7 @@ class TestGeneralizedEig:
                 M[f : f + 2, f : f + 2] += w * np.outer(v, v)
         free = np.arange(1, n - 1)  # drop the boundary hats
         res = solve_generalized_eig(K[np.ix_(free, free)],
-                                    M[np.ix_(free, free)], 3)
+                                    M[np.ix_(free, free)], 3, 0)
         assert res.eigenvalues[0] == pytest.approx(np.pi**2, rel=1e-3)
         assert np.all(res.residuals <= 1e-8)
 
@@ -45,18 +49,73 @@ class TestGeneralizedEig:
         A = X @ X.T
         Y = rng.standard_normal((30, 30))
         M = Y @ Y.T + 30 * np.eye(30)
-        res = solve_generalized_eig(A, M, 5)
+        res = solve_generalized_eig(A, M, 5, 0)
         gram = res.eigenvectors.T @ M @ res.eigenvectors
         assert np.abs(gram - np.eye(5)).max() <= 1e-10
 
     def test_too_many_requested(self):
         with pytest.raises(SolveError):
-            solve_generalized_eig(np.diag([0.0, 1.0]), np.eye(2), 2)
+            solve_generalized_eig(np.diag([0.0, 1.0]), np.eye(2), 2, 1)
 
     def test_asymmetric_rejected(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(SolveError):
-            solve_generalized_eig(A, np.eye(2), 1)
+            solve_generalized_eig(A, np.eye(2), 1, 0)
+
+    def test_dense_inputs_untouched(self):
+        # LAPACK overwrites its operands: they must be copies, even of
+        # Fortran-ordered float arrays
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((20, 20))
+        A = np.asfortranarray(X @ X.T)
+        M = np.asfortranarray(X.T @ X + 20 * np.eye(20))
+        A0, M0 = A.copy(), M.copy()
+        dense = solve_generalized_eig(A, M, 3, 0)
+        assert np.array_equal(A, A0) and np.array_equal(M, M0)
+        sparse = solve_generalized_eig(sp.csr_matrix(A), sp.csr_matrix(M),
+                                       3, 0)
+        assert np.array_equal(dense.eigenvalues, sparse.eigenvalues)
+
+
+def _cavity_pencil(name, sub, m):
+    """Reduced (A, M) of one mode of a p=2 cavity and its kernel dimension,
+    the number of free Z^0 DoFs."""
+    s = lambda: SplineSpace1D(KnotVector.uniform(2, sub))
+    forms = MeshForms(DeRhamComplex2D(s(), s()), BUILTIN_GEOMETRIES[name](),
+                      MaterialConstants(1.0, 1.0))
+    A, M, B, _ = build_mode_system(forms, m).reduced()
+    return A, M, B.shape[1]
+
+
+CAVITIES = [(name, sub, m) for name in ("pillbox-section", "quarter-annulus")
+            for sub in (4, 8) for m in (1, 26)]
+
+
+class TestKernelDimensionOracle:
+    """Full dense ``eigh`` of the cavity pencil is the oracle of the kernel
+    dimension and of the returned eigenpairs."""
+
+    @pytest.mark.parametrize("name,sub,m", CAVITIES)
+    def test_matches_full_spectrum(self, name, sub, m):
+        A, M, kernel_dim = _cavity_pencil(name, sub, m)
+        vals, vecs = sla.eigh(A.toarray(), M.toarray())
+        assert kernel_dim == np.count_nonzero(vals <= 1e-6 * vals[-1])
+        res = solve_generalized_eig(A, M, 10, kernel_dim)
+        ref_vals = vals[kernel_dim:kernel_dim + 10]
+        ref_vecs = vecs[:, kernel_dim:kernel_dim + 10]
+        assert np.abs(res.eigenvalues / ref_vals - 1).max() <= 1e-10
+        signs = np.sign(np.sum(res.eigenvectors * ref_vecs, axis=0))
+        assert (np.abs(res.eigenvectors * signs - ref_vecs).max()
+                <= 1e-10 * np.abs(ref_vecs).max())
+        assert res.num_filtered == kernel_dim
+        assert res.eigenvalues[0] >= 1e6 * res.threshold > 0
+
+    @pytest.mark.parametrize("name,sub,m", CAVITIES)
+    def test_wrong_kernel_dim_rejected(self, name, sub, m):
+        A, M, kernel_dim = _cavity_pencil(name, sub, m)
+        for wrong in (kernel_dim - 1, kernel_dim + 1):
+            with pytest.raises(SolveError):
+                solve_generalized_eig(A, M, 10, wrong)
 
 
 def _solve_both(A, B, f):

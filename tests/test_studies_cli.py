@@ -153,6 +153,26 @@ class TestCli:
         assert main(["source", "--modes", "3,3"]) == 1
         assert "error: modes: duplicate mode 3" in capsys.readouterr().err
 
+    def test_target_beyond_enumerated_modes(self, capsys):
+        # TE,1,60 lies above the 80 analytic modes the study enumerates
+        assert main(["pillbox", "--target", "TE,1,60"]) == 1
+        assert "error: target: TE,1,60" in capsys.readouterr().err
+
+    def test_solver_diagnostics_in_json(self, tmp_path):
+        assert main(["pillbox", "--degrees", "2", "--subdivisions", "4",
+                     "--modes", "1", "--eigs", "3", "--out",
+                     str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "pillbox.json").read_text())["metadata"]
+        [solve] = meta["eig_solves"]
+        assert (solve["p"], solve["subdivisions"], solve["m"]) == (2, 4, 1)
+        assert solve["kernel_dim"] == 20      # free Z^0 DoFs of the mesh
+        assert solve["gap_ratio"] >= 1e6
+        assert 0 <= solve["max_residual"] <= 1e-10
+        assert main(["source", "--degrees", "2", "--subdivisions", "2",
+                     "--modes", "1", "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "source.json").read_text())["metadata"]
+        assert 0 <= meta["kkt_max_residual_primal"] <= 1e-10
+
     def test_runner_input_error(self, capsys):
         # the dense-rank cap of the exactness report: exit 1, no traceback
         assert main(["exactness", "--degrees", "2",
