@@ -403,6 +403,11 @@ class ModeSystem:
                 apply_essential_bc(self.B, r1, r0),
                 self.f[r1])
 
+    def reduced_gradient(self) -> sp.csr_matrix:
+        """G restricted to free Z^1 rows and free Z^0 columns: the basis of
+        the kernel of the reduced A, with reduced B = reduced M times it."""
+        return apply_essential_bc(self.complex.G, self.free_z1, self.free_z0)
+
     def expand_z1(self, u_red: np.ndarray) -> np.ndarray:
         u = np.zeros(self.complex.dim(1))
         u[self.free_z1] = u_red

@@ -1,8 +1,10 @@
-"""Dense linear-algebra backends: generalized eigensolver, saddle-point solve,
-and log-log rate fitting.
+"""Linear-algebra backends: sparse generalized eigensolver, saddle-point
+solve, and log-log rate fitting.
 
-Problem sizes in all benchmark studies stay at a few thousand DoFs per mode,
-so dense symmetric-definite reductions (LAPACK via scipy) are used throughout.
+The cavity eigensolver is sparse throughout: shift-invert Lanczos (ARPACK) on
+a sparse LU factor, with the kernel range(G) projected out exactly, so its
+memory grows with the factor and not with n**2.  The saddle-point solve is a
+dense symmetric-indefinite (LAPACK) factorization.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import (ArpackError, LinearOperator, eigsh, splu)
 
 
 class SolveError(RuntimeError):
@@ -29,50 +32,106 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray   # columns, M-orthonormal
     residuals: np.ndarray
-    num_filtered: int          # kernel dimension skipped below the pairs
-    threshold: float           # largest kernel |lambda|, 0 without a kernel
+    num_filtered: int          # kernel dimension: columns of the basis G
+    threshold: float           # largest |lambda| of (G^T A G, G^T M G),
+                               # 0 without a kernel
+    factor_nnz: int            # nonzeros of the sparse L + U of A - sigma M
 
 
-KERNEL_GAP = 1e6   # least lambda[kernel_dim] / |lambda[kernel_dim - 1]|
+KERNEL_GAP = 1e6   # least lambda_0 / threshold
+_EXTRA = 4         # Ritz pairs computed beyond the requested count
+_SEED = 0          # ARPACK start vector and restarts: results repeat exactly
 
 
-def solve_generalized_eig(A, M, count: int, kernel_dim: int) -> EigenResult:
-    """The ``count`` smallest eigenpairs of (A, M) above its kernel.
+def _lu(matrix, **options):
+    """Sparse LU of a square matrix; a singular factor is a SolveError."""
+    try:
+        return splu(sp.csc_matrix(matrix), **options)
+    except RuntimeError as exc:
+        raise SolveError(f"sparse factorization failed: {exc}") from exc
 
-    A is symmetric positive semi-definite with a ``kernel_dim``-dimensional
-    kernel (for a curl-curl pencil the gradients of the free Z^0 DoFs, by
-    exactness of the complex) and M is symmetric positive definite.  LAPACK
-    computes only pairs kernel_dim - 1 .. kernel_dim + count - 1, in place on
-    Fortran-ordered copies of A and M.  SolveError is raised unless
-    lambda[kernel_dim] >= KERNEL_GAP * |lambda[kernel_dim - 1]|.
+
+def _kernel_threshold(GAG, GMG, gmg_lu, rng) -> float:
+    """Largest |lambda| of the kernel pencil (G^T A G, G^T M G), which is
+    round-off when G spans a kernel of A."""
+    k = GAG.shape[0]
+    if not GAG.count_nonzero():   # ARPACK cannot start where G^T A G v0 = 0
+        return 0.0
+    if k == 1:                    # ARPACK needs two Lanczos vectors
+        return float(abs(GAG[0, 0] / GMG[0, 0]))
+    vals = eigsh(GAG, 1, M=GMG, Minv=LinearOperator(GMG.shape, gmg_lu.solve),
+                 which="LM", ncv=min(k, 20), v0=rng.standard_normal(k),
+                 return_eigenvectors=False, rng=rng)
+    return float(abs(vals).max())
+
+
+def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
+    """The ``count`` smallest eigenpairs of (A, M) above the kernel range(G).
+
+    A is symmetric positive semi-definite and M symmetric positive definite;
+    the n x k basis G spans the kernel of A (for a curl-curl pencil the
+    gradients of the free Z^0 DoFs, by exactness of the complex).  With
+    P = I - G (G^T M G)^{-1} G^T M, the M-orthogonal projector onto the
+    complement of range(G), shift-invert Lanczos runs on P (A - sigma M)^{-1}
+    for a sigma just below 0, so the kernel never enters the Krylov space
+    and the converged (tol=0) Ritz pairs need no further projection or
+    Rayleigh-Ritz step; count + 4 pairs are computed and the ``count``
+    smallest returned.  Sparse input forms no dense n x n array.
+    SolveError is raised when count >= n - k (Lanczos needs one vector more
+    than it returns pairs), on a singular factor, on an ARPACK failure, and
+    unless lambda_0 >= KERNEL_GAP * threshold, the largest |lambda| of the
+    kernel pencil (G^T A G, G^T M G): a basis that misses part of the kernel
+    or holds a non-kernel vector fails that check.
     """
-    A, M = (a if sp.issparse(a) else np.asarray(a, dtype=float)
-            for a in (A, M))
-    if A.shape != M.shape or A.shape != A.shape[::-1]:
-        raise SolveError("A and M must be square with equal shapes")
+    A, M, G = (a if sp.issparse(a) else np.asarray(a, dtype=float)
+               for a in (A, M, G))
+    n = A.shape[0]
+    if A.shape != M.shape or A.shape != (n, n) or G.ndim != 2 \
+            or G.shape[0] != n:
+        raise SolveError("A and M must be square with equal shapes and G "
+                         "must have their order of rows")
     if abs(A - A.T).max() > 1e-10 * max(abs(A).max(), 1.0):
         raise SolveError("A is not symmetric")
-    if count < 1 or not 0 <= kernel_dim <= A.shape[0] - count:
-        raise SolveError(f"order {A.shape[0]} has no {count} eigenpairs "
-                         f"above a {kernel_dim}-dimensional kernel")
-    k0 = min(kernel_dim, 1)    # the largest kernel pair, if any, comes first
-    dense = (a.toarray(order="F") if sp.issparse(a)
-             else np.array(a, order="F") for a in (A, M))
+    k = G.shape[1]
+    if count < 1 or count >= n - k:
+        raise SolveError(f"order {n} has fewer than {count + 1} eigenpairs "
+                         f"above a {k}-dimensional kernel")
+    As, Ms, Gs = (sp.csc_matrix(a) for a in (A, M, G))
+    if not np.all(Ms.diagonal() > 0):
+        raise SolveError("M is not positive definite")
+    B = Ms @ Gs
+    GMG = (Gs.T @ B).tocsc()
+    gmg_lu = _lu(GMG)
+
+    def project(x):
+        return x - Gs @ gmg_lu.solve(B.T @ x)
+
+    # A - sigma M is positive definite: no pivoting, a symmetric ordering
+    sigma = -1e-6 * float((As.diagonal() / Ms.diagonal()).max())
+    lu = _lu(As - sigma * Ms, permc_spec="MMD_AT_PLUS_A",
+             diag_pivot_thresh=0, options={"SymmetricMode": True})
+    rng = np.random.default_rng(_SEED)
+    nev = min(count + _EXTRA, n - k - 1)
     try:
-        vals, vecs = sla.eigh(
-            *dense, subset_by_index=[kernel_dim - k0, kernel_dim + count - 1],
-            overwrite_a=True, overwrite_b=True)
-    except sla.LinAlgError as exc:
-        raise SolveError(f"generalized eigensolve failed: {exc}") from exc
-    threshold = float(abs(vals[0])) if k0 else 0.0
-    if not vals[k0] >= KERNEL_GAP * threshold:
-        raise SolveError(f"no gap above kernel_dim={kernel_dim}: lambda = "
-                         f"{vals[k0]:.3e} after |lambda| = {threshold:.3e}")
-    vals, vecs = vals[k0:], vecs[:, k0:]
+        vals, V = eigsh(As, nev, M=Ms, sigma=sigma,
+                        OPinv=LinearOperator((n, n),
+                                             lambda x: project(lu.solve(x))),
+                        v0=project(rng.standard_normal(n)),
+                        ncv=min(n - k, max(2 * nev + 1, 20)), tol=0, rng=rng)
+        threshold = _kernel_threshold((Gs.T @ As @ Gs).tocsc(), GMG, gmg_lu,
+                                      rng)
+    except ArpackError as exc:      # ArpackNoConvergence included
+        raise SolveError(f"Lanczos eigensolve failed: {exc}") from exc
+    order = np.argsort(vals)[:count]
+    vals, vecs = vals[order], V[:, order]
+    if not vals[0] >= KERNEL_GAP * threshold:
+        raise SolveError(f"no gap above the {k}-dimensional kernel: lambda = "
+                         f"{vals[0]:.3e} after |lambda| = {threshold:.3e}")
     AV, LMV = A @ vecs, (M @ vecs) * vals
     num, av, lmv = (np.linalg.norm(X, axis=0) for X in (AV - LMV, AV, LMV))
     res = np.divide(num, av + lmv, out=np.zeros(count), where=av + lmv > 0)
-    return EigenResult(vals, vecs, res, kernel_dim, threshold)
+    return EigenResult(vals, vecs, res, k, threshold,
+                       lu.L.nnz + lu.U.nnz)
 
 
 @dataclass(frozen=True)

@@ -195,22 +195,27 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
             for sub in config.subdivisions:
                 t0 = time.perf_counter()
                 cx = _build_complex(p, sub)
-                # the temporary MeshForms is freed before the dense solve
+                # the temporary MeshForms is freed before the solve
                 sys_ = build_mode_system(MeshForms(cx, geo, mats), m)
-                A, M, B, _ = sys_.reduced()
+                A, M, _, _ = sys_.reduced()
                 count = (config.eigs if target_idx is None
                          else max(config.eigs, target_idx + 1))
                 # the kernel is the gradients of the free Z^0 DoFs
-                res = solve_generalized_eig(A, M, count, B.shape[1])
+                t_solve = time.perf_counter()
+                res = solve_generalized_eig(A, M, count,
+                                            sys_.reduced_gradient())
+                t1 = time.perf_counter()
                 omegas = np.sqrt(res.eigenvalues)
-                dt = time.perf_counter() - t0
+                dt = t1 - t0
                 dofs = A.shape[0]
                 report.metadata.setdefault("eig_solves", []).append({
-                    "p": p, "subdivisions": sub, "m": m,
-                    "kernel_dim": res.num_filtered,
+                    "p": p, "subdivisions": sub, "m": m, "n": dofs,
+                    "count": count, "kernel_dim": res.num_filtered,
                     "gap_ratio": (float(res.eigenvalues[0] / res.threshold)
                                   if res.threshold else None),
-                    "max_residual": float(res.residuals.max())})
+                    "max_residual": float(res.residuals.max()),
+                    "factor_nnz": res.factor_nnz,
+                    "seconds": t1 - t_solve})
                 for i in range(config.eigs):
                     rel = abs(omegas[i] - omegas_ref[i]) / omegas_ref[i]
                     report.add(p, sub, m, dofs, f"omega_{i + 1}",

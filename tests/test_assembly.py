@@ -267,9 +267,9 @@ class TestEssentialBC:
         cx = make_complex(2, 3)
         geo = pillbox_section(1.0, 1.0)
         sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
-        A, M, B, _ = sys_.reduced()
+        A, M, _, _ = sys_.reduced()
         from axisiga.solve import solve_generalized_eig
-        res = solve_generalized_eig(A, M, 1, B.shape[1])
+        res = solve_generalized_eig(A, M, 1, sys_.reduced_gradient())
         u = sys_.expand_z1(res.eigenvectors[:, 0])
         ms = ModeSpace(cx, 1)
         ts = np.linspace(0, 1, 11)
@@ -311,6 +311,18 @@ class TestModeSystem:
         assert sys_.B.shape == (cx.dim(1), cx.dim(0))
         assert sys_.parity == "symmetric"
         assert sys_.materials is VACUUM
+
+    def test_reduced_gradient_is_the_kernel_basis(self):
+        # reduced B is reduced M times reduced G exactly, and A G vanishes
+        cx = make_complex(2, 3)
+        geo = pillbox_section(1.0, 1.0)
+        for m in (1, -26):
+            sys_ = build_mode_system(MeshForms(cx, geo), m)
+            A, M, B, _ = sys_.reduced()
+            G = sys_.reduced_gradient()
+            assert G.shape == B.shape
+            assert abs(B - M @ G).max() == 0.0
+            assert abs(A @ G).max() <= 1e-12 * abs(A).max()
 
     def test_mode_decoupling_is_structural(self):
         # systems for different modes share no mutable state

@@ -16,12 +16,36 @@ from axisiga.splines import KnotVector, SplineSpace1D
 from axisiga.quadrature import gauss_legendre
 
 
+def _diagonal_pencil(n=12):
+    """A = diag(0, 0, 1, ..., n - 2) and M = I, with the kernel basis G of
+    the first two unit vectors."""
+    return np.diag(np.r_[0.0, 0.0, np.arange(1.0, n - 1)]), np.eye(n), \
+        np.eye(n)[:, :2]
+
+
+def _random_pencil(n=30, k=3, seed=0):
+    """A random PSD A with a k-dimensional kernel, its kernel basis G and a
+    random SPD M."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n - k, n))
+    G = sla.null_space(X)
+    Y = rng.standard_normal((n, n))
+    return X.T @ X, Y @ Y.T + n * np.eye(n), G
+
+
 class TestGeneralizedEig:
     def test_diagonal_with_kernel(self):
-        A = np.diag([0.0, 1.0, 4.0])
-        res = solve_generalized_eig(A, np.eye(3), 2, 1)
-        assert res.eigenvalues == pytest.approx([1.0, 4.0])
-        assert res.num_filtered == 1
+        A, M, G = _diagonal_pencil()
+        res = solve_generalized_eig(A, M, 3, G)
+        assert res.eigenvalues == pytest.approx([1.0, 2.0, 3.0], rel=1e-13)
+        assert res.num_filtered == 2 and res.threshold == 0.0
+        assert res.factor_nnz == 2 * 12   # L stores its unit diagonal
+        for k in (1, 3):    # a one-column kernel pencil is a ratio
+            A, M, G = _random_pencil(k=k)
+            vals = sla.eigh(A, M, eigvals_only=True)
+            res = solve_generalized_eig(A, M, 5, G)
+            assert np.abs(res.eigenvalues / vals[k:k + 5] - 1).max() <= 1e-12
+            assert res.eigenvalues[0] >= 1e6 * res.threshold > 0
 
     def test_dirichlet_laplacian_p1(self):
         # classical P1 FEM on [0,1] with 64 elements: lambda_1 ~ pi^2
@@ -39,68 +63,92 @@ class TestGeneralizedEig:
                 M[f : f + 2, f : f + 2] += w * np.outer(v, v)
         free = np.arange(1, n - 1)  # drop the boundary hats
         res = solve_generalized_eig(K[np.ix_(free, free)],
-                                    M[np.ix_(free, free)], 3, 0)
+                                    M[np.ix_(free, free)], 3,
+                                    np.zeros((n - 2, 0)))
         assert res.eigenvalues[0] == pytest.approx(np.pi**2, rel=1e-3)
+        assert res.num_filtered == 0 and res.threshold == 0.0
         assert np.all(res.residuals <= 1e-8)
 
     def test_m_orthonormal_vectors(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((30, 30))
-        A = X @ X.T
-        Y = rng.standard_normal((30, 30))
-        M = Y @ Y.T + 30 * np.eye(30)
-        res = solve_generalized_eig(A, M, 5, 0)
+        A, M, G = _random_pencil()
+        res = solve_generalized_eig(A, M, 5, G)
         gram = res.eigenvectors.T @ M @ res.eigenvectors
         assert np.abs(gram - np.eye(5)).max() <= 1e-10
+        # and M-orthogonal to the kernel
+        assert np.abs(G.T @ M @ res.eigenvectors).max() <= 1e-10
+        assert np.all(res.residuals <= 1e-12)
 
     def test_too_many_requested(self):
-        with pytest.raises(SolveError):
-            solve_generalized_eig(np.diag([0.0, 1.0]), np.eye(2), 2, 1)
+        # Lanczos needs one vector more than pairs in the 10-dimensional
+        # complement of the kernel
+        A, M, G = _diagonal_pencil()
+        res = solve_generalized_eig(A, M, 9, G)
+        assert res.eigenvalues == pytest.approx(np.arange(1.0, 10), rel=1e-13)
+        for count in (10, 11, 0):
+            with pytest.raises(SolveError):
+                solve_generalized_eig(A, M, count, G)
+
+    def test_dependent_kernel_basis_rejected(self):
+        # G^T M G is singular: its sparse factor fails
+        A, M, G = _diagonal_pencil()
+        with pytest.raises(SolveError, match="factorization"):
+            solve_generalized_eig(A, M, 3, np.c_[G, G[:, :1]])
 
     def test_asymmetric_rejected(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(SolveError):
-            solve_generalized_eig(A, np.eye(2), 1, 0)
+            solve_generalized_eig(A, np.eye(2), 1, np.zeros((2, 0)))
 
     def test_dense_inputs_untouched(self):
-        # LAPACK overwrites its operands: they must be copies, even of
-        # Fortran-ordered float arrays
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((20, 20))
-        A = np.asfortranarray(X @ X.T)
-        M = np.asfortranarray(X.T @ X + 20 * np.eye(20))
-        A0, M0 = A.copy(), M.copy()
-        dense = solve_generalized_eig(A, M, 3, 0)
-        assert np.array_equal(A, A0) and np.array_equal(M, M0)
-        sparse = solve_generalized_eig(sp.csr_matrix(A), sp.csr_matrix(M),
-                                       3, 0)
+        A, M, G = (np.asfortranarray(a) for a in _random_pencil(seed=4))
+        As, Ms, Gs = (sp.csc_matrix(a) for a in (A, M, G))
+        copies = [a.copy() for a in (A, M, G, As.data, Ms.data, Gs.data)]
+        solve_generalized_eig(A, M, 3, G)
+        solve_generalized_eig(As, Ms, 3, Gs)
+        for a, b in zip((A, M, G, As.data, Ms.data, Gs.data), copies):
+            assert np.array_equal(a, b)
+
+    def test_dense_and_sparse_agree(self):
+        A, M, G = _random_pencil(seed=5)
+        dense = solve_generalized_eig(A, M, 4, G)
+        sparse = solve_generalized_eig(sp.csr_matrix(A), sp.csr_matrix(M), 4,
+                                       sp.csr_matrix(G))
         assert np.array_equal(dense.eigenvalues, sparse.eigenvalues)
+        assert np.array_equal(dense.eigenvectors, sparse.eigenvectors)
+        assert dense.threshold == sparse.threshold
 
 
-def _cavity_pencil(name, sub, m):
-    """Reduced (A, M) of one mode of a p=2 cavity and its kernel dimension,
-    the number of free Z^0 DoFs."""
-    s = lambda: SplineSpace1D(KnotVector.uniform(2, sub))
+def _cavity_pencil(name, p, sub, m):
+    """Reduced (A, M) of one mode of a cavity and its kernel basis, the
+    reduced G."""
+    s = lambda: SplineSpace1D(KnotVector.uniform(p, sub))
     forms = MeshForms(DeRhamComplex2D(s(), s()), BUILTIN_GEOMETRIES[name](),
                       MaterialConstants(1.0, 1.0))
-    A, M, B, _ = build_mode_system(forms, m).reduced()
-    return A, M, B.shape[1]
+    sys_ = build_mode_system(forms, m)
+    A, M, _, _ = sys_.reduced()
+    return A, M, sys_.reduced_gradient()
 
 
-CAVITIES = [(name, sub, m) for name in ("pillbox-section", "quarter-annulus")
-            for sub in (4, 8) for m in (1, 26)]
+# p=2 on two geometries, and p=3 on the symmetric pillbox section, where an
+# unlucky start vector misses modes
+CAVITIES = [pytest.param(name, 2, sub, m, id=f"{name}-{sub}-{m}")
+            for name in ("pillbox-section", "quarter-annulus")
+            for sub in (4, 8) for m in (1, 26)] + [
+    pytest.param("pillbox-section", 3, 16, m, id=f"pillbox-section-p3-16-{m}")
+    for m in (1, 26)]
 
 
 class TestKernelDimensionOracle:
     """Full dense ``eigh`` of the cavity pencil is the oracle of the kernel
     dimension and of the returned eigenpairs."""
 
-    @pytest.mark.parametrize("name,sub,m", CAVITIES)
-    def test_matches_full_spectrum(self, name, sub, m):
-        A, M, kernel_dim = _cavity_pencil(name, sub, m)
+    @pytest.mark.parametrize("name,p,sub,m", CAVITIES)
+    def test_matches_full_spectrum(self, name, p, sub, m):
+        A, M, G = _cavity_pencil(name, p, sub, m)
         vals, vecs = sla.eigh(A.toarray(), M.toarray())
+        kernel_dim = G.shape[1]
         assert kernel_dim == np.count_nonzero(vals <= 1e-6 * vals[-1])
-        res = solve_generalized_eig(A, M, 10, kernel_dim)
+        res = solve_generalized_eig(A, M, 10, G)
         ref_vals = vals[kernel_dim:kernel_dim + 10]
         ref_vecs = vecs[:, kernel_dim:kernel_dim + 10]
         assert np.abs(res.eigenvalues / ref_vals - 1).max() <= 1e-10
@@ -109,13 +157,22 @@ class TestKernelDimensionOracle:
                 <= 1e-10 * np.abs(ref_vecs).max())
         assert res.num_filtered == kernel_dim
         assert res.eigenvalues[0] >= 1e6 * res.threshold > 0
+        assert res.residuals.max() <= 1e-12
 
-    @pytest.mark.parametrize("name,sub,m", CAVITIES)
-    def test_wrong_kernel_dim_rejected(self, name, sub, m):
-        A, M, kernel_dim = _cavity_pencil(name, sub, m)
-        for wrong in (kernel_dim - 1, kernel_dim + 1):
+    @pytest.mark.parametrize("name,p,sub,m", CAVITIES)
+    def test_wrong_kernel_dim_rejected(self, name, p, sub, m):
+        A, M, G = _cavity_pencil(name, p, sub, m)
+        # one kernel column too few, or one non-kernel column too many
+        extra = np.random.default_rng(0).standard_normal((G.shape[0], 1))
+        for wrong in (G[:, 1:], sp.hstack([G, sp.csr_matrix(extra)])):
             with pytest.raises(SolveError):
                 solve_generalized_eig(A, M, 10, wrong)
+
+    def test_repeatable(self):
+        # byte-reproducible CSV rows rest on the seeded start vector
+        A, M, G = _cavity_pencil("pillbox-section", 3, 16, 1)
+        first, second = (solve_generalized_eig(A, M, 10, G) for _ in "ab")
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
 
 def _solve_both(A, B, f):

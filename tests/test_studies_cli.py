@@ -168,10 +168,25 @@ class TestCli:
         assert solve["kernel_dim"] == 20      # free Z^0 DoFs of the mesh
         assert solve["gap_ratio"] >= 1e6
         assert 0 <= solve["max_residual"] <= 1e-10
+        assert (solve["n"], solve["count"]) == (65, 3)
+        assert solve["factor_nnz"] >= 65
+        assert 0 < solve["seconds"] < 60
         assert main(["source", "--degrees", "2", "--subdivisions", "2",
                      "--modes", "1", "--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "source.json").read_text())["metadata"]
         assert 0 <= meta["kkt_max_residual_primal"] <= 1e-10
+
+    def test_eigensolver_failure_exits_2(self, monkeypatch, capsys):
+        from scipy.sparse.linalg import ArpackNoConvergence
+        from axisiga import solve
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(solve, "eigsh", no_convergence)
+        assert main(["pillbox", "--degrees", "2", "--subdivisions", "4",
+                     "--modes", "1", "--eigs", "3"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_runner_input_error(self, capsys):
         # the dense-rank cap of the exactness report: exit 1, no traceback
