@@ -79,9 +79,10 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     smallest returned.  Sparse input forms no dense n x n array.
     SolveError is raised when count >= n - k (Lanczos needs one vector more
     than it returns pairs), on a singular factor, on an ARPACK failure, and
-    unless lambda_0 >= KERNEL_GAP * threshold, the largest |lambda| of the
-    kernel pencil (G^T A G, G^T M G): a basis that misses part of the kernel
-    or holds a non-kernel vector fails that check.
+    unless lambda_0 >= KERNEL_GAP * max(threshold, eps * max(diag A / diag M)),
+    where threshold is the largest |lambda| of the kernel pencil
+    (G^T A G, G^T M G): a basis that misses part of the kernel or holds a
+    non-kernel vector fails that check.
     """
     A, M, G = (a if sp.issparse(a) else np.asarray(a, dtype=float)
                for a in (A, M, G))
@@ -107,7 +108,8 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
         return x - Gs @ gmg_lu.solve(B.T @ x)
 
     # A - sigma M is positive definite: no pivoting, a symmetric ordering
-    sigma = -1e-6 * float((As.diagonal() / Ms.diagonal()).max())
+    scale = float((As.diagonal() / Ms.diagonal()).max())
+    sigma = -1e-6 * scale
     lu = _lu(As - sigma * Ms, permc_spec="MMD_AT_PLUS_A",
              diag_pivot_thresh=0, options={"SymmetricMode": True})
     rng = np.random.default_rng(_SEED)
@@ -124,9 +126,12 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
         raise SolveError(f"Lanczos eigensolve failed: {exc}") from exc
     order = np.argsort(vals)[:count]
     vals, vecs = vals[order], V[:, order]
-    if not vals[0] >= KERNEL_GAP * threshold:
+    # a kernel vector left out of G comes back as a round-off eigenvalue,
+    # also when the kernel pencil is exactly zero
+    floor = max(threshold, np.finfo(float).eps * scale)
+    if not vals[0] >= KERNEL_GAP * floor:
         raise SolveError(f"no gap above the {k}-dimensional kernel: lambda = "
-                         f"{vals[0]:.3e} after |lambda| = {threshold:.3e}")
+                         f"{vals[0]:.3e} after |lambda| = {floor:.3e}")
     AV, LMV = A @ vecs, (M @ vecs) * vals
     num, av, lmv = (np.linalg.norm(X, axis=0) for X in (AV - LMV, AV, LMV))
     res = np.divide(num, av + lmv, out=np.zeros(count), where=av + lmv > 0)

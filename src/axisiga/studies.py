@@ -201,9 +201,14 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
                 count = (config.eigs if target_idx is None
                          else max(config.eigs, target_idx + 1))
                 # the kernel is the gradients of the free Z^0 DoFs
+                G = sys_.reduced_gradient()
+                above = A.shape[0] - G.shape[1]
+                if count >= above:    # Lanczos needs one spare vector
+                    raise StudyError(f"eigs: {count} asked, but the p={p} "
+                                     f"mesh of {sub}x{sub} elements allows "
+                                     f"at most {above - 1} for m={m}")
                 t_solve = time.perf_counter()
-                res = solve_generalized_eig(A, M, count,
-                                            sys_.reduced_gradient())
+                res = solve_generalized_eig(A, M, count, G)
                 t1 = time.perf_counter()
                 omegas = np.sqrt(res.eigenvalues)
                 dt = t1 - t0

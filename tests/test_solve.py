@@ -40,6 +40,10 @@ class TestGeneralizedEig:
         assert res.eigenvalues == pytest.approx([1.0, 2.0, 3.0], rel=1e-13)
         assert res.num_filtered == 2 and res.threshold == 0.0
         assert res.factor_nnz == 2 * 12   # L stores its unit diagonal
+        # a dropped column leaves an exact zero eigenvalue, and the exactly
+        # zero kernel pencil a threshold of 0
+        with pytest.raises(SolveError, match="no gap"):
+            solve_generalized_eig(A, M, 3, G[:, 1:])
         for k in (1, 3):    # a one-column kernel pencil is a ratio
             A, M, G = _random_pencil(k=k)
             vals = sla.eigh(A, M, eigvals_only=True)

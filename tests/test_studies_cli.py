@@ -158,6 +158,13 @@ class TestCli:
         assert main(["pillbox", "--target", "TE,1,60"]) == 1
         assert "error: target: TE,1,60" in capsys.readouterr().err
 
+    def test_too_many_eigs(self, capsys):
+        # an input error (exit 1), not a numerical failure (exit 2)
+        assert main(["pillbox", "--degrees", "1", "--subdivisions", "1",
+                     "--modes", "1", "--eigs", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "error: eigs: 10 asked, but the p=1 mesh" in err
+
     def test_solver_diagnostics_in_json(self, tmp_path):
         assert main(["pillbox", "--degrees", "2", "--subdivisions", "4",
                      "--modes", "1", "--eigs", "3", "--out",
