@@ -86,15 +86,6 @@ class KnotVector:
     def element_sizes(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
-    @property
-    def quasi_uniformity(self) -> float:
-        """Largest ratio between adjacent element sizes (recorded, not enforced)."""
-        h = self.element_sizes
-        if h.size == 1:
-            return 1.0
-        r = h[1:] / h[:-1]
-        return float(max(r.max(), (1.0 / r).max()))
-
 
 def _cox_de_boor(knots: np.ndarray, p: int, n: int, xs: np.ndarray):
     """First indices, values and first derivatives of the p+1 possibly-nonzero

@@ -71,8 +71,13 @@ class StudyConfig:
             raise StudyError("degrees: need p >= 1")
         if any(s < 1 for s in self.subdivisions):
             raise StudyError("subdivisions: need at least one element")
+        for name in ("eps", "mu", "gamma", "radius", "length"):
+            if not np.isfinite(getattr(self, name)):
+                raise StudyError(f"{name}: must be a finite number")
         if self.eps <= 0 or self.mu <= 0:
             raise StudyError("material constants must be positive")
+        if self.radius <= 0 or self.length <= 0:
+            raise StudyError("radius and length must be positive")
         if self.eigs < 1:
             raise StudyError("eigs: need at least one eigenvalue")
         if self.target:
@@ -260,7 +265,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     mats = config.materials
     fd_err = validate_derivation(config.gamma, npts=40, seed=config.seed,
                                  materials=mats)
-    if fd_err > 1e-6:
+    if not fd_err <= 1e-6:
         raise StudyError(
             f"manufactured-derivation validation failed: {fd_err:.2e} > 1e-6")
     report = StudyReport(config)

@@ -47,10 +47,6 @@ class TestKnotVector:
         assert np.all(kv.knots[-4:] == 1.0)
         assert np.all(np.diff(kv.knots) >= 0)
 
-    def test_quasi_uniformity_recorded(self):
-        kv = make_knot_vector([0, 0.1, 1], 2, [3, 1, 3])
-        assert kv.quasi_uniformity == pytest.approx(9.0)
-
 
 class TestEvalBasis:
     def test_piecewise_constant(self):

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import axisiga
 from axisiga.cli import main
 from axisiga.studies import (
     CSV_COLUMNS,
@@ -35,6 +39,13 @@ class TestConfig:
         {"target": "TE,a,1"},
         {"geometry": "nope"},
         {"modes": (3, 3)},
+        {"gamma": float("nan")},
+        {"eps": float("nan")},
+        {"mu": float("inf")},
+        {"radius": float("nan")},
+        {"length": float("inf")},
+        {"radius": 0.0},
+        {"length": -0.1},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(StudyError):
@@ -152,6 +163,22 @@ class TestCli:
     def test_duplicate_mode(self, capsys):
         assert main(["source", "--modes", "3,3"]) == 1
         assert "error: modes: duplicate mode 3" in capsys.readouterr().err
+
+    def test_non_finite_gamma(self, capsys):
+        # NaN fails every comparison, so range checks alone let it through
+        assert main(["source", "--gamma", "nan", "--degrees", "2",
+                     "--subdivisions", "2", "--modes", "1"]) == 1
+        assert "error: gamma: must be a finite number" in (
+            capsys.readouterr().err)
+
+    def test_import_leaves_sympy_out(self):
+        # sympy is a test dependency only: no run-time module may load it
+        src = os.path.dirname(os.path.dirname(axisiga.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import axisiga.cli; "
+                "print('sympy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_target_beyond_enumerated_modes(self, capsys):
         # TE,1,60 lies above the 80 analytic modes the study enumerates
