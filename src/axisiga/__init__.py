@@ -27,7 +27,6 @@ from .bessel import (
 from .derham import (
     DeRhamComplex2D,
     ModeSpace,
-    build_complex,
     eta_forward,
     eta_inverse,
     exactness_report,
@@ -57,7 +56,6 @@ from .splines import (
     SplineSpace1D,
     TensorSplineSpace,
     derivative_matrix,
-    make_knot_vector,
     reduce_degree_regularity,
     refine_uniform,
 )

@@ -49,8 +49,8 @@ class MaterialConstants:
     mu: float = 4.0e-7 * np.pi
 
     def __post_init__(self):
-        if self.eps <= 0 or self.mu <= 0:
-            raise AssemblyError("material constants must be positive")
+        if not (0 < self.eps < np.inf and 0 < self.mu < np.inf):
+            raise AssemblyError("material constants must be positive and finite")
 
 
 VACUUM = MaterialConstants()
@@ -240,27 +240,25 @@ def _at_mode(parts, m: int) -> sp.csr_matrix:
 
 
 def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
-                  k: int = 1, weight=1.0, nquad: int | None = None) -> sp.csr_matrix:
+                  k: int = 1, weight=1.0) -> sp.csr_matrix:
     """Weighted L2_rho mass matrix on Z^k_h for mode m.
 
     Entries are integrals weight * (eta^{-1} tilde_j) . (eta^{-1} tilde_i)
     rho drho dz; ``weight`` is a constant or a callable of (rho, z).
     """
-    tab = _QuadTable(complex_, geometry, nquad)
+    tab = _QuadTable(complex_, geometry)
     return _at_mode(_mass_parts(tab, k, weight), m)
 
 
 def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
-                      m: int, weight=None, materials: MaterialConstants = VACUUM,
-                      nquad: int | None = None) -> sp.csr_matrix:
-    """Curl-curl stiffness A_m = C^T M2(weight) C on Z^1_h.
+                      m: int, weight) -> sp.csr_matrix:
+    """Curl-curl stiffness A_m = C^T M2(weight) C on Z^1_h, with ``weight``
+    (1/mu) as in :func:`assemble_mass`.
 
-    ``weight`` defaults to 1/mu.  The curl is applied exactly through the
-    coefficient matrix C; only the weighted Z^2 mass is integrated.
+    The curl is applied exactly through the coefficient matrix C; only the
+    weighted Z^2 mass is integrated.
     """
-    if weight is None:
-        weight = 1.0 / materials.mu
-    tab = _QuadTable(complex_, geometry, nquad)
+    tab = _QuadTable(complex_, geometry)
     return _at_mode(_curlcurl_parts(tab, weight), m)
 
 
@@ -375,17 +373,12 @@ class ModeSystem:
 
     m: int
     complex: DeRhamComplex2D
-    materials: MaterialConstants
     A: sp.csr_matrix            # curl-curl (weight 1/mu) on Z1
     M: sp.csr_matrix            # mass (weight eps) on Z1
     B: sp.csr_matrix            # M(eps) G: Z0 -> Z1
     f: np.ndarray               # load on Z1
     constrained_z1: np.ndarray
     constrained_z0: np.ndarray
-
-    @property
-    def parity(self) -> str:
-        return "symmetric" if self.m > 0 else "antisymmetric"
 
     @property
     def free_z1(self) -> np.ndarray:
@@ -426,11 +419,10 @@ class MeshForms:
     """
 
     def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
-                 materials: MaterialConstants = VACUUM,
-                 nquad: int | None = None):
-        self.complex, self.materials = complex_, materials
-        self.table = tab = _QuadTable(complex_, geometry, nquad)
-        self.edge_tables = [_QuadTable(complex_, geometry, nquad, edge)
+                 materials: MaterialConstants = VACUUM):
+        self.complex = complex_
+        self.table = tab = _QuadTable(complex_, geometry)
+        self.edge_tables = [_QuadTable(complex_, geometry, edge=edge)
                             for edge in EDGES
                             if geometry.edge_labels[edge] == "neumann"]
         self.mass = _mass_parts(tab, 1, materials.eps)
@@ -449,7 +441,7 @@ def build_mode_system(forms: MeshForms, m: int, source=None,
     M = _at_mode(forms.mass, m)
     cx = forms.complex
     return ModeSystem(
-        m=m, complex=cx, materials=forms.materials,
+        m=m, complex=cx,
         A=_at_mode(forms.curlcurl, m), M=M, B=(M @ cx.G).tocsr(),
         f=assemble_load(forms, m, source=source, neumann=neumann),
         constrained_z1=forms.constrained_z1,

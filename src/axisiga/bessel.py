@@ -149,10 +149,11 @@ class PillboxSpec:
     mu: float = MU0
 
     def __post_init__(self):
-        if self.radius <= 0 or self.length <= 0:
-            raise BesselError("cavity dimensions must be positive")
-        if self.eps <= 0 or self.mu <= 0:
-            raise BesselError("material constants must be positive")
+        if not (0 < self.radius < math.inf and 0 < self.length < math.inf):
+            raise BesselError("cavity radius and length must be positive "
+                              "and finite")
+        if not (0 < self.eps < math.inf and 0 < self.mu < math.inf):
+            raise BesselError("material constants must be positive and finite")
 
 
 def pillbox_frequency(kind: str, m: int, n: int, q: int, spec: PillboxSpec) -> float:

@@ -115,7 +115,7 @@ config file schema (key = value per line, '#' comments):
   eigs           number of eigenvalues (pillbox)
   target         pillbox rate target, kind,n,q (e.g. TE,3,4)
   gamma          manufactured-solution parameter (source)
-  radius, length pillbox cavity dimensions in meters
+  radius, length pillbox cavity (and pillbox-section) size in meters
   seed           random seed recorded in reports
   out_dir        output directory
 """

@@ -24,12 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import push_forward_values
-from .splines import (
-    KnotVector,
-    SplineSpace1D,
-    TensorSplineSpace,
-    derivative_matrix,
-)
+from .splines import SplineSpace1D, TensorSplineSpace, derivative_matrix
 
 
 class DeRhamError(ValueError):
@@ -116,28 +111,6 @@ class DeRhamComplex2D:
         dims = [s.dim for s in self.space_factors(k)]
         offs = np.concatenate([[0], np.cumsum(dims)])
         return [slice(int(a), int(b)) for a, b in zip(offs[:-1], offs[1:])]
-
-
-def build_complex(knots1, knots2, degrees=None) -> DeRhamComplex2D:
-    """Build the discrete complex from knot vectors or 1D spaces.
-
-    ``knots1``/``knots2`` may be SplineSpace1D, KnotVector, or breakpoint
-    arrays (the latter combined with ``degrees`` into maximally smooth open
-    knot vectors).
-    """
-    def as_space(obj, p):
-        if isinstance(obj, SplineSpace1D):
-            return obj
-        if isinstance(obj, KnotVector):
-            return SplineSpace1D(obj)
-        z = np.asarray(obj, dtype=float)
-        mult = np.ones(len(z), dtype=int)
-        mult[0] = mult[-1] = p + 1
-        return SplineSpace1D(KnotVector(p, z, mult))
-
-    if degrees is None:
-        degrees = (None, None)
-    return DeRhamComplex2D(as_space(knots1, degrees[0]), as_space(knots2, degrees[1]))
 
 
 def exactness_report(complex_: DeRhamComplex2D, m: int = 1) -> dict:
@@ -255,36 +228,17 @@ class ModeSpace:
         self.complex = complex_
         self.m = m
 
-    @property
-    def parity(self) -> str:
-        return "symmetric" if self.m > 0 else "antisymmetric"
-
-    def dim(self, k: int) -> int:
-        return self.complex.dim(k)
-
-    def eval_tilde(self, k: int, coeffs: np.ndarray, pts: np.ndarray,
-                   geometry=None) -> np.ndarray:
-        """Tilde component values at parametric points.
-
-        With a geometry, the vector pairs are push-forwards of the parametric
-        spline fields (covariant for k=1, Piola for k=2) and the scalar
-        factors are transformed accordingly (k=2 third component and k=3 are
-        densities, scaled by 1/det J).
-        """
-        return self._eval(k, coeffs, pts, geometry)[1]
-
     def eval_field(self, k: int, coeffs: np.ndarray, pts: np.ndarray,
                    geometry=None) -> FieldEvaluation:
-        """Tilde and physical cylindrical values of a mode field."""
-        pts, tilde, rho = self._eval(k, coeffs, pts, geometry)
-        phys = eta_inverse(self.m, k, rho, tilde)
-        return FieldEvaluation(points=pts, rho=rho, tilde=tilde, physical=phys)
+        """Tilde and physical cylindrical values of a Z^k field at parametric
+        points.
 
-    def _eval(self, k, coeffs, pts, geometry):
-        """(points, tilde values, physical rho) of a Z^k field."""
+        With a geometry, the tilde values are push-forwards of the parametric
+        spline fields (see :func:`tilde_push_forward`) and rho is physical.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[0] != self.dim(k):
+        if coeffs.shape[0] != self.complex.dim(k):
             raise DeRhamError("coefficient vector has wrong length")
         tilde = np.stack(
             [f.eval_field(coeffs[s], pts) for f, s in
@@ -295,7 +249,9 @@ class ModeSpace:
         if geometry is not None:
             rho, _, J, det = geometry.evaluate(pts)
             tilde = tilde_push_forward(k, J, det, tilde)
-        return pts, (tilde[..., 0] if k in (0, 3) else tilde), rho
+        tilde = tilde[..., 0] if k in (0, 3) else tilde
+        return FieldEvaluation(points=pts, rho=rho, tilde=tilde,
+                               physical=eta_inverse(self.m, k, rho, tilde))
 
 
 def tilde_push_forward(k: int, J: np.ndarray, det: np.ndarray,

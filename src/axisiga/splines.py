@@ -82,10 +82,6 @@ class KnotVector:
         """Per-breakpoint regularity alpha_i = p - r_i."""
         return self.degree - self.multiplicities
 
-    @property
-    def element_sizes(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
-
 
 def _cox_de_boor(knots: np.ndarray, p: int, n: int, xs: np.ndarray):
     """First indices, values and first derivatives of the p+1 possibly-nonzero
@@ -150,14 +146,6 @@ class SplineSpace1D:
         z = self.breakpoints
         return np.column_stack([z[:-1], z[1:]])
 
-    @property
-    def num_elements(self) -> int:
-        return len(self.breakpoints) - 1
-
-    @property
-    def h(self) -> float:
-        return float(self.kv.element_sizes.max())
-
     def tabulate(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """First indices, values and first derivatives of the p+1
         possibly-nonzero basis functions at every point of ``xs``.
@@ -178,10 +166,8 @@ class SplineSpace1D:
         firsts, vals, _ = self.tabulate(x)
         return int(firsts[0]), vals[0]
 
-    def eval_basis_deriv(self, x: float, order: int = 1) -> tuple[int, np.ndarray]:
+    def eval_basis_deriv(self, x: float) -> tuple[int, np.ndarray]:
         """First derivatives of the p+1 local basis functions at x."""
-        if order != 1:
-            raise SplineError("only first derivatives are supported")
         firsts, _, ders = self.tabulate(x)
         return int(firsts[0]), ders[0]
 
@@ -202,10 +188,6 @@ class SplineSpace1D:
         data = (ders if deriv else vals).ravel()
         return sp.csr_matrix((data, (rows, cols)),
                              shape=(len(firsts), self.num_basis))
-
-
-def make_knot_vector(breakpoints, degree: int, multiplicities) -> KnotVector:
-    return KnotVector(degree, np.asarray(breakpoints, float), np.asarray(multiplicities, int))
 
 
 def reduce_degree_regularity(space: SplineSpace1D) -> SplineSpace1D:
@@ -281,16 +263,6 @@ class TensorSplineSpace:
     def shape(self) -> tuple[int, int]:
         return (self.s1.num_basis, self.s2.num_basis)
 
-    @property
-    def h(self) -> float:
-        """Global mesh size: largest element diameter of the Bezier mesh."""
-        h1 = self.s1.kv.element_sizes
-        h2 = self.s2.kv.element_sizes
-        return float(np.sqrt(h1.max() ** 2 + h2.max() ** 2))
-
-    def ravel(self, i1, i2):
-        return i1 * self.s2.num_basis + i2
-
     def tabulate(self, pts) -> tuple:
         """1D tables of both directions at paired points pts (npts, 2).
 
@@ -356,12 +328,3 @@ class NurbsBasis:
         dN1 = w * (B1 * W - B * W1) / W**2
         dN2 = w * (B2 * W - B * W2) / W**2
         return f1, f2, N, dN1, dN2
-
-    def eval(self, x: float, y: float):
-        """Local rational basis values and first derivatives at (x, y).
-
-        Returns (first1, first2, N, dN1, dN2) where the arrays have shape
-        (p1+1, p2+1) and cover the possibly-nonzero local functions.
-        """
-        f1, f2, N, dN1, dN2 = self.eval_points([(x, y)])
-        return int(f1[0]), int(f2[0]), N[0], dN1[0], dN2[0]

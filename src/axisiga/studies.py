@@ -20,9 +20,10 @@ import numpy as np
 
 from .assembly import (MaterialConstants, MeshForms, build_mode_system,
                        l2_rho_error)
-from .bessel import PillboxSpec, pillbox_frequency, pillbox_spectrum
+from .bessel import BesselError, PillboxSpec, pillbox_frequency, pillbox_spectrum
 from .derham import DeRhamComplex2D
-from .geometry import BUILTIN_GEOMETRIES, NurbsGeometry, load_geometry, rectangle
+from .geometry import (BUILTIN_GEOMETRIES, NurbsGeometry, load_geometry,
+                       pillbox_section)
 from .manufactured import ManufacturedSolution, validate_derivation
 from .solve import convergence_rate, solve_generalized_eig, solve_saddle_point
 from .splines import KnotVector, SplineSpace1D
@@ -71,13 +72,12 @@ class StudyConfig:
             raise StudyError("degrees: need p >= 1")
         if any(s < 1 for s in self.subdivisions):
             raise StudyError("subdivisions: need at least one element")
-        for name in ("eps", "mu", "gamma", "radius", "length"):
-            if not np.isfinite(getattr(self, name)):
-                raise StudyError(f"{name}: must be a finite number")
-        if self.eps <= 0 or self.mu <= 0:
-            raise StudyError("material constants must be positive")
-        if self.radius <= 0 or self.length <= 0:
-            raise StudyError("radius and length must be positive")
+        if not np.isfinite(self.gamma):
+            raise StudyError("gamma: must be a finite number")
+        try:
+            PillboxSpec(self.radius, self.length, self.eps, self.mu)
+        except BesselError as exc:
+            raise StudyError(str(exc)) from exc
         if self.eigs < 1:
             raise StudyError("eigs: need at least one eigenvalue")
         if self.target:
@@ -148,10 +148,15 @@ class StudyReport:
         return "\n".join(lines)
 
 
+_DEFAULT_GEOMETRY = {"pillbox": "pillbox-section", "source": "rectangle"}
+
+
 def _resolve_geometry(config: StudyConfig) -> NurbsGeometry:
-    name = config.geometry
-    if not name:
-        return None
+    """The named geometry, or the study's default; ``pillbox-section`` is
+    the config's radius x length."""
+    name = config.geometry or _DEFAULT_GEOMETRY[config.study]
+    if name == "pillbox-section":
+        return pillbox_section(config.radius, config.length)
     if name in BUILTIN_GEOMETRIES:
         return BUILTIN_GEOMETRIES[name]()
     return load_geometry(name)
@@ -177,9 +182,6 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
     report = StudyReport(config)
     spec = PillboxSpec(config.radius, config.length, config.eps, config.mu)
     geo = _resolve_geometry(config)
-    if geo is None:
-        from .geometry import pillbox_section
-        geo = pillbox_section(config.radius, config.length)
     mats = config.materials
     for m in config.modes:
         oracle = pillbox_spectrum(spec, abs(m), config.eigs + 1)
@@ -272,10 +274,6 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     report.metadata["derivation_fd_error"] = fd_err
     manufactured = ManufacturedSolution(config.gamma, mats)
     geo = _resolve_geometry(config)
-    if geo is None:
-        geo = rectangle(0.0, 1.0, 4.0, 5.0, edge_labels={
-            "west": "axis", "east": "neumann",
-            "south": "neumann", "north": "dirichlet"})
     primal = 0.0
     for p in config.degrees:
         errs, hs = [], []

@@ -142,6 +142,14 @@ class TestPillbox:
         assert pillbox_frequency("TM", 3, 2, 1, big) == pytest.approx(
             w / 2, rel=1e-14)
 
+    @pytest.mark.parametrize("args", [
+        (float("nan"), 0.1), (0.1, float("inf")), (0.0, 0.1), (0.1, -1.0),
+        (0.1, 0.1, float("nan"), 1.0), (0.1, 0.1, 1.0, float("inf")),
+        (0.1, 0.1, -1.0, 1.0)])
+    def test_bad_spec_rejected(self, args):
+        with pytest.raises(BesselError):
+            PillboxSpec(*args)
+
     def test_te_needs_axial_variation(self):
         with pytest.raises(BesselError):
             pillbox_frequency("TE", 1, 1, 0, self.spec)

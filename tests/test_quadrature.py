@@ -5,7 +5,7 @@ from axisiga.assembly import _QuadTable
 from axisiga.derham import DeRhamComplex2D
 from axisiga.geometry import quarter_annulus, rectangle
 from axisiga.quadrature import QuadratureError, gauss_legendre
-from axisiga.splines import SplineSpace1D, make_knot_vector
+from axisiga.splines import KnotVector, SplineSpace1D
 
 
 class TestGaussLegendre:
@@ -67,8 +67,8 @@ def table(geo, breaks1, breaks2, n):
     """Quadrature table of the cylindrical measure on the mesh with the given
     breakpoints (degree-1 spaces; only the mesh matters)."""
     mult = lambda z: [2] + [1] * (len(z) - 2) + [2]
-    s1 = SplineSpace1D(make_knot_vector(breaks1, 1, mult(breaks1)))
-    s2 = SplineSpace1D(make_knot_vector(breaks2, 1, mult(breaks2)))
+    s1 = SplineSpace1D(KnotVector(1, breaks1, mult(breaks1)))
+    s2 = SplineSpace1D(KnotVector(1, breaks2, mult(breaks2)))
     return _QuadTable(DeRhamComplex2D(s1, s2), geo, n)
 
 

@@ -88,6 +88,16 @@ class TestPillboxStudy:
                     if r["quantity"] == "spurious_count"]
         assert spurious == [0, 0]
 
+    def test_named_section_follows_radius_and_length(self):
+        # the named builtin is the config's radius x length, as the default
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"}
+                              for r in rows]
+        runs = [run_pillbox_study(StudyConfig(
+            study="pillbox", geometry=name, degrees=(2,), subdivisions=(4,),
+            modes=(1,), eigs=3, radius=0.05)).rows
+            for name in ("pillbox-section", "")]
+        assert strip(runs[0]) == strip(runs[1])
+
     def test_target_rate(self):
         cfg = StudyConfig(study="pillbox", degrees=(2,),
                           subdivisions=(2, 4, 8), modes=(1,), eigs=2,
