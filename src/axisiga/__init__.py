@@ -57,7 +57,6 @@ from .splines import (
     TensorSplineSpace,
     derivative_matrix,
     reduce_degree_regularity,
-    refine_uniform,
 )
 from .studies import StudyConfig, StudyReport, run_exactness_suite, run_pillbox_study, run_source_study
 

@@ -19,9 +19,10 @@ The mode m enters only through eta^{-1}, whose factors 1/m multiply whole
 components: all of k=0, the (rho, z) pair of k=1, the theta component of
 k=2, none of k=3.  The integrands pair like components, so every matrix is
 M_k(m) = X_k + Y_k / m**2 (Y_k from the 1/m components at m = 1), the same
-for m and -m.  ``MeshForms`` owns one mesh's tables and assembles X and Y
-once; a mode then costs two sparse axpys, the product M G, and its load and
-error norms on the same tables.
+for m and -m.  ``MeshForms`` owns one mesh's tables and its free DoFs (the
+dirichlet constraints are the same for every m) and assembles X and Y on
+them once; a mode then costs two sparse axpys, the product M G, and its load
+and error norms on the same tables.
 """
 
 from __future__ import annotations
@@ -347,16 +348,9 @@ def essential_dofs(complex_: DeRhamComplex2D, k: int,
     return np.unique(np.concatenate(out))
 
 
-def free_dofs(dim: int, constrained: np.ndarray) -> np.ndarray:
-    mask = np.ones(dim, dtype=bool)
-    mask[constrained] = False
-    return np.nonzero(mask)[0]
-
-
-def apply_essential_bc(matrix, row_free: np.ndarray,
-                       col_free: np.ndarray) -> sp.csr_matrix:
-    """Restrict a sparse matrix to free rows and columns."""
-    return matrix.tocsr()[row_free][:, col_free].tocsr()
+def _restrict(matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """The submatrix of the given rows and columns."""
+    return matrix.tocsr()[rows][:, cols].tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -365,41 +359,25 @@ def apply_essential_bc(matrix, row_free: np.ndarray,
 
 @dataclass
 class ModeSystem:
-    """Assembled matrices of one Fourier mode, with boundary bookkeeping.
+    """Assembled matrices of one Fourier mode on the free DoFs of its mesh.
 
-    Matrices are stored on the full coefficient spaces; ``free_z1`` /
-    ``free_z0`` index the unconstrained DoFs used by the solvers.
+    ``free_z1`` / ``free_z0`` index the unconstrained DoFs of the full
+    coefficient spaces; ``expand_z1`` puts a free Z^1 vector back on them.
     """
 
     m: int
     complex: DeRhamComplex2D
-    A: sp.csr_matrix            # curl-curl (weight 1/mu) on Z1
-    M: sp.csr_matrix            # mass (weight eps) on Z1
-    B: sp.csr_matrix            # M(eps) G: Z0 -> Z1
-    f: np.ndarray               # load on Z1
-    constrained_z1: np.ndarray
-    constrained_z0: np.ndarray
-
-    @property
-    def free_z1(self) -> np.ndarray:
-        return free_dofs(self.complex.dim(1), self.constrained_z1)
-
-    @property
-    def free_z0(self) -> np.ndarray:
-        return free_dofs(self.complex.dim(0), self.constrained_z0)
+    A: sp.csr_matrix            # curl-curl (weight 1/mu) on free Z1
+    M: sp.csr_matrix            # mass (weight eps) on free Z1
+    B: sp.csr_matrix            # M(eps) G: free Z0 -> free Z1
+    G: sp.csr_matrix            # gradient, free Z0 -> free Z1: the kernel of A
+    f: np.ndarray               # load on free Z1
+    free_z1: np.ndarray
+    free_z0: np.ndarray
 
     def reduced(self):
-        """(A, M, B, f) restricted to free DoFs."""
-        r1, r0 = self.free_z1, self.free_z0
-        return (apply_essential_bc(self.A, r1, r1),
-                apply_essential_bc(self.M, r1, r1),
-                apply_essential_bc(self.B, r1, r0),
-                self.f[r1])
-
-    def reduced_gradient(self) -> sp.csr_matrix:
-        """G restricted to free Z^1 rows and free Z^0 columns: the basis of
-        the kernel of the reduced A, with reduced B = reduced M times it."""
-        return apply_essential_bc(self.complex.G, self.free_z1, self.free_z0)
+        """(A, M, B, f), the system the solvers take."""
+        return self.A, self.M, self.B, self.f
 
     def expand_z1(self, u_red: np.ndarray) -> np.ndarray:
         u = np.zeros(self.complex.dim(1))
@@ -408,14 +386,14 @@ class ModeSystem:
 
 
 class MeshForms:
-    """One mesh's quadrature and the mode-independent parts of its Galerkin
-    matrices.
+    """One mesh's quadrature, boundary conditions and the mode-independent
+    parts of its Galerkin matrices.
 
     The constructor does the work: the quadrature table of all elements and
-    one per neumann edge, on which every mode's load and error norms run, the
-    eps-weighted Z^1 mass and the symmetrized 1/mu curl-curl C^T M2 C, each
-    split as X + Y / m**2, and the constrained Z^1/Z^0 DoFs of the dirichlet
-    edges.
+    one per neumann edge, on which every mode's load and error norms run;
+    the free Z^1/Z^0 DoFs, those not fixed on a dirichlet edge; and, on
+    them, the eps-weighted Z^1 mass and the symmetrized 1/mu curl-curl
+    C^T M2 C, each split as X + Y / m**2, and the gradient G.
     """
 
     def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
@@ -425,25 +403,30 @@ class MeshForms:
         self.edge_tables = [_QuadTable(complex_, geometry, edge=edge)
                             for edge in EDGES
                             if geometry.edge_labels[edge] == "neumann"]
-        self.mass = _mass_parts(tab, 1, materials.eps)
-        self.curlcurl = _curlcurl_parts(tab, 1.0 / materials.mu)
-        self.constrained_z1 = essential_dofs(complex_, 1, geometry.edge_labels)
-        self.constrained_z0 = essential_dofs(complex_, 0, geometry.edge_labels)
+        self.free_z1, self.free_z0 = (
+            np.setdiff1d(np.arange(complex_.dim(k)),
+                         essential_dofs(complex_, k, geometry.edge_labels))
+            for k in (1, 0))
+        r = self.free_z1
+        self.mass = [_restrict(P, r, r)
+                     for P in _mass_parts(tab, 1, materials.eps)]
+        self.curlcurl = [_restrict(P, r, r)
+                         for P in _curlcurl_parts(tab, 1.0 / materials.mu)]
+        self.G = _restrict(complex_.G, r, self.free_z0)
 
 
 def build_mode_system(forms: MeshForms, m: int, source=None,
                       neumann=None) -> ModeSystem:
-    """A_m, M_m, B_m = M_m G and the load of mode m, with BC maps.
+    """A_m, M_m, B_m = M_m G and the load of mode m on the free DoFs.
 
     The matrices are axpys of the parts in ``forms``; only the load
     (``assemble_load``, on the tables of ``forms``) is integrated per mode.
     """
     M = _at_mode(forms.mass, m)
-    cx = forms.complex
+    f = assemble_load(forms, m, source=source, neumann=neumann)
     return ModeSystem(
-        m=m, complex=cx,
-        A=_at_mode(forms.curlcurl, m), M=M, B=(M @ cx.G).tocsr(),
-        f=assemble_load(forms, m, source=source, neumann=neumann),
-        constrained_z1=forms.constrained_z1,
-        constrained_z0=forms.constrained_z0,
+        m=m, complex=forms.complex,
+        A=_at_mode(forms.curlcurl, m), M=M, B=(M @ forms.G).tocsr(),
+        G=forms.G, f=f[forms.free_z1],
+        free_z1=forms.free_z1, free_z0=forms.free_z0,
     )

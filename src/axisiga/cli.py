@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="manufactured-solution regularity parameter")
         p.add_argument("--eigs", type=int, help="number of eigenvalues")
         p.add_argument("--geometry",
-                       help="builtin name or geometry file path")
+                       help="the study's own cross-section: pillbox-section "
+                            "(pillbox) or rectangle (source)")
         p.add_argument("--target",
                        help="pillbox rate target as kind,n,q (e.g. TE,3,4)")
         p.add_argument("--radius", type=float, help="cavity radius (m)")
@@ -107,7 +108,8 @@ subcommands: pillbox, source, exactness (see --help of each)
 
 config file schema (key = value per line, '#' comments):
   study          pillbox | source | exactness
-  geometry       builtin (rectangle, pillbox-section, quarter-annulus) or file path
+  geometry       optional; the study's own cross-section: pillbox-section
+                 (pillbox) or rectangle (source); exactness takes none
   degrees        comma/space list of spline degrees, e.g. 2,3
   subdivisions   comma/space list of uniform subdivisions, e.g. 4,8,16
   modes          comma/space list of nonzero signed Fourier modes

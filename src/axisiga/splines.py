@@ -180,15 +180,6 @@ class SplineSpace1D:
         c = np.asarray(coeffs, dtype=float)[self._local_indices(firsts)]
         return np.einsum("qa,qa->q", vals, c)
 
-    def collocation_matrix(self, xs: np.ndarray, deriv: bool = False) -> sp.csr_matrix:
-        """Sparse matrix of basis (or derivative) values at the given points."""
-        firsts, vals, ders = self.tabulate(xs)
-        rows = np.repeat(np.arange(len(firsts)), self.degree + 1)
-        cols = self._local_indices(firsts).ravel()
-        data = (ders if deriv else vals).ravel()
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(len(firsts), self.num_basis))
-
 
 def reduce_degree_regularity(space: SplineSpace1D) -> SplineSpace1D:
     """The derivative space: same breakpoints, degree p-1, regularity alpha-1.
@@ -205,23 +196,6 @@ def reduce_degree_regularity(space: SplineSpace1D) -> SplineSpace1D:
     mult = kv.multiplicities.copy()
     mult[0] = mult[-1] = p
     return SplineSpace1D(KnotVector(p - 1, kv.breakpoints, mult))
-
-
-def refine_uniform(space: SplineSpace1D, k: int) -> SplineSpace1D:
-    """Split every element into k equal parts; inserted knots have multiplicity 1."""
-    if k < 1:
-        raise SplineError("subdivision factor must be >= 1")
-    kv = space.kv
-    new_z = [kv.breakpoints[0]]
-    new_m = [kv.multiplicities[0]]
-    for i in range(len(kv.breakpoints) - 1):
-        a, b = kv.breakpoints[i], kv.breakpoints[i + 1]
-        for j in range(1, k):
-            new_z.append(a + (b - a) * j / k)
-            new_m.append(1)
-        new_z.append(b)
-        new_m.append(kv.multiplicities[i + 1])
-    return SplineSpace1D(KnotVector(kv.degree, np.array(new_z), np.array(new_m, int)))
 
 
 def derivative_matrix(space: SplineSpace1D) -> tuple[SplineSpace1D, sp.csr_matrix]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -22,8 +21,7 @@ from .assembly import (MaterialConstants, MeshForms, build_mode_system,
                        l2_rho_error)
 from .bessel import BesselError, PillboxSpec, pillbox_frequency, pillbox_spectrum
 from .derham import DeRhamComplex2D
-from .geometry import (BUILTIN_GEOMETRIES, NurbsGeometry, load_geometry,
-                       pillbox_section)
+from .geometry import BUILTIN_GEOMETRIES, NurbsGeometry, pillbox_section
 from .manufactured import ManufacturedSolution, validate_derivation
 from .solve import convergence_rate, solve_generalized_eig, solve_saddle_point
 from .splines import KnotVector, SplineSpace1D
@@ -42,7 +40,7 @@ class StudyConfig:
     """Configuration of one benchmark run (see README for the file schema)."""
 
     study: str = "exactness"
-    geometry: str = ""            # builtin name or geometry file path
+    geometry: str = ""            # empty or the study's own cross-section
     degrees: tuple = (2,)
     subdivisions: tuple = (2, 4)
     modes: tuple = (1,)
@@ -82,10 +80,12 @@ class StudyConfig:
             raise StudyError("eigs: need at least one eigenvalue")
         if self.target:
             _parse_target(self.target)
-        if (self.geometry and self.geometry not in BUILTIN_GEOMETRIES
-                and not os.path.isfile(self.geometry)):
-            raise StudyError(f"geometry: {self.geometry!r} is neither a "
-                             "builtin name nor a file")
+        # the references describe one cross-section each; exactness has none
+        own = {"pillbox": "pillbox-section", "source": "rectangle"}.get(
+            self.study)
+        if self.geometry not in ("", own):
+            raise StudyError(f"geometry: the {self.study} study meshes "
+                             f"{own or 'no geometry'}, not {self.geometry!r}")
 
     @property
     def materials(self) -> MaterialConstants:
@@ -148,18 +148,12 @@ class StudyReport:
         return "\n".join(lines)
 
 
-_DEFAULT_GEOMETRY = {"pillbox": "pillbox-section", "source": "rectangle"}
-
-
 def _resolve_geometry(config: StudyConfig) -> NurbsGeometry:
-    """The named geometry, or the study's default; ``pillbox-section`` is
-    the config's radius x length."""
-    name = config.geometry or _DEFAULT_GEOMETRY[config.study]
-    if name == "pillbox-section":
+    """The cross-section the study's reference describes: the pillbox
+    section of the config's radius x length, or the source rectangle."""
+    if config.study == "pillbox":
         return pillbox_section(config.radius, config.length)
-    if name in BUILTIN_GEOMETRIES:
-        return BUILTIN_GEOMETRIES[name]()
-    return load_geometry(name)
+    return BUILTIN_GEOMETRIES["rectangle"]()
 
 
 def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
@@ -208,14 +202,13 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
                 count = (config.eigs if target_idx is None
                          else max(config.eigs, target_idx + 1))
                 # the kernel is the gradients of the free Z^0 DoFs
-                G = sys_.reduced_gradient()
-                above = A.shape[0] - G.shape[1]
+                above = A.shape[0] - sys_.G.shape[1]
                 if count >= above:    # Lanczos needs one spare vector
                     raise StudyError(f"eigs: {count} asked, but the p={p} "
                                      f"mesh of {sub}x{sub} elements allows "
                                      f"at most {above - 1} for m={m}")
                 t_solve = time.perf_counter()
-                res = solve_generalized_eig(A, M, count, G)
+                res = solve_generalized_eig(A, M, count, sys_.G)
                 t1 = time.perf_counter()
                 omegas = np.sqrt(res.eigenvalues)
                 dt = t1 - t0
@@ -320,14 +313,16 @@ def run_exactness_suite(config: StudyConfig) -> StudyReport:
     report = StudyReport(config)
     for p in config.degrees:
         for sub in config.subdivisions:
+            # the matrices of the complex do not depend on m: one report
+            # serves every mode, its m only a label; its time goes on the
+            # first mode's row
+            t0 = time.perf_counter()
+            rep = exactness_report(_build_complex(p, sub))
+            dt = time.perf_counter() - t0
+            dofs = rep["dim_Z1"]
             for m in config.modes:
-                t0 = time.perf_counter()
-                cx = _build_complex(p, sub)
-                rep = exactness_report(cx, m)
-                dt = time.perf_counter() - t0
-                dofs = rep["dim_Z1"]
                 report.add(p, sub, m, dofs, "norm_CG", rep["norm_CG"], 0.0,
-                           None, dt)
+                           None, dt if m == config.modes[0] else None)
                 report.add(p, sub, m, dofs, "norm_DC", rep["norm_DC"], 0.0)
                 for key in ("rank_G", "rank_C", "rank_D", "dim_ker_G",
                             "dim_ker_C", "dim_ker_D"):

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import sympy
 
 from axisiga.assembly import (
     AssemblyError,
     MaterialConstants,
     MeshForms,
-    apply_essential_bc,
     assemble_curlcurl,
     assemble_load,
     assemble_mass,
     build_mode_system,
     default_nquad,
     essential_dofs,
-    free_dofs,
     l2_rho_error,
 )
 from axisiga.derham import DeRhamComplex2D, DeRhamError, ModeSpace
@@ -264,7 +261,7 @@ class TestEssentialBC:
         labels = {"west": "axis", "east": "neumann",
                   "south": "neumann", "north": "dirichlet"}
         z1c = essential_dofs(cx, 1, labels)
-        z0f = free_dofs(cx.dim(0), essential_dofs(cx, 0, labels))
+        z0f = MeshForms(cx, rectangle(0, 1, 0, 1, edge_labels=labels)).free_z0
         G = cx.G.tocsc()
         for j in z0f:
             rows = G[:, j].nonzero()[0]
@@ -277,7 +274,7 @@ class TestEssentialBC:
         sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
         A, M, _, _ = sys_.reduced()
         from axisiga.solve import solve_generalized_eig
-        res = solve_generalized_eig(A, M, 1, sys_.reduced_gradient())
+        res = solve_generalized_eig(A, M, 1, sys_.G)
         u = sys_.expand_z1(res.eigenvectors[:, 0])
         ms = ModeSpace(cx, 1)
         ts = np.linspace(0, 1, 11)
@@ -293,17 +290,6 @@ class TestEssentialBC:
         assert np.abs(fe.physical[:, 0]).max() <= 1e-10 * scale
         assert np.abs(fe.physical[:, 2]).max() <= 1e-10 * scale
 
-    def test_reduction_helpers(self):
-        cx = make_complex(1, 2)
-        labels = {"west": "axis", "east": "dirichlet",
-                  "south": "neumann", "north": "neumann"}
-        M = assemble_mass(cx, UNIT, m=1)
-        con = essential_dofs(cx, 1, labels)
-        fr = free_dofs(cx.dim(1), con)
-        red = apply_essential_bc(M, fr, fr)
-        assert red.shape == (len(fr), len(fr))
-        assert sp.issparse(red)
-
     def test_only_z0_and_z1(self):
         labels = {e: "dirichlet" for e in ("west", "east", "south", "north")}
         with pytest.raises(AssemblyError):
@@ -315,8 +301,41 @@ class TestModeSystem:
         cx = make_complex(2, 2)
         geo = pillbox_section(0.035, 0.1)
         sys_ = build_mode_system(MeshForms(cx, geo), m=26)
-        assert sys_.A.shape == (cx.dim(1), cx.dim(1))
-        assert sys_.B.shape == (cx.dim(1), cx.dim(0))
+        n1, n0 = len(sys_.free_z1), len(sys_.free_z0)
+        assert n1 < cx.dim(1) and n0 < cx.dim(0)    # PEC walls fix DoFs
+        assert sys_.A.shape == sys_.M.shape == (n1, n1)
+        assert sys_.B.shape == sys_.G.shape == (n1, n0)
+        assert sys_.f.shape == (n1,)
+
+    @pytest.mark.parametrize("name", ["pillbox-section", "rectangle"])
+    def test_free_dofs_equal_restricted_full_space(self, name):
+        # A, M, B, G and f are the full-space ones cut by hand to the
+        # complement of essential_dofs, with difference 0
+        from axisiga.geometry import BUILTIN_GEOMETRIES
+        geo = BUILTIN_GEOMETRIES[name]()
+        cx = make_complex(2, 3)
+        mats = MaterialConstants(2.0, 0.25)
+        forms = MeshForms(cx, geo, mats)
+        con0, con1 = (essential_dofs(cx, k, geo.edge_labels) for k in (0, 1))
+        assert con0.size and con1.size
+        r0 = np.setdiff1d(np.arange(cx.dim(0)), con0)
+        r1 = np.setdiff1d(np.arange(cx.dim(1)), con1)
+        cut = lambda X, cols: X.toarray()[np.ix_(r1, cols)]
+        for m in (1, -3):
+            sys_ = build_mode_system(forms, m, source=_source,
+                                     neumann=_neumann)
+            M = assemble_mass(cx, geo, m, weight=mats.eps)
+            A = assemble_curlcurl(cx, geo, m, 1.0 / mats.mu)
+            f = assemble_load(forms, m, source=_source, neumann=_neumann)
+            assert np.array_equal(sys_.free_z1, r1)
+            assert np.array_equal(sys_.free_z0, r0)
+            assert np.array_equal(sys_.M.toarray(), cut(M, r1))
+            assert np.array_equal(sys_.A.toarray(), cut(A, r1))
+            assert np.array_equal(sys_.B.toarray(), cut(M @ cx.G, r0))
+            assert np.array_equal(sys_.G.toarray(), cut(cx.G, r0))
+            assert np.array_equal(sys_.f, f[r1])
+            u = sys_.expand_z1(np.ones(len(r1)))
+            assert not u[con1].any() and u[r1].all()
 
     def test_reduced_gradient_is_the_kernel_basis(self):
         # reduced B is reduced M times reduced G exactly, and A G vanishes
@@ -325,7 +344,7 @@ class TestModeSystem:
         for m in (1, -26):
             sys_ = build_mode_system(MeshForms(cx, geo), m)
             A, M, B, _ = sys_.reduced()
-            G = sys_.reduced_gradient()
+            G = sys_.G
             assert G.shape == B.shape
             assert abs(B - M @ G).max() == 0.0
             assert abs(A @ G).max() <= 1e-12 * abs(A).max()

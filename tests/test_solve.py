@@ -130,7 +130,7 @@ def _cavity_pencil(name, p, sub, m):
                       MaterialConstants(1.0, 1.0))
     sys_ = build_mode_system(forms, m)
     A, M, _, _ = sys_.reduced()
-    return A, M, sys_.reduced_gradient()
+    return A, M, sys_.G
 
 
 # p=2 on two geometries, and p=3 on the symmetric pillbox section, where an

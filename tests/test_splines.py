@@ -10,7 +10,6 @@ from axisiga.splines import (
     TensorSplineSpace,
     derivative_matrix,
     reduce_degree_regularity,
-    refine_uniform,
 )
 
 
@@ -166,27 +165,6 @@ class TestDegreeReduction:
         assert np.abs(V @ coef - derivs).max() <= 1e-12
         # and the exact derivative matrix gives the same function
         assert np.abs(V @ (D @ c) - derivs).max() <= 1e-10
-
-
-class TestRefinement:
-    def test_uniform_split(self):
-        r = refine_uniform(uniform_space(2, 1), 4)
-        assert np.allclose(r.breakpoints, [0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(SplineError):
-            refine_uniform(uniform_space(2, 1), 0)
-
-    def test_nesting(self):
-        coarse = uniform_space(2, 2)
-        fine = refine_uniform(coarse, 3)
-        rng = np.random.default_rng(9)
-        c = rng.standard_normal(coarse.num_basis)
-        xs = np.linspace(0, 1, 60)
-        target = coarse.eval_field(c, xs)
-        V = fine.collocation_matrix(xs).toarray()
-        coef, *_ = np.linalg.lstsq(V, target, rcond=None)
-        assert np.abs(V @ coef - target).max() <= 1e-12
 
 
 class TestNurbs:

@@ -46,6 +46,11 @@ class TestConfig:
         {"length": float("inf")},
         {"radius": 0.0},
         {"length": -0.1},
+        # a study meshes only the cross-section its reference describes
+        {"study": "pillbox", "geometry": "quarter-annulus"},
+        {"study": "source", "geometry": "pillbox-section"},
+        {"study": "pillbox", "geometry": __file__},
+        {"study": "exactness", "geometry": "rectangle"},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(StudyError):
@@ -63,6 +68,23 @@ class TestExactnessStudy:
         norms = [r["value"] for r in rep.rows
                  if r["quantity"] in ("norm_CG", "norm_DC")]
         assert max(norms) <= 1e-12
+
+    def test_one_report_per_mesh(self, monkeypatch):
+        from axisiga import derham
+        calls = []
+        report = derham.exactness_report
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(derham, "exactness_report", counted)
+        rep = run_exactness_suite(StudyConfig(
+            study="exactness", degrees=(2,), subdivisions=(2,),
+            modes=(1, -2, 26)))
+        assert len(calls) == 1
+        assert [r["m"] for r in rep.rows if r["quantity"] == "exact"] == [
+            1, -2, 26]
 
     def test_deterministic_rows(self):
         cfg = StudyConfig(study="exactness", degrees=(2,), subdivisions=(2,))
@@ -189,6 +211,16 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+    def test_geometry_without_reference(self, capsys):
+        assert main(["pillbox", "--geometry", "quarter-annulus", "--degrees",
+                     "2", "--subdivisions", "4", "--modes", "1",
+                     "--eigs", "3"]) == 1
+        assert "error: geometry: the pillbox study meshes pillbox-section" in (
+            capsys.readouterr().err)
+        assert main(["source", "--geometry", "pillbox-section", "--degrees",
+                     "2", "--subdivisions", "4", "--modes", "1"]) == 1
+        assert "error: geometry:" in capsys.readouterr().err
 
     def test_target_beyond_enumerated_modes(self, capsys):
         # TE,1,60 lies above the 80 analytic modes the study enumerates
