@@ -2,8 +2,8 @@
 
 Configuration comes from an optional key=value text file (see README) plus
 command-line flag overrides; outputs are a CSV of measurement rows, a JSON
-summary and a plain-text rate table.  Exit codes: 0 success, 1 validation
-failure, 2 numerical failure.
+summary and a plain-text rate table.  Exit codes: 0 success, 1 usage or
+validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .solve import SolveError
 from .studies import RUNNERS, StudyConfig, StudyError
 
-_LIST_FIELDS = {"degrees", "subdivisions", "modes"}
-_FLOAT_FIELDS = {"eps", "mu", "gamma", "radius", "length"}
-_INT_FIELDS = {"eigs", "seed"}
+_DEFAULTS = {f.name: f.default for f in fields(StudyConfig)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -40,37 +39,36 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, val):
-    if isinstance(val, str):
-        if key in _LIST_FIELDS:
-            return tuple(int(t) for t in val.replace(",", " ").split())
-        if key in _FLOAT_FIELDS:
-            return float(val)
-        if key in _INT_FIELDS:
-            return int(val)
-    return val
+def _coerce(key: str, val: str):
+    default = _DEFAULTS[key]
+    if isinstance(default, tuple):
+        return tuple(int(t) for t in val.replace(",", " ").split())
+    return type(default)(val)
 
 
-def _make_config(study: str, args) -> StudyConfig:
-    values: dict = {}
-    if args.config:
-        values.update(_parse_config_file(args.config))
-    for key in ("degrees", "subdivisions", "modes", "gamma", "eigs",
-                "geometry", "out", "target", "radius", "length", "seed"):
-        v = getattr(args, key, None)
-        if v is not None:
-            values["out_dir" if key == "out" else key] = v
+def _make_config(args) -> StudyConfig:
+    flags = dict(vars(args))
+    study, path = flags.pop("command"), flags.pop("config")
+    values = _parse_config_file(path) if path else {}
+    values.update((k, v) for k, v in flags.items() if v is not None)
     cfg = StudyConfig(study=study)
     for key, val in values.items():
-        if not hasattr(cfg, key):
+        if key not in _DEFAULTS:
             raise StudyError(f"config: unknown field {key!r}")
         setattr(cfg, key, _coerce(key, val))
+    if cfg.study != study:
+        raise StudyError(f"study: the config is for {cfg.study}, not {study}")
     cfg.validate()
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # exit 1 as other input errors, not 2
+        raise StudyError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="axisiga",
         description="Fourier-spectral x isogeometric Maxwell benchmarks "
                     "on axisymmetric domains")
@@ -84,21 +82,21 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "info":
             continue
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--out", help="output directory for CSV/JSON")
+        p.add_argument("--out", dest="out_dir", help="output directory for CSV/JSON")
         p.add_argument("--degrees", help="comma list, e.g. 2,3")
         p.add_argument("--subdivisions", help="comma list, e.g. 4,8,16")
         p.add_argument("--modes", help="comma list of signed modes, e.g. 1,-2")
-        p.add_argument("--gamma", type=float,
+        p.add_argument("--gamma",
                        help="manufactured-solution regularity parameter")
-        p.add_argument("--eigs", type=int, help="number of eigenvalues")
+        p.add_argument("--eigs", help="number of eigenvalues")
         p.add_argument("--geometry",
                        help="the study's own cross-section: pillbox-section "
                             "(pillbox) or rectangle (source)")
         p.add_argument("--target",
                        help="pillbox rate target as kind,n,q (e.g. TE,3,4)")
-        p.add_argument("--radius", type=float, help="cavity radius (m)")
-        p.add_argument("--length", type=float, help="cavity length (m)")
-        p.add_argument("--seed", type=int, help="random seed")
+        p.add_argument("--radius", help="cavity radius (m)")
+        p.add_argument("--length", help="cavity length (m)")
+        p.add_argument("--seed", help="random seed")
     return ap
 
 
@@ -107,7 +105,7 @@ _INFO = """axisiga: compatible B-spline discretization of axisymmetric Maxwell p
 subcommands: pillbox, source, exactness (see --help of each)
 
 config file schema (key = value per line, '#' comments):
-  study          pillbox | source | exactness
+  study          optional; the subcommand (pillbox | source | exactness)
   geometry       optional; the study's own cross-section: pillbox-section
                  (pillbox) or rectangle (source); exactness takes none
   degrees        comma/space list of spline degrees, e.g. 2,3
@@ -124,12 +122,12 @@ config file schema (key = value per line, '#' comments):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "info":
-        print(_INFO)
-        return 0
     try:
-        config = _make_config(args.command, args)
+        args = _build_parser().parse_args(argv)
+        if args.command == "info":
+            print(_INFO)
+            return 0
+        config = _make_config(args)
     except (StudyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from .assembly import (MaterialConstants, MeshForms, build_mode_system,
                        l2_rho_error)
 from .bessel import BesselError, PillboxSpec, pillbox_frequency, pillbox_spectrum
 from .derham import DeRhamComplex2D
-from .geometry import BUILTIN_GEOMETRIES, NurbsGeometry, pillbox_section
+from .geometry import BUILTIN_GEOMETRIES, pillbox_section
 from .manufactured import ManufacturedSolution, validate_derivation
 from .solve import convergence_rate, solve_generalized_eig, solve_saddle_point
 from .splines import KnotVector, SplineSpace1D
@@ -148,14 +148,6 @@ class StudyReport:
         return "\n".join(lines)
 
 
-def _resolve_geometry(config: StudyConfig) -> NurbsGeometry:
-    """The cross-section the study's reference describes: the pillbox
-    section of the config's radius x length, or the source rectangle."""
-    if config.study == "pillbox":
-        return pillbox_section(config.radius, config.length)
-    return BUILTIN_GEOMETRIES["rectangle"]()
-
-
 def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
     s = lambda: SplineSpace1D(KnotVector.uniform(p, sub))
     return DeRhamComplex2D(s(), s())
@@ -165,42 +157,49 @@ def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
 # pillbox eigenvalue study
 # ---------------------------------------------------------------------------
 
+def _pillbox_reference(config: StudyConfig, spec: PillboxSpec, m: int):
+    """The eigs + 1 lowest analytic frequencies of mode m, the number of
+    eigenpairs to compute and, with a target, the target's index in the
+    sorted spectrum and its frequency."""
+    oracle = pillbox_spectrum(spec, abs(m), config.eigs + 1)
+    omegas_ref = np.array([e["omega"] for e in oracle])
+    if not config.target:
+        return omegas_ref, config.eigs, None, None
+    kind, n, q = _parse_target(config.target)
+    target_omega = pillbox_frequency(kind, abs(m), n, q, spec)
+    big = pillbox_spectrum(spec, abs(m), 80)
+    target_idx = int(np.argmin([abs(e["omega"] - target_omega) for e in big]))
+    if big[target_idx]["omega"] != target_omega:
+        raise StudyError(f"target: {config.target} is not among the "
+                         f"{len(big)} lowest analytic modes of m={m}")
+    return (omegas_ref, max(config.eigs, target_idx + 1), target_idx,
+            target_omega)
+
+
 def run_pillbox_study(config: StudyConfig) -> StudyReport:
     """Per (p, subdivision, m): solve the PEC cavity eigenpencil and compare
     the lowest eigenvalues to the analytic spectrum, index by index after
     sorting.  Emits per-frequency relative errors, a spurious-mode count
     (computed eigenvalues below the (eigs+1)-th analytic frequency that have
     no analytic counterpart within 1%), and, when a target mode and at least
-    three subdivisions are given, the fitted convergence rate."""
+    three subdivisions are given, the fitted convergence rate.  All modes
+    share one MeshForms per mesh, whose build time goes on the first mode."""
     config.validate()
     report = StudyReport(config)
     spec = PillboxSpec(config.radius, config.length, config.eps, config.mu)
-    geo = _resolve_geometry(config)
-    mats = config.materials
-    for m in config.modes:
-        oracle = pillbox_spectrum(spec, abs(m), config.eigs + 1)
-        omegas_ref = np.array([e["omega"] for e in oracle])
-        target_idx = None
-        target_omega = None
-        if config.target:
-            kind, n, q = _parse_target(config.target)
-            target_omega = pillbox_frequency(kind, abs(m), n, q, spec)
-            big = pillbox_spectrum(spec, abs(m), 80)
-            target_idx = int(np.argmin(
-                [abs(e["omega"] - target_omega) for e in big]))
-            if big[target_idx]["omega"] != target_omega:
-                raise StudyError(f"target: {config.target} is not among the "
-                                 f"{len(big)} lowest analytic modes of m={m}")
-        for p in config.degrees:
-            errs, hs = [], []
-            for sub in config.subdivisions:
-                t0 = time.perf_counter()
-                cx = _build_complex(p, sub)
-                # the temporary MeshForms is freed before the solve
-                sys_ = build_mode_system(MeshForms(cx, geo, mats), m)
+    # every reference first, so that a bad target fails before any assembly
+    refs = {m: _pillbox_reference(config, spec, m) for m in config.modes}
+    geo = pillbox_section(config.radius, config.length)
+    hs = [1.0 / sub for sub in config.subdivisions]
+    for p in config.degrees:
+        errs = {m: [] for m in config.modes}
+        for sub in config.subdivisions:
+            t0 = time.perf_counter()
+            forms = MeshForms(_build_complex(p, sub), geo, config.materials)
+            for m in config.modes:
+                omegas_ref, count, target_idx, target_omega = refs[m]
+                sys_ = build_mode_system(forms, m)
                 A, M, _, _ = sys_.reduced()
-                count = (config.eigs if target_idx is None
-                         else max(config.eigs, target_idx + 1))
                 # the kernel is the gradients of the free Z^0 DoFs
                 above = A.shape[0] - sys_.G.shape[1]
                 if count >= above:    # Lanczos needs one spare vector
@@ -239,11 +238,14 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
                     rel = abs(omegas[target_idx] - target_omega) / target_omega
                     report.add(p, sub, m, dofs, "target_error",
                                float(omegas[target_idx]), target_omega, rel)
-                    errs.append(rel)
-                    hs.append(1.0 / sub)
-            if target_idx is not None and len(errs) >= 3:
-                rate = convergence_rate(hs, errs)
-                report.add(p, "", m, "", "rate_target", rate)
+                    errs[m].append(rel)
+                t0 = time.perf_counter()    # later modes skip the mesh
+        if config.target and len(hs) >= 3:
+            for m in config.modes:
+                report.add(p, "", m, "", "rate_target",
+                           convergence_rate(hs, errs[m]))
+    # mode-major rows; the sort is stable, so (p, sub) order stays in a mode
+    report.rows.sort(key=lambda row: config.modes.index(row["m"]))
     return report
 
 
@@ -266,7 +268,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     report = StudyReport(config)
     report.metadata["derivation_fd_error"] = fd_err
     manufactured = ManufacturedSolution(config.gamma, mats)
-    geo = _resolve_geometry(config)
+    geo = BUILTIN_GEOMETRIES["rectangle"]()
     primal = 0.0
     for p in config.degrees:
         errs, hs = [], []

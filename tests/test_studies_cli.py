@@ -95,6 +95,19 @@ class TestExactnessStudy:
         assert strip(a) == strip(b)
 
 
+def _count_mesh_forms(monkeypatch):
+    from axisiga import studies
+    built = []
+    forms = studies.MeshForms
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return forms(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "MeshForms", counted)
+    return built
+
+
 class TestPillboxStudy:
     def test_small_run_accuracy(self):
         cfg = StudyConfig(study="pillbox", degrees=(2,), subdivisions=(4, 8),
@@ -128,6 +141,33 @@ class TestPillboxStudy:
         rates = [r for r in rep.rows if r["quantity"] == "rate_target"]
         assert len(rates) == 1
         assert rates[0]["value"] >= 2 * 2 - 0.5
+
+    def test_one_mesh_forms_per_mesh(self, monkeypatch):
+        built = _count_mesh_forms(monkeypatch)
+        run_pillbox_study(StudyConfig(study="pillbox", degrees=(2,),
+                                      subdivisions=(2, 4), modes=(1, -2),
+                                      eigs=3))
+        assert len(built) == 2
+
+    def test_shared_mesh_rows_equal_one_mode_runs(self):
+        # rows come mode by mode, each mode's rate after its own errors
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"}
+                              for r in rows]
+        run = lambda modes: run_pillbox_study(StudyConfig(
+            study="pillbox", degrees=(1, 2), subdivisions=(2, 4, 8),
+            modes=modes, eigs=2, target="TM,1,0")).rows
+        both = run((1, -2))
+        assert strip(both) == strip(run((1,)) + run((-2,)))
+        assert [r["quantity"] for r in both].count("rate_target") == 4
+
+    def test_bad_target_fails_before_assembly(self, monkeypatch):
+        # TM,4,4 is among the 80 enumerated modes of m=1 but not of m=2
+        built = _count_mesh_forms(monkeypatch)
+        with pytest.raises(StudyError, match="TM,4,4 is not among"):
+            run_pillbox_study(StudyConfig(
+                study="pillbox", degrees=(2,), subdivisions=(2,),
+                modes=(1, 2), eigs=3, target="TM,4,4"))
+        assert built == []
 
 
 class TestSourceStudy:
@@ -191,6 +231,18 @@ class TestCli:
 
     def test_bad_flag_value(self, capsys):
         assert main(["exactness", "--modes", "0"]) == 1
+        # malformed numbers are input errors, from a flag as from a file
+        assert main(["pillbox", "--eigs", "abc"]) == 1
+        assert main(["source", "--gamma", "x"]) == 1
+        assert capsys.readouterr().err.count("error: ") == 3
+
+    def test_usage_errors_exit_1(self, capsys):
+        for argv in (["pillbox", "--bogus", "1"], [], ["pillbox", "--eigs"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(SystemExit) as exc:
+            main(["pillbox", "--help"])
+        assert exc.value.code == 0
 
     def test_duplicate_mode(self, capsys):
         assert main(["source", "--modes", "3,3"]) == 1
@@ -271,9 +323,21 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
+        # validate and materials are attributes but not config fields
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("wibble = 3\n")
-        assert main(["exactness", "--config", str(cfg)]) == 1
+        for key in ("wibble", "validate", "materials"):
+            cfg.write_text(f"{key} = 1\n")
+            assert main(["exactness", "--config", str(cfg)]) == 1
+            assert f"error: config: unknown field '{key}'" in (
+                capsys.readouterr().err)
+
+    def test_config_study_must_match_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("study = pillbox\n")
+        assert main(["exactness", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 1
+        assert "error: study:" in capsys.readouterr().err
+        assert not (tmp_path / "pillbox.csv").exists()
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
