@@ -2,18 +2,17 @@
 
 All bilinear forms are integrals over the cross-section with the cylindrical
 measure rho drho dz.  Trial/test fields are expanded in the Cartesian factor
-spaces of the discrete complex; at each quadrature point the parametric basis
-values are pushed forward through the geometry (covariant for the
+spaces of the discrete complex.  A basis function of one factor is a scalar
+tensor spline times the factor's unit tilde component, so its physical
+cylindrical components are the scalar value times a per-point direction: the
+push-forward of that unit component through the geometry (covariant for the
 curl-conforming pair, Piola for the div-conforming pair, density scaling for
-top forms) and converted to physical cylindrical components through the
-eta^{-1} maps, which multiply by rho and never divide — every integrand is
-smooth up to the axis.
+top forms), converted by the eta^{-1} maps, which multiply by rho and never
+divide — every integrand is smooth up to the axis.
 
-Every integral runs over one table of Gauss points, built in a single
-batched pass: the 1D basis tables of each direction, the geometry
-(rho, z, J, det J) at every point and the push-forwarded tilde values of
-every local basis function.  Each assembly routine contracts a table with one
-einsum (matrices then come from one COO build).
+Every integral runs over one table of Gauss points, which holds the geometry
+and each factor space's scalar basis values, tabulated once from the 1D
+tables of each direction, and contracts scalar values weighted by directions.
 
 The mode m enters only through eta^{-1}, whose factors 1/m multiply whole
 components: all of k=0, the (rho, z) pair of k=1, the theta component of
@@ -35,7 +34,7 @@ import scipy.sparse as sp
 from .derham import DeRhamComplex2D, DeRhamError, eta_inverse, tilde_push_forward
 from .geometry import EDGES, NurbsGeometry
 from .quadrature import gauss_legendre
-from .splines import SplineSpace1D
+from .splines import TensorSplineSpace
 
 
 class AssemblyError(ValueError):
@@ -82,19 +81,29 @@ _EDGE_GEOM = {
 }
 
 
-def _direction_table(space: SplineSpace1D, nodes: np.ndarray):
-    """First indices (nel,) and values (nel, nq, p+1) of the local basis
-    functions of a 1D space at per-element nodes (nel, nq)."""
-    firsts, vals, _ = space.tabulate(nodes.ravel())
-    firsts = firsts.reshape(nodes.shape)
-    if np.any(firsts != firsts[:, :1]):
-        raise AssemblyError("quadrature node left its element span")
-    return firsts[:, 0], vals.reshape(nodes.shape + (space.degree + 1,))
+def _tensor_table(space: TensorSplineSpace, nodes):
+    """Indices (nel, nloc) into the coefficients of a tensor factor space and
+    values (nel, nloc, nq) of its local basis functions, from the 1D tables
+    at the per-element nodes (nel_d, nq_d) of each direction."""
+    local = []
+    for s, x in zip((space.s1, space.s2), nodes):
+        firsts, vals, _ = s.tabulate(x.ravel())
+        firsts = firsts.reshape(x.shape)
+        if np.any(firsts != firsts[:, :1]):
+            raise AssemblyError("quadrature node left its element span")
+        local.append((firsts[:, :1] + np.arange(s.degree + 1),
+                      vals.reshape(x.shape + (s.degree + 1,))))
+    (i1, v1), (i2, v2) = local
+    idx = i1[:, None, :, None] * space.s2.num_basis + i2[None, :, None, :]
+    nel, nloc = idx.shape[0] * idx.shape[1], idx.shape[2] * idx.shape[3]
+    return (idx.reshape(nel, nloc),
+            np.einsum("Eia,Fjb->EFabij", v1, v2).reshape(nel, nloc, -1))
 
 
 class _QuadTable:
     """Gauss points of all elements, or of the elements along one edge, with
-    the geometry and the quadrature weight of the cylindrical measure there.
+    the geometry, the quadrature weight of the cylindrical measure and the
+    scalar basis values of every factor space there.
 
     Point arrays have shape (nel, nq): element e = e1 * nel2 + e2 and point
     q = i * nq2 + j of the tensor rule.  ``dx`` is the weight of
@@ -111,23 +120,27 @@ class _QuadTable:
                 raise AssemblyError(
                     "geometry breakpoints must be nested in the analysis mesh")
         self.complex = cx
-        self._kept = {}
         rule = gauss_legendre(nquad or default_nquad(cx))
-        self.nodes, weights = [], []
+        nodes, weights = [], []
         for d, s in enumerate((cx.s1, cx.s2)):
             if edge is not None and _EDGE_GEOM[edge][0] == d:
                 x, w = np.array([[_EDGE_GEOM[edge][1]]]), np.ones((1, 1))
             else:
                 z = s.breakpoints
                 x, w = rule.mapped(z[:-1, None], z[1:, None])
-            self.nodes.append(x)
+            nodes.append(x)
             weights.append(w)
-        (nel1, nq1), (nel2, nq2) = self.nodes[0].shape, self.nodes[1].shape
+        # X1sa, X1sb of Z^2 are X1b, X1a of Z^1: four tables serve six factors
+        spaces = {(s.s1, s.s2): s
+                  for s in cx.space_factors(1) + cx.space_factors(2)}
+        self._scalar = {key: _tensor_table(s, nodes)
+                        for key, s in spaces.items()}
+        (nel1, nq1), (nel2, nq2) = nodes[0].shape, nodes[1].shape
         grid = (nel1, nel2, nq1, nq2)
         shape = (nel1 * nel2, nq1 * nq2)
         pts = np.column_stack([
-            np.broadcast_to(self.nodes[0][:, None, :, None], grid).ravel(),
-            np.broadcast_to(self.nodes[1][None, :, None, :], grid).ravel()])
+            np.broadcast_to(nodes[0][:, None, :, None], grid).ravel(),
+            np.broadcast_to(nodes[1][None, :, None, :], grid).ravel()])
         rho, z, J, det = geometry.evaluate(pts)
         if np.any(det <= 0):
             raise AssemblyError("non-positive Jacobian at a quadrature point")
@@ -146,46 +159,24 @@ class _QuadTable:
                            / length[..., None])
             self.dx = w * length * self.rho
 
-    def basis(self, k: int):
-        """Every local Z^k basis function as tilde values at the points.
-
-        Returns (idx (nel, nloc), U (nel, nloc, nq, ncomp)): indices into the
-        stacked Z^k coefficient vector and the push-forwarded tilde values,
-        one component per stacked factor.
-        """
+    def factors(self, k: int):
+        """(idx, v) per stacked factor of Z^k: indices (nel, nloc) into the
+        Z^k coefficients and scalar values (nel, nloc, nq) of its basis."""
         cx = self.complex
-        factors = cx.space_factors(k)
-        nel, nq = self.rho.shape
-        idx, blocks = [], []
-        for c, (space, sl) in enumerate(zip(factors, cx.block_slices(k))):
-            f1, v1 = _direction_table(space.s1, self.nodes[0])
-            f2, v2 = _direction_table(space.s2, self.nodes[1])
-            pl1, pl2 = v1.shape[2], v2.shape[2]
-            i1 = f1[:, None, None, None] + np.arange(pl1)[:, None]
-            i2 = f2[None, :, None, None] + np.arange(pl2)
-            idx.append((i1 * space.s2.num_basis + i2).reshape(nel, -1) + sl.start)
-            V = np.zeros((nel, pl1 * pl2, nq, len(factors)))
-            V[..., c] = np.einsum("Eia,Fjb->EFabij", v1, v2).reshape(
-                nel, pl1 * pl2, nq)
-            blocks.append(V)
-        U = tilde_push_forward(k, self.J[:, None], self.det[:, None],
-                               np.concatenate(blocks, axis=1))
-        return np.concatenate(idx, axis=1), U
+        tables = (self._scalar[s.s1, s.s2] for s in cx.space_factors(k))
+        return [(idx + sl.start, v)
+                for (idx, v), sl in zip(tables, cx.block_slices(k))]
 
-    def shared_basis(self, k: int):
-        """``basis(k)``, kept from the first call on for the per-mode
-        integrals; the matrix parts call ``basis`` so that theirs is freed."""
-        if k not in self._kept:
-            self._kept[k] = self.basis(k)
-        return self._kept[k]
-
-    def physical(self, m: int, k: int, U: np.ndarray) -> np.ndarray:
-        """eta^{-1} of basis tilde values (nel, nloc, nq, ncomp), keeping the
-        component axis."""
-        rho = self.rho[:, None, :]
-        if k in (1, 2):
-            return eta_inverse(m, k, rho, U)
-        return eta_inverse(m, k, rho, U[..., 0])[..., None]
+    def directions(self, m: int, k: int) -> np.ndarray:
+        """g (nfactor, nel, nq, ncomp): eta_m^{-1} of the push-forward of
+        each factor's unit tilde component, so that a basis function of
+        factor f has the physical components v * g[f]."""
+        n = len(self.complex.space_factors(k))
+        unit = np.broadcast_to(np.eye(n)[:, None, None],
+                               (n,) + self.rho.shape + (n,))
+        U = tilde_push_forward(k, self.J, self.det, unit)
+        U = U if k in (1, 2) else U[..., 0]
+        return eta_inverse(m, k, self.rho, U).reshape(U.shape[:3] + (-1,))
 
     def at_points(self, fn, *args) -> np.ndarray:
         """fn(*args, rho, z), with the edge normals as a last argument on an
@@ -209,20 +200,31 @@ _INV_M_COMPONENTS = {0: (0,), 1: (0, 1), 2: (2,), 3: ()}
 def _mass_parts(tab: _QuadTable, k: int, weight):
     """(X, Y) with the weighted Z^k mass M_k(m) = X + Y / m**2: the
     integrals over the eta^{-1} components free of 1/m and over those that
-    carry it, both tabulated at m = 1."""
-    idx, U = tab.basis(k)
-    P = tab.physical(1, k, U)
-    if callable(weight):
-        wq = tab.dx * tab.at_points(weight)
-    else:
-        wq = tab.dx * float(weight)
-    local = np.einsum("eaqc,ebqc->ceab", P, P * wq[:, None, :, None],
-                      optimize=True)
-    inv_m = np.isin(np.arange(P.shape[-1]), _INV_M_COMPONENTS[k])
-    nloc, dim = idx.shape[1], tab.complex.dim(k)
-    ij = (np.repeat(idx, nloc, axis=1).ravel(), np.tile(idx, (1, nloc)).ravel())
-    return tuple(sp.csr_matrix((local[comps].sum(axis=0).ravel(), ij),
-                               shape=(dim, dim)) for comps in (~inv_m, inv_m))
+    carry it, both tabulated at m = 1.
+
+    A factor pair f <= h adds the element blocks (v_f W) v_h^T to S, with
+    W = dx weight g_f . g_h over the part's components (halved for f = h,
+    skipped where zero); the part is S + S^T.
+    """
+    wq = tab.dx * (tab.at_points(weight) if callable(weight) else float(weight))
+    g = tab.directions(1, k)
+    inv_m = np.isin(np.arange(g.shape[-1]), _INV_M_COMPONENTS[k])
+    factors, dim = tab.factors(k), tab.complex.dim(k)
+    parts = []
+    for gp in (g[..., ~inv_m], g[..., inv_m]):
+        coo = [(np.zeros(0), np.zeros(0, int), np.zeros(0, int))]
+        for f, (idx_f, v_f) in enumerate(factors):
+            for h, (idx_h, v_h) in enumerate(factors[f:], f):
+                W = (0.5 if f == h else 1.0) * wq * np.sum(gp[f] * gp[h], -1)
+                if W.any():
+                    L = np.matmul(v_f * W[:, None, :], v_h.transpose(0, 2, 1))
+                    coo.append((L, np.broadcast_to(idx_f[:, :, None], L.shape),
+                                np.broadcast_to(idx_h[:, None, :], L.shape)))
+        vals, rows, cols = (np.concatenate([a.ravel() for a in c])
+                            for c in zip(*coo))
+        S = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        parts.append((S + S.T).tocsr())
+    return tuple(parts)
 
 
 def _curlcurl_parts(tab: _QuadTable, weight):
@@ -236,8 +238,7 @@ def _at_mode(parts, m: int) -> sp.csr_matrix:
     """X + Y / m**2 for mode m."""
     if m == 0:
         raise DeRhamError("mode m must be nonzero")
-    X, Y = parts
-    return (X + Y / m**2).tocsr()
+    return (parts[0] + parts[1] / m**2).tocsr()
 
 
 def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
@@ -247,8 +248,7 @@ def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
     Entries are integrals weight * (eta^{-1} tilde_j) . (eta^{-1} tilde_i)
     rho drho dz; ``weight`` is a constant or a callable of (rho, z).
     """
-    tab = _QuadTable(complex_, geometry)
-    return _at_mode(_mass_parts(tab, k, weight), m)
+    return _at_mode(_mass_parts(_QuadTable(complex_, geometry), k, weight), m)
 
 
 def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
@@ -259,8 +259,7 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
     The curl is applied exactly through the coefficient matrix C; only the
     weighted Z^2 mass is integrated.
     """
-    tab = _QuadTable(complex_, geometry)
-    return _at_mode(_curlcurl_parts(tab, weight), m)
+    return _at_mode(_curlcurl_parts(_QuadTable(complex_, geometry), weight), m)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +269,12 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
 def _load_vector(tab: _QuadTable, m: int, values: np.ndarray) -> np.ndarray:
     """Integrals of values (nel, nq, 3) against eta_1^{-1} of every Z^1
     basis function, with the table's measure."""
-    idx, U = tab.shared_basis(1)
-    P = tab.physical(m, 1, U)
-    fe = np.einsum("eaqc,eqc,eq->ea", P, values, tab.dx)
-    return np.bincount(idx.ravel(), weights=fe.ravel(),
-                       minlength=tab.complex.dim(1))
+    w = np.einsum("feqc,eqc,eq->feq", tab.directions(m, 1), values, tab.dx)
+    f = np.zeros(tab.complex.dim(1))
+    for (idx, v), wf in zip(tab.factors(1), w):
+        f += np.bincount(idx.ravel(), weights=(v @ wf[..., None]).ravel(),
+                         minlength=f.size)
+    return f
 
 
 def assemble_load(forms: MeshForms, m: int, source=None,
@@ -313,10 +313,9 @@ def l2_rho_error(forms: MeshForms, m: int, k: int, coeffs: np.ndarray,
     the physical cylindrical components, of shape (npts, 3) for k in {1, 2}
     and (npts,) otherwise.
     """
-    tab = forms.table
-    idx, U = tab.shared_basis(k)
-    phys = np.einsum("eaqc,ea->eqc", tab.physical(m, k, U),
-                     np.asarray(coeffs, dtype=float)[idx])
+    tab, u = forms.table, np.asarray(coeffs, dtype=float)
+    phys = sum(np.einsum("ea,eaq->eq", u[idx], v)[..., None] * g
+               for (idx, v), g in zip(tab.factors(k), tab.directions(m, k)))
     ref = tab.at_points(reference, m).reshape(phys.shape)
     return float(np.sqrt(np.sum(np.sum((phys - ref) ** 2, axis=-1) * tab.dx)))
 
@@ -390,7 +389,8 @@ class MeshForms:
     parts of its Galerkin matrices.
 
     The constructor does the work: the quadrature table of all elements and
-    one per neumann edge, on which every mode's load and error norms run;
+    one per neumann edge, each with every factor's scalar basis tabulated
+    once, on which every mode's load and error norms run;
     the free Z^1/Z^0 DoFs, those not fixed on a dirichlet edge; and, on
     them, the eps-weighted Z^1 mass and the symmetrized 1/mu curl-curl
     C^T M2 C, each split as X + Y / m**2, and the gradient G.

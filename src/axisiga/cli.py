@@ -40,10 +40,14 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, val: str):
+    """val typed as the field's default: a tuple of ints, int, float or str."""
     default = _DEFAULTS[key]
-    if isinstance(default, tuple):
-        return tuple(int(t) for t in val.replace(",", " ").split())
-    return type(default)(val)
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(t) for t in val.replace(",", " ").split())
+        return type(default)(val)
+    except ValueError:
+        raise StudyError(f"{key}: malformed value {val!r}") from None
 
 
 def _make_config(args) -> StudyConfig:

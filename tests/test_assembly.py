@@ -6,6 +6,8 @@ from axisiga.assembly import (
     AssemblyError,
     MaterialConstants,
     MeshForms,
+    _mass_parts,
+    _QuadTable,
     assemble_curlcurl,
     assemble_load,
     assemble_mass,
@@ -15,7 +17,12 @@ from axisiga.assembly import (
     l2_rho_error,
 )
 from axisiga.derham import DeRhamComplex2D, DeRhamError, ModeSpace
-from axisiga.geometry import pillbox_section, quarter_annulus, rectangle
+from axisiga.geometry import (
+    BUILTIN_GEOMETRIES,
+    pillbox_section,
+    quarter_annulus,
+    rectangle,
+)
 from axisiga.quadrature import gauss_legendre
 from axisiga.splines import KnotVector, SplineSpace1D
 
@@ -311,7 +318,6 @@ class TestModeSystem:
     def test_free_dofs_equal_restricted_full_space(self, name):
         # A, M, B, G and f are the full-space ones cut by hand to the
         # complement of essential_dofs, with difference 0
-        from axisiga.geometry import BUILTIN_GEOMETRIES
         geo = BUILTIN_GEOMETRIES[name]()
         cx = make_complex(2, 3)
         mats = MaterialConstants(2.0, 0.25)
@@ -513,6 +519,18 @@ def _oracle_neumann_load(cx, geo, m, neumann):
     return f
 
 
+def _oracle_l2_error(cx, geo, m, k, u, reference):
+    nq = default_nquad(cx)
+    total = 0.0
+    for x1, w1 in _gauss_points(cx.s1, nq):
+        for x2, w2 in _gauss_points(cx.s2, nq):
+            rho, z = geo.map_point(x1, x2)
+            ref = reference(m, np.array([rho]), np.array([z])).ravel()
+            diff = u @ _oracle_basis(cx, geo, m, k, (x1, x2)) - ref
+            total += w1 * w2 * geo.jacobian(x1, x2)[1] * rho * (diff @ diff)
+    return np.sqrt(total)
+
+
 def _source(m, rho, z):
     return np.stack([rho * z, rho**2 + m, z * z - rho], axis=-1)
 
@@ -522,19 +540,33 @@ def _neumann(m, rho, z, normal):
     return np.stack([n_r * z, n_z * rho + m, rho * z + n_r], axis=-1)
 
 
+def _scalar_reference(m, rho, z):
+    return rho * z + m
+
+
+_GEOMETRY_MODES = [
+    pytest.param(name, m, id=name if m == -3 else f"{name}-m{m}")
+    for name in ("rectangle", "pillbox-section", "quarter-annulus")
+    for m in (-3, 1, 26)]
+
+
+def rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
 class TestPointwiseOracle:
     """The batched tabulation reproduces a point-by-point assembly built from
     the scalar public API to round-off."""
 
-    @pytest.mark.parametrize("name,m", [
-        pytest.param(name, m, id=name if m == -3 else f"{name}-m{m}")
-        for name in ("rectangle", "pillbox-section", "quarter-annulus")
-        for m in (-3, 1, 26)])
-    def test_mass_and_loads(self, name, m):
-        from axisiga.geometry import BUILTIN_GEOMETRIES
+    @pytest.mark.parametrize("name,m,degrees", [
+        pytest.param(*case.values, (2, 2), id=case.id)
+        for case in _GEOMETRY_MODES] + [
+        # unequal degrees: a swapped direction in a factor table shows
+        pytest.param("quarter-annulus", -3, (2, 3), id="quarter-annulus-p2p3")])
+    def test_mass_and_loads(self, name, m, degrees):
         geo = BUILTIN_GEOMETRIES[name]()
-        cx = make_complex(2, 3)
-        rel = lambda a, b: np.abs(a - b).max() / np.abs(b).max()
+        cx = DeRhamComplex2D(*(SplineSpace1D(KnotVector.uniform(p, 3))
+                               for p in degrees))
         for k in range(4):
             M = assemble_mass(cx, geo, m, k=k).toarray()
             assert rel(M, _oracle_mass(cx, geo, m, k)) <= 1e-13
@@ -547,3 +579,55 @@ class TestPointwiseOracle:
             assert not f.any() and not ref.any()
         else:
             assert rel(f, ref) <= 1e-13
+
+    @pytest.mark.parametrize("name,m", _GEOMETRY_MODES)
+    def test_error_norms(self, name, m):
+        geo = BUILTIN_GEOMETRIES[name]()
+        cx = make_complex(2, 3)
+        forms = MeshForms(cx, geo)
+        rng = np.random.default_rng(11)
+        for k in range(4):
+            u = rng.standard_normal(cx.dim(k))
+            ref = _source if k in (1, 2) else _scalar_reference
+            exact = _oracle_l2_error(cx, geo, m, k, u, ref)
+            assert l2_rho_error(forms, m, k, u, ref) == pytest.approx(
+                exact, rel=1e-13)
+
+
+def _oracle_split(M1, M2):
+    """(X, Y) of M(m) = X + Y / m**2 from its values at m = 1 and m = 2."""
+    return (4 * M2 - M1) / 3, 4 * (M1 - M2) / 3
+
+
+class TestSplitParts:
+    """The parts X and Y themselves, not only X + Y / m**2, match the split
+    of the pointwise oracle."""
+
+    @pytest.mark.parametrize("name", BUILTIN_GEOMETRIES)
+    def test_mass_parts_every_degree(self, name):
+        geo = BUILTIN_GEOMETRIES[name]()
+        cx = make_complex(2, 3)
+        tab = _QuadTable(cx, geo)
+        for k in range(4):
+            ref = _oracle_split(*(_oracle_mass(cx, geo, m, k) for m in (1, 2)))
+            for part, oracle in zip(_mass_parts(tab, k, 1.0), ref):
+                # k = 0 has no X and k = 3 no Y: both sides are exactly 0
+                assert (np.abs(part.toarray() - oracle).max()
+                        <= 1e-13 * np.abs(oracle).max())
+
+    def test_mesh_forms_parts(self):
+        cx = make_complex(2, 3)
+        geo = quarter_annulus(1.0, 2.0, edge_labels={
+            "west": "neumann", "east": "dirichlet",
+            "south": "neumann", "north": "dirichlet"})
+        mats = MaterialConstants(2.0, 0.25)
+        forms = MeshForms(cx, geo, mats)
+        r = forms.free_z1
+        assert len(r) < cx.dim(1)
+        C = cx.C.toarray()
+        M = [mats.eps * _oracle_mass(cx, geo, m, 1) for m in (1, 2)]
+        A = [C.T @ (_oracle_mass(cx, geo, m, 2) / mats.mu) @ C for m in (1, 2)]
+        A = [0.5 * (a + a.T) for a in A]
+        for parts, values in ((forms.mass, M), (forms.curlcurl, A)):
+            for part, oracle in zip(parts, _oracle_split(*values)):
+                assert rel(part.toarray(), oracle[np.ix_(r, r)]) <= 1e-13

@@ -236,6 +236,18 @@ class TestCli:
         assert main(["source", "--gamma", "x"]) == 1
         assert capsys.readouterr().err.count("error: ") == 3
 
+    @pytest.mark.parametrize("key,val", [
+        ("eigs", "abc"), ("gamma", "x"), ("degrees", "2,x"), ("seed", "1.5")])
+    def test_malformed_value_names_its_field(self, tmp_path, capsys, key, val):
+        # from a flag and from a config file alike
+        study = "source" if key == "gamma" else "pillbox"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {val}\n")
+        for argv in ([study, f"--{key}", val], [study, "--config", str(cfg)]):
+            assert main(argv) == 1
+            assert f"error: {key}: malformed value {val!r}" in (
+                capsys.readouterr().err)
+
     def test_usage_errors_exit_1(self, capsys):
         for argv in (["pillbox", "--bogus", "1"], [], ["pillbox", "--eigs"]):
             assert main(argv) == 1
