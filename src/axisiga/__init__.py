@@ -33,13 +33,11 @@ from .derham import (
 )
 from .geometry import (
     NurbsGeometry,
-    load_geometry,
     pillbox_section,
     pullback,
     push_forward,
     quarter_annulus,
     rectangle,
-    save_geometry,
 )
 from .manufactured import ManufacturedSolution, validate_derivation
 from .quadrature import QuadratureRule1D, gauss_legendre

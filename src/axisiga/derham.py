@@ -53,21 +53,20 @@ class DeRhamComplex2D:
         self.X0 = TensorSplineSpace(space1, space2)
         self.X1a = TensorSplineSpace(self.s1r, space2)
         self.X1b = TensorSplineSpace(space1, self.s2r)
-        self.X1sa = TensorSplineSpace(space1, self.s2r)
-        self.X1sb = TensorSplineSpace(self.s1r, space2)
+        self.X1sa, self.X1sb = self.X1b, self.X1a
         self.X2 = TensorSplineSpace(self.s1r, self.s2r)
 
         n1, n2 = space1.num_basis, space2.num_basis
-        I1, I2 = sp.identity(n1, format="csr"), sp.identity(n2, format="csr")
-        I1r = sp.identity(n1 - 1, format="csr")
-        I2r = sp.identity(n2 - 1, format="csr")
+        I1, I2 = sp.identity(n1), sp.identity(n2)
+        I1r, I2r = sp.identity(n1 - 1), sp.identity(n2 - 1)
 
         self.D_rho = sp.kron(self.D1, I2, format="csr")   # X0 -> X1a
         self.D_z = sp.kron(I1, self.D2, format="csr")     # X0 -> X1b
+        d_rho_b = sp.kron(self.D1, I2r, format="csr")     # X1b -> X2
+        d_z_a = sp.kron(I1r, self.D2, format="csr")       # X1a -> X2
 
         N0 = self.X0.dim
         Na, Nb = self.X1a.dim, self.X1b.dim
-        Nsa, Nsb = self.X1sa.dim, self.X1sb.dim
         N2 = self.X2.dim
         I0 = sp.identity(N0, format="csr")
 
@@ -76,14 +75,14 @@ class DeRhamComplex2D:
 
         # C: [X1a; X1b; X0] -> [X1sa; X1sb; X2]
         Z = sp.csr_matrix
-        row1 = sp.hstack([Z((Nsa, Na)), -sp.identity(Nb), -sp.kron(I1, self.D2)])
-        row2 = sp.hstack([sp.identity(Na), Z((Nsb, Nb)), sp.kron(self.D1, I2)])
-        row3 = sp.hstack([sp.kron(I1r, self.D2), -sp.kron(self.D1, I2r), Z((N2, N0))])
+        row1 = sp.hstack([Z((Nb, Na)), -sp.identity(Nb), -self.D_z])
+        row2 = sp.hstack([sp.identity(Na), Z((Na, Nb)), self.D_rho])
+        row3 = sp.hstack([d_z_a, -d_rho_b, Z((N2, N0))])
         self.C = sp.vstack([row1, row2, row3], format="csr")
 
         # D: [X1sa; X1sb; X2] -> X2
         self.D = sp.hstack(
-            [sp.kron(self.D1, I2r), sp.kron(I1r, self.D2), -sp.identity(N2)],
+            [d_rho_b, d_z_a, -sp.identity(N2)],
             format="csr",
         )
 

@@ -245,81 +245,3 @@ BUILTIN_GEOMETRIES = {
     "quarter-annulus": lambda: quarter_annulus(1.0, 2.0),
 }
 
-
-# -- geometry file I/O ------------------------------------------------------
-
-def save_geometry(geometry: NurbsGeometry, path: str) -> None:
-    """Write a geometry to the plain-text format read by :func:`load_geometry`."""
-    s1 = geometry.basis.space.s1
-    s2 = geometry.basis.space.s2
-    lines = []
-    lines.append(f"degree1 {s1.degree}")
-    lines.append(f"degree2 {s2.degree}")
-    lines.append("breakpoints1 " + " ".join(repr(float(x)) for x in s1.breakpoints))
-    lines.append("multiplicities1 " + " ".join(str(int(m)) for m in s1.kv.multiplicities))
-    lines.append("breakpoints2 " + " ".join(repr(float(x)) for x in s2.breakpoints))
-    lines.append("multiplicities2 " + " ".join(str(int(m)) for m in s2.kv.multiplicities))
-    lines.append("edges " + " ".join(f"{e}={geometry.edge_labels[e]}" for e in EDGES))
-    lines.append("control")
-    n1, n2 = geometry.basis.space.shape
-    for i in range(n1):
-        for j in range(n2):
-            r, z = geometry.control[i, j]
-            lines.append(f"{float(r)!r} {float(z)!r}")
-    lines.append("weights")
-    for i in range(n1):
-        for j in range(n2):
-            lines.append(repr(float(geometry.basis.weights[i, j])))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_geometry(path: str) -> NurbsGeometry:
-    """Read a geometry from the plain-text schema (see README)."""
-    scalars: dict[str, str] = {}
-    control_vals: list[tuple[float, float]] = []
-    weight_vals: list[float] = []
-    section = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line == "control":
-                section = "control"
-                continue
-            if line == "weights":
-                section = "weights"
-                continue
-            if section == "control":
-                parts = line.split()
-                if len(parts) != 2:
-                    raise GeometryError(f"bad control-point line: {line!r}")
-                control_vals.append((float(parts[0]), float(parts[1])))
-            elif section == "weights":
-                weight_vals.append(float(line))
-            else:
-                key, _, rest = line.partition(" ")
-                scalars[key] = rest.strip()
-    try:
-        p1 = int(scalars["degree1"])
-        p2 = int(scalars["degree2"])
-        z1 = np.array([float(t) for t in scalars["breakpoints1"].split()])
-        m1 = np.array([int(t) for t in scalars["multiplicities1"].split()])
-        z2 = np.array([float(t) for t in scalars["breakpoints2"].split()])
-        m2 = np.array([int(t) for t in scalars["multiplicities2"].split()])
-        edge_labels = dict(tok.split("=", 1) for tok in scalars["edges"].split())
-    except KeyError as exc:
-        raise GeometryError(f"geometry file missing field {exc.args[0]!r}") from exc
-    s1 = SplineSpace1D(KnotVector(p1, z1, m1))
-    s2 = SplineSpace1D(KnotVector(p2, z2, m2))
-    space = TensorSplineSpace(s1, s2)
-    n1, n2 = space.shape
-    if len(control_vals) != n1 * n2:
-        raise GeometryError(
-            f"expected {n1 * n2} control points, found {len(control_vals)}")
-    if len(weight_vals) != n1 * n2:
-        raise GeometryError(f"expected {n1 * n2} weights, found {len(weight_vals)}")
-    control = np.array(control_vals).reshape(n1, n2, 2)
-    weights = np.array(weight_vals).reshape(n1, n2)
-    return NurbsGeometry(NurbsBasis(space, weights), control, edge_labels)

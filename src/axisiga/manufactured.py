@@ -40,6 +40,8 @@ j = mu^{-1} curl b against finite differences of the 3D fields.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .assembly import VACUUM, MaterialConstants
@@ -154,7 +156,7 @@ class ManufacturedSolution:
         """Full 3D cylindrical components of A ('a'), B ('b') or J ('j')."""
         coeff_fn = {"a": self.a, "b": self.b, "j": self.current}[which]
         k = 1 if which in ("a", "j") else 2
-        out = np.zeros(np.shape(rho) + (3,)) if np.ndim(rho) else np.zeros(3)
+        out = np.zeros(np.shape(rho) + (3,))
         for m in ACTIVE_MODES:
             coeff = coeff_fn(m, rho, z)
             mer, tht = self._trig(m, k, theta)
@@ -166,14 +168,14 @@ class ManufacturedSolution:
 
 def _fd_curl(field, r0, z0, t0, h=1e-6):
     """Cylindrical curl of ``field(rho, z, theta)`` -> (F_rho, F_z, F_theta)
-    at one point, by central differences of step h."""
+    at the points (r0, z0, t0), by central differences of step h."""
     d_r = (field(r0 + h, z0, t0) - field(r0 - h, z0, t0)) / (2 * h)
     d_z = (field(r0, z0 + h, t0) - field(r0, z0 - h, t0)) / (2 * h)
     d_t = (field(r0, z0, t0 + h) - field(r0, z0, t0 - h)) / (2 * h)
-    f_t = field(r0, z0, t0)[2]
-    return np.array([d_t[1] / r0 - d_z[2],
-                     (f_t + r0 * d_r[2] - d_t[0]) / r0,
-                     d_z[0] - d_r[1]])
+    f_t = field(r0, z0, t0)[..., 2]
+    return np.stack([d_t[..., 1] / r0 - d_z[..., 2],
+                     (f_t + r0 * d_r[..., 2] - d_t[..., 0]) / r0,
+                     d_z[..., 0] - d_r[..., 1]], axis=-1)
 
 
 def validate_derivation(gamma: float, npts: int = 100, seed: int = 0,
@@ -190,15 +192,13 @@ def validate_derivation(gamma: float, npts: int = 100, seed: int = 0,
     rho = rng.uniform(0.2, 0.9, npts)
     z = rng.uniform(4.1, 4.9, npts)
     theta = rng.uniform(0.0, 2 * np.pi, npts)
-    checks = (("a", "b", 1.0), ("b", "j", 1.0 / materials.mu))
     worst = 0.0
-    for r0, z0, t0 in zip(rho, z, theta):
-        for src, dst, scale in checks:
-            curl = scale * _fd_curl(
-                lambda r, zz, t: ms.field_3d(src, r, zz, t), r0, z0, t0)
-            ref = ms.field_3d(dst, r0, z0, t0)
-            err = np.linalg.norm(curl - ref) / max(np.linalg.norm(ref), 1e-12)
-            if not np.isfinite(err):
-                return float("inf")
-            worst = max(worst, err)
+    for src, dst, scale in (("a", "b", 1.0), ("b", "j", 1.0 / materials.mu)):
+        curl = scale * _fd_curl(partial(ms.field_3d, src), rho, z, theta)
+        ref = ms.field_3d(dst, rho, z, theta)
+        err = np.linalg.norm(curl - ref, axis=-1) / np.maximum(
+            np.linalg.norm(ref, axis=-1), 1e-12)
+        if not np.all(np.isfinite(err)):
+            return float("inf")
+        worst = max(worst, err.max())
     return float(worst)

@@ -78,6 +78,8 @@ class StudyConfig:
             raise StudyError(str(exc)) from exc
         if self.eigs < 1:
             raise StudyError("eigs: need at least one eigenvalue")
+        if self.seed < 0:
+            raise StudyError("seed: need seed >= 0")
         if self.target:
             _parse_target(self.target)
         # the references describe one cross-section each; exactness has none

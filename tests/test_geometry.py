@@ -3,13 +3,11 @@ import pytest
 
 from axisiga.geometry import (
     GeometryError,
-    load_geometry,
     pillbox_section,
     pullback,
     push_forward,
     quarter_annulus,
     rectangle,
-    save_geometry,
 )
 
 ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -140,33 +138,3 @@ class TestPullbacks:
             rhs = ROT90 @ pullback("1", geo, xi, v)
             assert np.allclose(lhs, rhs, atol=1e-12 * max(np.abs(rhs).max(), 1))
 
-
-class TestFileIO:
-    def test_round_trip(self, tmp_path):
-        geo = quarter_annulus(1.0, 2.0)
-        path = tmp_path / "qa.geo"
-        save_geometry(geo, str(path))
-        loaded = load_geometry(str(path))
-        rng = np.random.default_rng(5)
-        for xi in rng.uniform(0, 1, (20, 2)):
-            assert loaded.map_point(*xi) == pytest.approx(
-                geo.map_point(*xi), abs=1e-14)
-        assert loaded.edge_labels == geo.edge_labels
-
-    def test_missing_field(self, tmp_path):
-        path = tmp_path / "bad.geo"
-        path.write_text("degree1 2\n")
-        with pytest.raises(GeometryError):
-            load_geometry(str(path))
-
-    def test_wrong_control_count(self, tmp_path):
-        geo = rectangle(0, 1, 0, 1)
-        path = tmp_path / "trunc.geo"
-        save_geometry(geo, str(path))
-        lines = path.read_text().splitlines()
-        # drop one control point line
-        idx = lines.index("control") + 1
-        del lines[idx]
-        path.write_text("\n".join(lines))
-        with pytest.raises(GeometryError):
-            load_geometry(str(path))

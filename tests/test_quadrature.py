@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from axisiga.assembly import _QuadTable
 from axisiga.derham import DeRhamComplex2D
@@ -27,9 +28,26 @@ class TestGaussLegendre:
         assert np.all(r.weights > 0)
         assert r.nodes == pytest.approx(-r.nodes[::-1], abs=1e-15)
 
+    def test_three_points_closed_form(self):
+        r = gauss_legendre(3)
+        s = np.sqrt(3 / 5)
+        assert r.nodes == pytest.approx([-s, 0.0, s], abs=1e-15)
+        assert r.weights == pytest.approx([5 / 9, 8 / 9, 5 / 9], abs=1e-15)
+
+    def test_four_points_closed_form(self):
+        r = gauss_legendre(4)
+        inner = np.sqrt(3 / 7 - 2 / 7 * np.sqrt(6 / 5))
+        outer = np.sqrt(3 / 7 + 2 / 7 * np.sqrt(6 / 5))
+        w_in, w_out = (18 + np.sqrt(30)) / 36, (18 - np.sqrt(30)) / 36
+        assert r.nodes == pytest.approx([-outer, -inner, inner, outer],
+                                        abs=1e-15)
+        assert r.weights == pytest.approx([w_out, w_in, w_in, w_out],
+                                          abs=1e-15)
+
     @pytest.mark.parametrize("n", range(1, 31))
     def test_matches_reference_implementation(self, n):
-        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        # scipy's rule is a separate implementation from numpy's leggauss
+        x_ref, w_ref = roots_legendre(n)
         r = gauss_legendre(n)
         assert r.nodes == pytest.approx(x_ref, abs=1e-13)
         assert r.weights == pytest.approx(w_ref, abs=1e-13)

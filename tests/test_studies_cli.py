@@ -51,6 +51,7 @@ class TestConfig:
         {"study": "source", "geometry": "pillbox-section"},
         {"study": "pillbox", "geometry": __file__},
         {"study": "exactness", "geometry": "rectangle"},
+        {"seed": -1},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(StudyError):
@@ -266,6 +267,10 @@ class TestCli:
                      "--subdivisions", "2", "--modes", "1"]) == 1
         assert "error: gamma: must be a finite number" in (
             capsys.readouterr().err)
+
+    def test_negative_seed(self, capsys):
+        assert main(["source", "--seed", "-1"]) == 1
+        assert "error: seed: " in capsys.readouterr().err
 
     def test_import_leaves_sympy_out(self):
         # sympy is a test dependency only: no run-time module may load it
