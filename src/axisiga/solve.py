@@ -4,7 +4,8 @@ solve, and log-log rate fitting.
 The cavity eigensolver is sparse throughout: shift-invert Lanczos (ARPACK) on
 a sparse LU factor, with the kernel range(G) projected out exactly, so its
 memory grows with the factor and not with n**2.  The saddle-point solve is a
-dense symmetric-indefinite (LAPACK) factorization.
+dense symmetric-indefinite (LAPACK) factorization, shared by all the loads
+it is given.
 """
 
 from __future__ import annotations
@@ -141,29 +142,44 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Solution of [A B; B^T 0] [u; p] = [f; 0]."""
+    """Solution of [A B; B^T 0] [u; p] = [f; 0], one column per load.
 
-    u: np.ndarray
-    p: np.ndarray
-    residual_primal: float     # ||A u + B p - f|| / max(||f||, 1)
-    residual_gauge: float      # ||B^T u|| / ||u||
+    The residuals are relative and hold for the worst column:
+    ``residual_primal`` is ||A u + B p - f|| / (||A u|| + ||B p|| + ||f||)
+    and ``residual_gauge`` is ||B^T u|| / (max|B| ||u||), each 0 where its
+    denominator is.
+    """
+
+    u: np.ndarray              # (n,) for a 1-D load, else (n, r)
+    p: np.ndarray              # (k,) for a 1-D load, else (k, r)
+    residual_primal: float
+    residual_gauge: float
 
 
-def solve_saddle_point(A, B, f) -> SaddleSolution:
+def _worst_ratio(num, den) -> float:
+    """Largest num / den over the columns, 0 where den is 0."""
+    return float(np.divide(num, den, out=np.zeros_like(num),
+                           where=den > 0).max(initial=0.0))
+
+
+def solve_saddle_point(A, B, F) -> SaddleSolution:
     """Direct symmetric-indefinite solve of the KKT system.
 
     A and B may be sparse or dense; their entries are written straight into
-    the dense KKT matrix, and the residuals use them as passed.  The
-    constraint block is rescaled internally (B' = sigma B with
-    sigma = ||A|| / ||B||) so that the factorization is well conditioned even
-    when the material constants make ||A|| and ||B|| differ by many orders of
-    magnitude; the multiplier is rescaled back on return.
+    the dense KKT matrix, and the residuals use them as passed.  F is one
+    load of shape (n,) or r loads as the columns of an (n, r) array: the KKT
+    matrix is factored once for all of them, and u and p have the shape of
+    F (rows n and k).  The constraint block is rescaled internally
+    (B' = sigma B with sigma = ||A|| / ||B||) so that the factorization is
+    well conditioned even when the material constants make ||A|| and ||B||
+    differ by many orders of magnitude; the multiplier is rescaled back on
+    return.
     """
     A, B = (a if sp.issparse(a) else np.asarray(a, dtype=float)
             for a in (A, B))
-    f = np.asarray(f, dtype=float)
+    F = np.asarray(F, dtype=float)
     n, k = B.shape
-    if A.shape != (n, n) or f.shape != (n,):
+    if A.shape != (n, n) or F.ndim not in (1, 2) or F.shape[0] != n:
         raise SolveError("inconsistent saddle-point block shapes")
     a, b = sp.coo_matrix(A), sp.coo_matrix(B)
     a.sum_duplicates()
@@ -177,16 +193,17 @@ def solve_saddle_point(A, B, f) -> SaddleSolution:
     K = np.zeros((n + k, n + k), order="F")
     K[a.row, a.col] = a.data
     K[b.row, n + b.col] = K[n + b.col, b.row] = sigma * b.data
-    rhs = np.concatenate([f, np.zeros(k)])
+    rhs = np.concatenate([F, np.zeros((k,) + F.shape[1:])])
     try:
         x = sla.solve(K, rhs, assume_a="sym", overwrite_a=True)
     except sla.LinAlgError as exc:
         raise SolveError(f"saddle-point factorization failed: {exc}") from exc
     u = x[:n]
     p = sigma * x[n:]
-    r1 = np.linalg.norm(A @ u + B @ p - f) / max(np.linalg.norm(f), 1.0)
-    nu = np.linalg.norm(u)
-    r2 = np.linalg.norm(B.T @ u) / nu if nu > 0 else 0.0
+    Au, Bp = A @ u, B @ p
+    norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
+    r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
+    r2 = _worst_ratio(norm(B.T @ u), nrm_b * norm(u))
     return SaddleSolution(u, p, r1, r2)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .assembly import (MaterialConstants, MeshForms, build_mode_system,
-                       l2_rho_error)
+from .assembly import (MaterialConstants, MeshForms, assemble_load,
+                       build_mode_system, l2_rho_error)
 from .bessel import BesselError, PillboxSpec, pillbox_frequency, pillbox_spectrum
 from .derham import DeRhamComplex2D
 from .geometry import BUILTIN_GEOMETRIES, pillbox_section
@@ -178,6 +178,16 @@ def _pillbox_reference(config: StudyConfig, spec: PillboxSpec, m: int):
             target_omega)
 
 
+def _mirror_pairs(modes) -> list:
+    """The signed modes grouped by |m|, each group and the modes in it in
+    order of first appearance.  The matrices of modes m and -m are equal
+    (they depend on m only through m**2), so one solve serves a group."""
+    pairs = {}
+    for m in modes:
+        pairs.setdefault(abs(m), []).append(m)
+    return list(pairs.values())
+
+
 def run_pillbox_study(config: StudyConfig) -> StudyReport:
     """Per (p, subdivision, m): solve the PEC cavity eigenpencil and compare
     the lowest eigenvalues to the analytic spectrum, index by index after
@@ -185,12 +195,15 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
     (computed eigenvalues below the (eigs+1)-th analytic frequency that have
     no analytic counterpart within 1%), and, when a target mode and at least
     three subdivisions are given, the fitted convergence rate.  All modes
-    share one MeshForms per mesh, whose build time goes on the first mode."""
+    share one MeshForms per mesh, whose build time goes on the first mode;
+    modes m and -m share one analytic reference and one eigensolve, whose
+    time goes on the first of them."""
     config.validate()
     report = StudyReport(config)
     spec = PillboxSpec(config.radius, config.length, config.eps, config.mu)
+    pairs = _mirror_pairs(config.modes)
     # every reference first, so that a bad target fails before any assembly
-    refs = {m: _pillbox_reference(config, spec, m) for m in config.modes}
+    refs = [_pillbox_reference(config, spec, pair[0]) for pair in pairs]
     geo = pillbox_section(config.radius, config.length)
     hs = [1.0 / sub for sub in config.subdivisions]
     for p in config.degrees:
@@ -198,35 +211,30 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
         for sub in config.subdivisions:
             t0 = time.perf_counter()
             forms = MeshForms(_build_complex(p, sub), geo, config.materials)
-            for m in config.modes:
-                omegas_ref, count, target_idx, target_omega = refs[m]
-                sys_ = build_mode_system(forms, m)
+            for pair, ref in zip(pairs, refs):
+                omegas_ref, count, target_idx, target_omega = ref
+                sys_ = build_mode_system(forms, pair[0])
                 A, M, _, _ = sys_.reduced()
                 # the kernel is the gradients of the free Z^0 DoFs
                 above = A.shape[0] - sys_.G.shape[1]
                 if count >= above:    # Lanczos needs one spare vector
                     raise StudyError(f"eigs: {count} asked, but the p={p} "
                                      f"mesh of {sub}x{sub} elements allows "
-                                     f"at most {above - 1} for m={m}")
+                                     f"at most {above - 1} for m={pair[0]}")
                 t_solve = time.perf_counter()
                 res = solve_generalized_eig(A, M, count, sys_.G)
                 t1 = time.perf_counter()
                 omegas = np.sqrt(res.eigenvalues)
-                dt = t1 - t0
                 dofs = A.shape[0]
                 report.metadata.setdefault("eig_solves", []).append({
-                    "p": p, "subdivisions": sub, "m": m, "n": dofs,
+                    "p": p, "subdivisions": sub, "m": pair[0],
+                    "modes": list(pair), "n": dofs,
                     "count": count, "kernel_dim": res.num_filtered,
                     "gap_ratio": (float(res.eigenvalues[0] / res.threshold)
                                   if res.threshold else None),
                     "max_residual": float(res.residuals.max()),
                     "factor_nnz": res.factor_nnz,
                     "seconds": t1 - t_solve})
-                for i in range(config.eigs):
-                    rel = abs(omegas[i] - omegas_ref[i]) / omegas_ref[i]
-                    report.add(p, sub, m, dofs, f"omega_{i + 1}",
-                               float(omegas[i]), float(omegas_ref[i]), rel,
-                               dt if i == 0 else None)
                 # spurious scan below the (eigs+1)-th analytic frequency
                 below = omegas[omegas < omegas_ref[config.eigs]]
                 spurious = 0
@@ -234,14 +242,23 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
                     nearest = np.min(np.abs(omegas_ref - w)) / w
                     if nearest > 1e-2:
                         spurious += 1
-                report.add(p, sub, m, dofs, "spurious_count", spurious, 0,
-                           None)
-                if target_idx is not None:
-                    rel = abs(omegas[target_idx] - target_omega) / target_omega
-                    report.add(p, sub, m, dofs, "target_error",
-                               float(omegas[target_idx]), target_omega, rel)
-                    errs[m].append(rel)
-                t0 = time.perf_counter()    # later modes skip the mesh
+                for m in pair:
+                    dt = time.perf_counter() - t0
+                    for i in range(config.eigs):
+                        rel = abs(omegas[i] - omegas_ref[i]) / omegas_ref[i]
+                        report.add(p, sub, m, dofs, f"omega_{i + 1}",
+                                   float(omegas[i]), float(omegas_ref[i]),
+                                   rel, dt if i == 0 else None)
+                    report.add(p, sub, m, dofs, "spurious_count", spurious,
+                               0, None)
+                    if target_idx is not None:
+                        rel = (abs(omegas[target_idx] - target_omega)
+                               / target_omega)
+                        report.add(p, sub, m, dofs, "target_error",
+                                   float(omegas[target_idx]), target_omega,
+                                   rel)
+                        errs[m].append(rel)
+                    t0 = time.perf_counter()  # later modes skip the mesh
         if config.target and len(hs) >= 3:
             for m in config.modes:
                 report.add(p, "", m, "", "rate_target",
@@ -259,7 +276,8 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     """Coulomb-gauged magnetostatic solve with the manufactured potential on
     the rectangle [0,1] x [4,5]; Dirichlet at z=5, Neumann on the rest,
     axis at rho=0.  Emits the mode-summed induction error per refinement and
-    the fitted rate per degree."""
+    the fitted rate per degree.  Modes m and -m share one KKT factorization,
+    solved with both their loads."""
     config.validate()
     mats = config.materials
     fd_err = validate_derivation(config.gamma, npts=40, seed=config.seed,
@@ -270,39 +288,50 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     report = StudyReport(config)
     report.metadata["derivation_fd_error"] = fd_err
     manufactured = ManufacturedSolution(config.gamma, mats)
+    loads = dict(source=manufactured.current, neumann=manufactured.neumann)
     geo = BUILTIN_GEOMETRIES["rectangle"]()
-    primal = 0.0
+    kkt_solves = report.metadata["kkt_solves"] = []
     for p in config.degrees:
         errs, hs = [], []
         for sub in config.subdivisions:
             t0 = time.perf_counter()
-            err2_total = 0.0
-            dofs_total = 0
             cx = _build_complex(p, sub)
             forms = MeshForms(cx, geo, mats)
-            for m in config.modes:
-                sys_ = build_mode_system(
-                    forms, m, source=manufactured.current,
-                    neumann=manufactured.neumann)
+            err2, gauge = {}, {}
+            for pair in _mirror_pairs(config.modes):
+                sys_ = build_mode_system(forms, pair[0], **loads)
                 A, _, B, f = sys_.reduced()
-                sol = solve_saddle_point(A, B, f)
-                primal = max(primal, sol.residual_primal)
-                u = sys_.expand_z1(sol.u)
-                # B_h = C u against the closed-form induction
-                err2_total += l2_rho_error(forms, m, 2, cx.C @ u,
+                F = np.column_stack([f] + [
+                    assemble_load(forms, m, **loads)[forms.free_z1]
+                    for m in pair[1:]])
+                t_solve = time.perf_counter()
+                sol = solve_saddle_point(A, B, F)
+                kkt_solves.append({
+                    "p": p, "subdivisions": sub, "modes": list(pair),
+                    "n": A.shape[0], "k": B.shape[1],
+                    "residual_primal": sol.residual_primal,
+                    "residual_gauge": sol.residual_gauge,
+                    "seconds": time.perf_counter() - t_solve})
+                for m, u_free in zip(pair, sol.u.T):
+                    u = sys_.expand_z1(u_free)
+                    # B_h = C u against the closed-form induction
+                    err2[m] = l2_rho_error(forms, m, 2, cx.C @ u,
                                            manufactured.b) ** 2
-                dofs_total += A.shape[0]
-                report.add(p, sub, m, A.shape[0], "gauge_residual",
-                           sol.residual_gauge, 0.0)
+                    gauge[m] = sol.residual_gauge
+            dofs = len(forms.free_z1)
+            for m in config.modes:
+                report.add(p, sub, m, dofs, "gauge_residual", gauge[m], 0.0)
             dt = time.perf_counter() - t0
-            err = float(np.sqrt(err2_total))
-            report.add(p, sub, "", dofs_total, "B_error", err, None, None, dt)
+            err = float(np.sqrt(sum(err2[m] for m in config.modes)))
+            report.add(p, sub, "", dofs * len(config.modes), "B_error", err,
+                       None, None, dt)
             errs.append(err)
             hs.append(1.0 / sub)
         if len(errs) >= 3:
             report.add(p, "", "", "", "rate_B_error",
                        convergence_rate(hs, errs))
-    report.metadata["kkt_max_residual_primal"] = primal
+    report.metadata["kkt_max_residual_primal"] = max(
+        s["residual_primal"] for s in kkt_solves)
     return report
 
 

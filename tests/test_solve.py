@@ -225,6 +225,67 @@ class TestSaddlePoint:
             with pytest.raises(SolveError):
                 solve_saddle_point(np.eye(2), B, np.ones(2))
 
+    def test_residuals_are_scale_invariant(self):
+        # a tiny B or f leaves the relative residuals at round-off, neither
+        # vanishing with the scale (absolute) nor growing
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((8, 8))
+        A = X @ X.T + 8 * np.eye(8)
+        B = rng.standard_normal((8, 3))
+        f = rng.standard_normal(8)
+        for B_, f_ in ((B, f), (1e-12 * B, f), (B, 1e-10 * f)):
+            for sol in _solve_both(A, B_, f_):
+                assert 1e-18 < sol.residual_primal < 1e-14
+                assert 1e-18 < sol.residual_gauge < 1e-14
+
+
+class TestSaddlePointLoads:
+    """Several loads, one factorization: F of shape (n, r)."""
+
+    @staticmethod
+    def _system(seed=5):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((9, 9))
+        A = X @ X.T + 9 * np.eye(9)
+        A[0, 1:3] = A[1:3, 0] = 0.0          # some structural zeros
+        B = rng.standard_normal((9, 4))
+        B[::2, 1] = 0.0
+        return A, B, rng.standard_normal((9, 2))
+
+    def test_columns_match_single_solves(self):
+        A, B, F = self._system()
+        for A_, B_ in ((A, B), (sp.csr_matrix(A), sp.csr_matrix(B))):
+            both = solve_saddle_point(A_, B_, F)
+            assert both.u.shape == (9, 2) and both.p.shape == (4, 2)
+            cols = [solve_saddle_point(A_, B_, f) for f in F.T]
+            for j, one in enumerate(cols):
+                for x, y in ((both.u[:, j], one.u), (both.p[:, j], one.p)):
+                    assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+            assert isinstance(both.residual_primal, float)
+            assert isinstance(both.residual_gauge, float)
+
+    def test_one_dimensional_load_keeps_shapes(self):
+        A, B, F = self._system()
+        sol = solve_saddle_point(A, B, F[:, 0])
+        assert sol.u.shape == (9,) and sol.p.shape == (4,)
+
+    def test_zero_load(self):
+        A, B, F = self._system()
+        F[:, 0] = 0.0
+        sol = solve_saddle_point(A, B, F)
+        assert not sol.u[:, 0].any() and not sol.p[:, 0].any()
+        # the residuals are the worst column's, not the first's
+        assert sol.residual_primal > 0 and sol.residual_gauge > 0
+        zero = solve_saddle_point(A, B, np.zeros((9, 1)))
+        assert not zero.u.any()
+        assert zero.residual_primal == zero.residual_gauge == 0.0
+
+    @pytest.mark.parametrize("shape", [(8,), (10, 2), (9, 2, 1)])
+    def test_bad_load_shape_rejected(self, shape):
+        A, B, _ = self._system()
+        with pytest.raises(SolveError):
+            solve_saddle_point(A, B, np.ones(shape))
+
 
 class TestConvergenceRate:
     def test_exact_quadratic(self):

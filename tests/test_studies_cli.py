@@ -96,17 +96,18 @@ class TestExactnessStudy:
         assert strip(a) == strip(b)
 
 
-def _count_mesh_forms(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The list that records one entry per call of ``studies.<name>``."""
     from axisiga import studies
-    built = []
-    forms = studies.MeshForms
+    calls = []
+    fn = getattr(studies, name)
 
     def counted(*args, **kwargs):
-        built.append(1)
-        return forms(*args, **kwargs)
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(studies, "MeshForms", counted)
-    return built
+    monkeypatch.setattr(studies, name, counted)
+    return calls
 
 
 class TestPillboxStudy:
@@ -144,26 +145,42 @@ class TestPillboxStudy:
         assert rates[0]["value"] >= 2 * 2 - 0.5
 
     def test_one_mesh_forms_per_mesh(self, monkeypatch):
-        built = _count_mesh_forms(monkeypatch)
+        built = _count_calls(monkeypatch, "MeshForms")
         run_pillbox_study(StudyConfig(study="pillbox", degrees=(2,),
                                       subdivisions=(2, 4), modes=(1, -2),
                                       eigs=3))
         assert len(built) == 2
 
     def test_shared_mesh_rows_equal_one_mode_runs(self):
-        # rows come mode by mode, each mode's rate after its own errors
+        # rows come mode by mode, each mode's rate after its own errors;
+        # a mirror pair shares its solve and reproduces both runs exactly
         strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"}
                               for r in rows]
         run = lambda modes: run_pillbox_study(StudyConfig(
             study="pillbox", degrees=(1, 2), subdivisions=(2, 4, 8),
             modes=modes, eigs=2, target="TM,1,0")).rows
-        both = run((1, -2))
-        assert strip(both) == strip(run((1,)) + run((-2,)))
-        assert [r["quantity"] for r in both].count("rate_target") == 4
+        for m, other in ((1, -2), (2, -2)):
+            both = run((m, other))
+            assert strip(both) == strip(run((m,)) + run((other,)))
+            assert [r["quantity"] for r in both].count("rate_target") == 4
+
+    def test_mirror_pair_shares_reference_and_solve(self, monkeypatch):
+        eigs = _count_calls(monkeypatch, "solve_generalized_eig")
+        oracles = _count_calls(monkeypatch, "pillbox_spectrum")
+        rep = run_pillbox_study(StudyConfig(
+            study="pillbox", degrees=(2,), subdivisions=(2, 4),
+            modes=(2, 1, -2), eigs=2))
+        assert len(eigs) == 2 * 2             # per mesh, one per |m|
+        assert [args[1] for args in oracles] == [2, 1]
+        assert [s["modes"] for s in rep.metadata["eig_solves"]] == [
+            [2, -2], [1]] * 2
+        # mode-major rows in the order of config.modes
+        assert [r["m"] for r in rep.rows if r["quantity"] == "omega_1"] == [
+            2, 2, 1, 1, -2, -2]
 
     def test_bad_target_fails_before_assembly(self, monkeypatch):
         # TM,4,4 is among the 80 enumerated modes of m=1 but not of m=2
-        built = _count_mesh_forms(monkeypatch)
+        built = _count_calls(monkeypatch, "MeshForms")
         with pytest.raises(StudyError, match="TM,4,4 is not among"):
             run_pillbox_study(StudyConfig(
                 study="pillbox", degrees=(2,), subdivisions=(2,),
@@ -190,6 +207,27 @@ class TestSourceStudy:
         rep = run_source_study(cfg)
         parities = {r["parity"] for r in rep.rows if r["m"] == -1}
         assert parities == {"antisymmetric"}
+
+    def test_mirror_pair_shares_one_solve(self, monkeypatch):
+        cfg = lambda modes: StudyConfig(study="source", degrees=(2,),
+                                        subdivisions=(2, 3), modes=modes)
+        single = [[r["value"] for r in run_source_study(cfg((m,))).rows
+                   if r["quantity"] == "B_error"] for m in (1, -1, 2)]
+        solves = _count_calls(monkeypatch, "solve_saddle_point")
+        rep = run_source_study(cfg((1, -1, 2)))
+        assert len(solves) == 2 * 2           # per mesh, one per |m|
+        assert [np.shape(args[2]) for args in solves[:2]] == [(33, 2),
+                                                              (33, 1)]
+        errors = [r["value"] for r in rep.rows if r["quantity"] == "B_error"]
+        for j, err in enumerate(errors):
+            rss = np.sqrt(sum(one[j] ** 2 for one in single))
+            assert err == pytest.approx(rss, rel=1e-12, abs=0)
+        gauge = [(r["subdivisions"], r["m"], r["parity"]) for r in rep.rows
+                 if r["quantity"] == "gauge_residual"]
+        assert gauge == [(sub, m, parity) for sub in (2, 3)
+                         for m, parity in ((1, "symmetric"),
+                                           (-1, "antisymmetric"),
+                                           (2, "symmetric"))]
 
     def test_one_set_of_tables_per_mesh(self, monkeypatch):
         # the interior table and one per neumann edge (east and south of the
@@ -305,11 +343,12 @@ class TestCli:
 
     def test_solver_diagnostics_in_json(self, tmp_path):
         assert main(["pillbox", "--degrees", "2", "--subdivisions", "4",
-                     "--modes", "1", "--eigs", "3", "--out",
+                     "--modes", "1,-1", "--eigs", "3", "--out",
                      str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "pillbox.json").read_text())["metadata"]
-        [solve] = meta["eig_solves"]
+        [solve] = meta["eig_solves"]          # one solve serves m = +-1
         assert (solve["p"], solve["subdivisions"], solve["m"]) == (2, 4, 1)
+        assert solve["modes"] == [1, -1]
         assert solve["kernel_dim"] == 20      # free Z^0 DoFs of the mesh
         assert solve["gap_ratio"] >= 1e6
         assert 0 <= solve["max_residual"] <= 1e-10
@@ -317,9 +356,18 @@ class TestCli:
         assert solve["factor_nnz"] >= 65
         assert 0 < solve["seconds"] < 60
         assert main(["source", "--degrees", "2", "--subdivisions", "2",
-                     "--modes", "1", "--out", str(tmp_path)]) == 0
+                     "--modes", "1,2,-1", "--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "source.json").read_text())["metadata"]
-        assert 0 <= meta["kkt_max_residual_primal"] <= 1e-10
+        kkt = meta["kkt_solves"]
+        assert [s["modes"] for s in kkt] == [[1, -1], [2]]
+        for s in kkt:
+            assert (s["p"], s["subdivisions"], s["n"], s["k"]) == (2, 2, 33,
+                                                                    12)
+            assert 0 < s["residual_primal"] <= 1e-10
+            assert 0 < s["residual_gauge"] <= 1e-10
+            assert 0 < s["seconds"] < 60
+        assert meta["kkt_max_residual_primal"] == max(
+            s["residual_primal"] for s in kkt)
 
     def test_eigensolver_failure_exits_2(self, monkeypatch, capsys):
         from scipy.sparse.linalg import ArpackNoConvergence
