@@ -3,16 +3,25 @@ solve, and log-log rate fitting.
 
 The cavity eigensolver is sparse throughout: shift-invert Lanczos (ARPACK) on
 a sparse LU factor, with the kernel range(G) projected out exactly, so its
-memory grows with the factor and not with n**2.  The saddle-point solve is a
-dense symmetric-indefinite (LAPACK) factorization, shared by all the loads
-it is given.
+memory grows with the factor and not with n**2.  It runs on one thread of
+the OpenBLAS that scipy bundles: its BLAS work (Krylov products with the
+n x ncv Lanczos basis, sparse triangular solves) is level-2 and small, and
+splitting it across threads costs more than it saves.  The saddle-point
+solve is a dense symmetric-indefinite (LAPACK) factorization, shared by all
+the loads it is given; it is level-3 and keeps the process's BLAS threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackError, LinearOperator, eigsh, splu)
@@ -37,11 +46,52 @@ class EigenResult:
     threshold: float           # largest |lambda| of (G^T A G, G^T M G),
                                # 0 without a kernel
     factor_nnz: int            # nonzeros of the sparse L + U of A - sigma M
+    blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
+                               # None where they could not be set
 
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold
 _EXTRA = 4         # Ritz pairs computed beyond the requested count
 _SEED = 0          # ARPACK start vector and restarts: results repeat exactly
+
+
+@functools.cache
+def _scipy_openblas():
+    """The get and set thread-count functions of the OpenBLAS bundled with
+    scipy, or None where there is none."""
+    libdir = os.path.dirname(scipy.__file__) + ".libs"
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of scipy's OpenBLAS and restore the
+    previous count after it; yields the count it runs with, 1, or None
+    where no OpenBLAS was found.  The count is process-wide: solves in
+    concurrent threads share it."""
+    funcs = _scipy_openblas()
+    if funcs is None:
+        yield None
+        return
+    get, put = funcs
+    before = get()
+    put(1)
+    try:
+        yield 1
+    finally:
+        put(before)
 
 
 def _lu(matrix, **options):
@@ -77,7 +127,9 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     for a sigma just below 0, so the kernel never enters the Krylov space
     and the converged (tol=0) Ritz pairs need no further projection or
     Rayleigh-Ritz step; count + 4 pairs are computed and the ``count``
-    smallest returned.  Sparse input forms no dense n x n array.
+    smallest returned.  Sparse input forms no dense n x n array.  The
+    factorizations and both Lanczos runs use one thread of scipy's
+    OpenBLAS (see the module docstring).
     SolveError is raised when count >= n - k (Lanczos needs one vector more
     than it returns pairs), on a singular factor, on an ARPACK failure, and
     unless lambda_0 >= KERNEL_GAP * max(threshold, eps * max(diag A / diag M)),
@@ -103,28 +155,32 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
         raise SolveError("M is not positive definite")
     B = Ms @ Gs
     GMG = (Gs.T @ B).tocsc()
-    gmg_lu = _lu(GMG)
-
-    def project(x):
-        return x - Gs @ gmg_lu.solve(B.T @ x)
-
-    # A - sigma M is positive definite: no pivoting, a symmetric ordering
+    # A - sigma M and G^T M G are positive definite: no pivoting, a
+    # symmetric ordering
     scale = float((As.diagonal() / Ms.diagonal()).max())
     sigma = -1e-6 * scale
-    lu = _lu(As - sigma * Ms, permc_spec="MMD_AT_PLUS_A",
-             diag_pivot_thresh=0, options={"SymmetricMode": True})
+    spd = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+               options={"SymmetricMode": True})
     rng = np.random.default_rng(_SEED)
     nev = min(count + _EXTRA, n - k - 1)
-    try:
-        vals, V = eigsh(As, nev, M=Ms, sigma=sigma,
-                        OPinv=LinearOperator((n, n),
-                                             lambda x: project(lu.solve(x))),
-                        v0=project(rng.standard_normal(n)),
-                        ncv=min(n - k, max(2 * nev + 1, 20)), tol=0, rng=rng)
-        threshold = _kernel_threshold((Gs.T @ As @ Gs).tocsc(), GMG, gmg_lu,
-                                      rng)
-    except ArpackError as exc:      # ArpackNoConvergence included
-        raise SolveError(f"Lanczos eigensolve failed: {exc}") from exc
+    with _one_blas_thread() as threads:
+        gmg_lu = _lu(GMG, **spd)
+        lu = _lu(As - sigma * Ms, **spd)
+
+        def project(x):
+            return x - Gs @ gmg_lu.solve(B.T @ x)
+
+        try:
+            vals, V = eigsh(As, nev, M=Ms, sigma=sigma,
+                            OPinv=LinearOperator(
+                                (n, n), lambda x: project(lu.solve(x))),
+                            v0=project(rng.standard_normal(n)),
+                            ncv=min(n - k, max(2 * nev + 1, 20)), tol=0,
+                            rng=rng)
+            threshold = _kernel_threshold((Gs.T @ As @ Gs).tocsc(), GMG,
+                                          gmg_lu, rng)
+        except ArpackError as exc:      # ArpackNoConvergence included
+            raise SolveError(f"Lanczos eigensolve failed: {exc}") from exc
     order = np.argsort(vals)[:count]
     vals, vecs = vals[order], V[:, order]
     # a kernel vector left out of G comes back as a round-off eigenvalue,
@@ -137,7 +193,7 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     num, av, lmv = (np.linalg.norm(X, axis=0) for X in (AV - LMV, AV, LMV))
     res = np.divide(num, av + lmv, out=np.zeros(count), where=av + lmv > 0)
     return EigenResult(vals, vecs, res, k, threshold,
-                       lu.L.nnz + lu.U.nnz)
+                       lu.L.nnz + lu.U.nnz, threads)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .assembly import (MaterialConstants, MeshForms, assemble_load,
                        build_mode_system, l2_rho_error)
+# no study calls pillbox_frequency; perfbench/spans.py traces it by this name
 from .bessel import BesselError, PillboxSpec, pillbox_frequency, pillbox_spectrum
 from .derham import DeRhamComplex2D
 from .geometry import BUILTIN_GEOMETRIES, pillbox_section
@@ -162,20 +163,21 @@ def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
 def _pillbox_reference(config: StudyConfig, spec: PillboxSpec, m: int):
     """The eigs + 1 lowest analytic frequencies of mode m, the number of
     eigenpairs to compute and, with a target, the target's index in the
-    sorted spectrum and its frequency."""
-    oracle = pillbox_spectrum(spec, abs(m), config.eigs + 1)
-    omegas_ref = np.array([e["omega"] for e in oracle])
+    sorted spectrum and its frequency, all from one enumeration."""
+    eigs = config.eigs
+    oracle = pillbox_spectrum(spec, abs(m),
+                              max(eigs + 1, 80) if config.target else eigs + 1)
+    omegas_ref = np.array([e["omega"] for e in oracle[:eigs + 1]])
     if not config.target:
-        return omegas_ref, config.eigs, None, None
-    kind, n, q = _parse_target(config.target)
-    target_omega = pillbox_frequency(kind, abs(m), n, q, spec)
-    big = pillbox_spectrum(spec, abs(m), 80)
-    target_idx = int(np.argmin([abs(e["omega"] - target_omega) for e in big]))
-    if big[target_idx]["omega"] != target_omega:
+        return omegas_ref, eigs, None, None
+    labels = [(e["kind"], e["n"], e["q"]) for e in oracle]
+    target = _parse_target(config.target)
+    if target not in labels:
         raise StudyError(f"target: {config.target} is not among the "
-                         f"{len(big)} lowest analytic modes of m={m}")
-    return (omegas_ref, max(config.eigs, target_idx + 1), target_idx,
-            target_omega)
+                         f"{len(oracle)} lowest analytic modes of m={m}")
+    target_idx = labels.index(target)
+    return (omegas_ref, max(eigs, target_idx + 1), target_idx,
+            oracle[target_idx]["omega"])
 
 
 def _mirror_pairs(modes) -> list:
@@ -203,7 +205,9 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
     spec = PillboxSpec(config.radius, config.length, config.eps, config.mu)
     pairs = _mirror_pairs(config.modes)
     # every reference first, so that a bad target fails before any assembly
+    t_ref = time.perf_counter()
     refs = [_pillbox_reference(config, spec, pair[0]) for pair in pairs]
+    report.metadata["reference_seconds"] = time.perf_counter() - t_ref
     geo = pillbox_section(config.radius, config.length)
     hs = [1.0 / sub for sub in config.subdivisions]
     for p in config.degrees:
@@ -234,6 +238,7 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
                                   if res.threshold else None),
                     "max_residual": float(res.residuals.max()),
                     "factor_nnz": res.factor_nnz,
+                    "blas_threads": res.blas_threads,
                     "seconds": t1 - t_solve})
                 # spurious scan below the (eigs+1)-th analytic frequency
                 below = omegas[omegas < omegas_ref[config.eigs]]

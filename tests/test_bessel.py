@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros, jnp_zeros
 
+from axisiga import bessel
 from axisiga.bessel import (
     BesselError,
     PillboxSpec,
     bessel_j,
     bessel_j_prime,
     bessel_root,
+    bessel_roots,
     pillbox_frequency,
     pillbox_spectrum,
 )
@@ -124,6 +127,58 @@ class TestRoots:
     def test_bad_index(self):
         with pytest.raises(BesselError):
             bessel_root(1, 0, "J")
+
+
+class TestRootSearch:
+    """The vectorized scan and Newton refinement of ``bessel_roots``;
+    scipy's zeros are a test-only oracle."""
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 26, 40, 60])
+    @pytest.mark.parametrize("kind", ["J", "Jprime"])
+    def test_roots_independent_of_count(self, m, kind):
+        # each root is frozen once converged: fewer roots, same bits
+        many = bessel_roots(m, 13, kind)
+        for n in range(1, 13):
+            assert bessel_roots(m, n, kind) == many[:n]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 26, 40, 59, 60])
+    @pytest.mark.parametrize("kind", ["J", "Jprime"])
+    def test_match_scipy_zeros(self, m, kind):
+        ref = (jn_zeros if kind == "J" else jnp_zeros)(m, 13)
+        assert np.abs(np.array(bessel_roots(m, 13, kind)) / ref - 1).max() \
+            <= 1e-12
+
+    def test_few_sweeps_for_every_order(self, monkeypatch):
+        sweeps, value_and_slope = [], bessel._value_and_slope
+
+        def counting(*args):
+            sweeps[-1] += 1
+            return value_and_slope(*args)
+
+        monkeypatch.setattr(bessel, "_value_and_slope", counting)
+        for m in range(61):
+            for kind in ("J", "Jprime"):
+                sweeps.append(0)
+                bessel_roots(m, 13, kind)
+        # one scan, at most four Newton sweeps
+        assert max(sweeps) <= 5
+
+    def test_scan_values_equal_scalar_bessel_j(self):
+        rng = np.random.default_rng(0)
+        for m in (0, 1, 5, 26, 60):
+            x = np.sort(np.r_[rng.uniform(1e-6, 200.0, 60),
+                              rng.uniform(1e-6, max(2.0, m / 2), 20)])
+            row = bessel._bessel_triple(m, x)[1]
+            assert row.tolist() == [bessel_j(m, float(v)) for v in x]
+
+    def test_root_beyond_range_rejected(self):
+        # j_{0,63} ~ 197.1 and j_{0,64} ~ 200.3
+        assert bessel_roots(0, 63)[-1] == pytest.approx(jn_zeros(0, 63)[-1],
+                                                        rel=1e-12)
+        with pytest.raises(BesselError, match="not found below"):
+            bessel_roots(0, 64)
+        with pytest.raises(BesselError, match="order"):
+            bessel_roots(61, 1)
 
 
 class TestPillbox:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from axisiga.assembly import MaterialConstants, MeshForms, build_mode_system
 from axisiga.derham import DeRhamComplex2D
 from axisiga.geometry import BUILTIN_GEOMETRIES
+from axisiga import solve
 from axisiga.solve import (
     SolveError,
     convergence_rate,
@@ -177,6 +178,57 @@ class TestKernelDimensionOracle:
         A, M, G = _cavity_pencil("pillbox-section", 3, 16, 1)
         first, second = (solve_generalized_eig(A, M, 10, G) for _ in "ab")
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
+
+
+class TestBlasThreads:
+    """The eigensolve runs on one thread of scipy's OpenBLAS and gives the
+    thread count back after it."""
+
+    @pytest.fixture
+    def threads(self):
+        funcs = solve._scipy_openblas()
+        if funcs is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        get, put = funcs
+        before = get()
+        put(2)      # a count the pin has to change and give back
+        yield get
+        put(before)
+
+    def test_pinned_during_the_solve_and_restored(self, threads, monkeypatch):
+        during, eigsh = [], solve.eigsh
+
+        def counting_eigsh(*args, **kwargs):
+            during.append(threads())
+            return eigsh(*args, **kwargs)
+
+        before = threads()
+        monkeypatch.setattr(solve, "eigsh", counting_eigsh)
+        A, M, G = _random_pencil()
+        res = solve_generalized_eig(A, M, 5, G)
+        assert during == [1, 1]        # the pencil's and the kernel pencil's
+        assert res.blas_threads == 1
+        assert threads() == before
+        vals = sla.eigh(A, M, eigvals_only=True)
+        assert np.abs(res.eigenvalues / vals[3:8] - 1).max() <= 1e-12
+
+    def test_restored_after_a_failed_solve(self, threads):
+        before = threads()
+        A, M, G = _diagonal_pencil()
+        with pytest.raises(SolveError, match="no gap"):
+            solve_generalized_eig(A, M, 3, G[:, 1:])
+        with pytest.raises(SolveError, match="factorization"):
+            solve_generalized_eig(A, M, 3, np.c_[G, G[:, :1]])
+        assert threads() == before
+
+    def test_runs_unpinned_without_openblas(self, monkeypatch):
+        A, M, G = _cavity_pencil("pillbox-section", 2, 4, 1)
+        pinned = solve_generalized_eig(A, M, 5, G)
+        monkeypatch.setattr(solve, "_scipy_openblas", lambda: None)
+        plain = solve_generalized_eig(A, M, 5, G)
+        assert plain.blas_threads is None
+        assert np.abs(plain.eigenvalues / pinned.eigenvalues - 1).max() \
+            <= 1e-13
 
 
 def _solve_both(A, B, f):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import axisiga
+from axisiga.bessel import PillboxSpec
 from axisiga.cli import main
 from axisiga.studies import (
     CSV_COLUMNS,
@@ -177,6 +178,32 @@ class TestPillboxStudy:
         # mode-major rows in the order of config.modes
         assert [r["m"] for r in rep.rows if r["quantity"] == "omega_1"] == [
             2, 2, 1, 1, -2, -2]
+
+    def test_target_reference_enumerates_once_per_mirror_pair(self,
+                                                             monkeypatch):
+        from axisiga import bessel
+        oracles = _count_calls(monkeypatch, "pillbox_spectrum")
+        frequencies = _count_calls(monkeypatch, "pillbox_frequency")
+        scans, bessel_roots = [], bessel.bessel_roots
+
+        def counted_roots(*args):
+            scans.append(args)
+            return bessel_roots(*args)
+
+        monkeypatch.setattr(bessel, "bessel_roots", counted_roots)
+        rep = run_pillbox_study(StudyConfig(
+            study="pillbox", degrees=(2,), subdivisions=(4,),
+            modes=(1, -1, 2), eigs=3, target="TE,1,2"))
+        assert [args[1:] for args in oracles] == [(1, 80), (2, 80)]
+        assert frequencies == []
+        assert len(scans) == 2 * 2            # J and J' roots per |m|
+        # the target is found by its label in the one enumeration
+        target = [r for r in rep.rows if r["quantity"] == "target_error"]
+        assert [r["m"] for r in target] == [1, -1, 2]
+        for r in target:
+            assert r["reference"] == bessel.pillbox_frequency(
+                "TE", abs(r["m"]), 1, 2, PillboxSpec(0.035, 0.1))
+            assert r["rel_error"] <= 0.05
 
     def test_bad_target_fails_before_assembly(self, monkeypatch):
         # TM,4,4 is among the 80 enumerated modes of m=1 but not of m=2
@@ -355,6 +382,9 @@ class TestCli:
         assert (solve["n"], solve["count"]) == (65, 3)
         assert solve["factor_nnz"] >= 65
         assert 0 < solve["seconds"] < 60
+        from axisiga.solve import _scipy_openblas
+        assert solve["blas_threads"] == (1 if _scipy_openblas() else None)
+        assert 0 < meta["reference_seconds"] < 60
         assert main(["source", "--degrees", "2", "--subdivisions", "2",
                      "--modes", "1,2,-1", "--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "source.json").read_text())["metadata"]
