@@ -6,9 +6,14 @@ a sparse LU factor, with the kernel range(G) projected out exactly, so its
 memory grows with the factor and not with n**2.  It runs on one thread of
 the OpenBLAS that scipy bundles: its BLAS work (Krylov products with the
 n x ncv Lanczos basis, sparse triangular solves) is level-2 and small, and
-splitting it across threads costs more than it saves.  The saddle-point
-solve is a dense symmetric-indefinite (LAPACK) factorization, shared by all
-the loads it is given; it is level-3 and keeps the process's BLAS threads.
+splitting it across threads costs more than it saves.
+
+The saddle-point solve uses the exactness of the sequence too: the kernel
+of A is range(G) and B = M G, so the multiplier comes from the sparse SPD
+factor of G^T M G and the field from one dense Cholesky factor of the SPD
+matrix A + s B B^T of order n, shared by all the loads it is given; no
+indefinite matrix of order n + k is formed.  The Cholesky factor is
+level-3 and keeps the process's BLAS threads.
 """
 
 from __future__ import annotations
@@ -102,6 +107,21 @@ def _lu(matrix, **options):
         raise SolveError(f"sparse factorization failed: {exc}") from exc
 
 
+# G^T M G, and A - sigma M for a sigma below 0, are positive definite: no
+# pivoting, a symmetric ordering
+_SPD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+            options={"SymmetricMode": True})
+
+
+def _gauge_projection(G, B):
+    """S = G^T B (G^T M G for B = M G), its sparse factor, and the
+    M-orthogonal projection x - G S^{-1} B^T x onto ker B^T, which removes
+    the range(G) part of x."""
+    S = G.T @ B
+    lu = _lu(S, **_SPD)
+    return S, lu, lambda x: x - G @ lu.solve(B.T @ x)
+
+
 def _kernel_threshold(GAG, GMG, gmg_lu, rng) -> float:
     """Largest |lambda| of the kernel pencil (G^T A G, G^T M G), which is
     round-off when G spans a kernel of A."""
@@ -146,39 +166,30 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
                          "must have their order of rows")
     if abs(A - A.T).max() > 1e-10 * max(abs(A).max(), 1.0):
         raise SolveError("A is not symmetric")
+    # CSR throughout, as ARPACK's products with M run faster on CSR; only
+    # the two matrices that splu factors become CSC
+    A, M, G = (sp.csr_matrix(a) for a in (A, M, G))
     k = G.shape[1]
     if count < 1 or count >= n - k:
         raise SolveError(f"order {n} has fewer than {count + 1} eigenpairs "
                          f"above a {k}-dimensional kernel")
-    As, Ms, Gs = (sp.csc_matrix(a) for a in (A, M, G))
-    if not np.all(Ms.diagonal() > 0):
+    if not np.all(M.diagonal() > 0):
         raise SolveError("M is not positive definite")
-    B = Ms @ Gs
-    GMG = (Gs.T @ B).tocsc()
-    # A - sigma M and G^T M G are positive definite: no pivoting, a
-    # symmetric ordering
-    scale = float((As.diagonal() / Ms.diagonal()).max())
+    scale = float((A.diagonal() / M.diagonal()).max())
     sigma = -1e-6 * scale
-    spd = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-               options={"SymmetricMode": True})
     rng = np.random.default_rng(_SEED)
     nev = min(count + _EXTRA, n - k - 1)
     with _one_blas_thread() as threads:
-        gmg_lu = _lu(GMG, **spd)
-        lu = _lu(As - sigma * Ms, **spd)
-
-        def project(x):
-            return x - Gs @ gmg_lu.solve(B.T @ x)
-
+        GMG, gmg_lu, project = _gauge_projection(G, M @ G)
+        lu = _lu(A - sigma * M, **_SPD)
         try:
-            vals, V = eigsh(As, nev, M=Ms, sigma=sigma,
+            vals, V = eigsh(A, nev, M=M, sigma=sigma,
                             OPinv=LinearOperator(
                                 (n, n), lambda x: project(lu.solve(x))),
                             v0=project(rng.standard_normal(n)),
                             ncv=min(n - k, max(2 * nev + 1, 20)), tol=0,
                             rng=rng)
-            threshold = _kernel_threshold((Gs.T @ As @ Gs).tocsc(), GMG,
-                                          gmg_lu, rng)
+            threshold = _kernel_threshold(G.T @ (A @ G), GMG, gmg_lu, rng)
         except ArpackError as exc:      # ArpackNoConvergence included
             raise SolveError(f"Lanczos eigensolve failed: {exc}") from exc
     order = np.argsort(vals)[:count]
@@ -210,6 +221,7 @@ class SaddleSolution:
     p: np.ndarray              # (k,) for a 1-D load, else (k, r)
     residual_primal: float
     residual_gauge: float
+    dense_order: int           # order of the dense Cholesky factor, n
 
 
 def _worst_ratio(num, den) -> float:
@@ -218,49 +230,64 @@ def _worst_ratio(num, den) -> float:
                            where=den > 0).max(initial=0.0))
 
 
-def solve_saddle_point(A, B, F) -> SaddleSolution:
-    """Direct symmetric-indefinite solve of the KKT system.
+def solve_saddle_point(A, B, F, G) -> SaddleSolution:
+    """Solve the KKT system through the exact sequence, in SPD pieces.
 
-    A and B may be sparse or dense; their entries are written straight into
-    the dense KKT matrix, and the residuals use them as passed.  F is one
-    load of shape (n,) or r loads as the columns of an (n, r) array: the KKT
-    matrix is factored once for all of them, and u and p have the shape of
-    F (rows n and k).  The constraint block is rescaled internally
-    (B' = sigma B with sigma = ||A|| / ||B||) so that the factorization is
-    well conditioned even when the material constants make ||A|| and ||B||
-    differ by many orders of magnitude; the multiplier is rescaled back on
-    return.
+    A (n x n) is symmetric positive semi-definite with kernel exactly
+    range(G), and B = M G (n x k) for a symmetric positive definite M: for
+    a curl-curl matrix on the free Z^1 DoFs G is the gradient of the free
+    Z^0 DoFs.  If B^T u = 0 and A u + B p = f, then G^T A = 0 turns G^T of
+    the first row into G^T M G p = G^T f, and adding s B B^T u = 0 gives
+    (A + s B B^T) u = f - B p.  So p comes from the sparse factor of
+    S = G^T M G, and u from a dense Cholesky factor of
+    H = A + s B B^T, which is positive definite exactly when the KKT
+    matrix is nonsingular; u is then projected M-orthogonally onto
+    ker B^T (A u does not change, since A G = 0), which puts the gauge at
+    round-off.  s = max|A| / max|B|**2 gives both terms of H the scale
+    of A, also when the material constants make A and B differ by many
+    orders of magnitude.
+
+    A, B and G may be sparse or dense; the residuals use A and B as passed.
+    F is one load of shape (n,) or r loads as the columns of an (n, r)
+    array: both factors are shared by all of them, and u and p have the
+    shape of F (rows n and k).  SolveError is raised on inconsistent
+    shapes, on a zero B, on a failed factor and when ``residual_primal``
+    exceeds sqrt(eps): that is how a G whose range is not the kernel of A
+    shows.
     """
-    A, B = (a if sp.issparse(a) else np.asarray(a, dtype=float)
-            for a in (A, B))
+    A, B, G = (a if sp.issparse(a) else np.asarray(a, dtype=float)
+               for a in (A, B, G))
     F = np.asarray(F, dtype=float)
     n, k = B.shape
-    if A.shape != (n, n) or F.ndim not in (1, 2) or F.shape[0] != n:
+    if A.shape != (n, n) or G.shape != (n, k) or F.ndim not in (1, 2) \
+            or F.shape[0] != n:
         raise SolveError("inconsistent saddle-point block shapes")
-    a, b = sp.coo_matrix(A), sp.coo_matrix(B)
-    a.sum_duplicates()
-    b.sum_duplicates()
-    nrm_a = np.abs(a.data).max(initial=0.0)
-    nrm_b = np.abs(b.data).max(initial=0.0)
+    # Fortran order: LAPACK updates and factors H in place, without a copy
+    H = A.toarray(order="F") if sp.issparse(A) else np.array(A, order="F")
+    Bd = B.toarray(order="F") if sp.issparse(B) else np.asfortranarray(B)
+    nrm_a = max(H.max(initial=0.0), -H.min(initial=0.0))
+    nrm_b = max(Bd.max(initial=0.0), -Bd.min(initial=0.0))
     if nrm_b == 0.0:
         raise SolveError("constraint block B is zero")
-    sigma = nrm_a / nrm_b if nrm_a > 0 else 1.0
-    # Fortran order: LAPACK factors K in place, without a copy
-    K = np.zeros((n + k, n + k), order="F")
-    K[a.row, a.col] = a.data
-    K[b.row, n + b.col] = K[n + b.col, b.row] = sigma * b.data
-    rhs = np.concatenate([F, np.zeros((k,) + F.shape[1:])])
+    _, s_lu, project = _gauge_projection(G, B)
+    p = s_lu.solve(G.T @ F)
+    H = sla.blas.dsyrk((nrm_a or 1.0) / nrm_b**2, Bd, beta=1.0, c=H,
+                       lower=1, overwrite_c=1)
     try:
-        x = sla.solve(K, rhs, assume_a="sym", overwrite_a=True)
+        factor = sla.cho_factor(H, lower=True, overwrite_a=True,
+                                check_finite=False)
     except sla.LinAlgError as exc:
         raise SolveError(f"saddle-point factorization failed: {exc}") from exc
-    u = x[:n]
-    p = sigma * x[n:]
+    u = project(sla.cho_solve(factor, F - B @ p, check_finite=False))
     Au, Bp = A @ u, B @ p
     norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
     r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
     r2 = _worst_ratio(norm(B.T @ u), nrm_b * norm(u))
-    return SaddleSolution(u, p, r1, r2)
+    tol = np.sqrt(np.finfo(float).eps)
+    if not r1 <= tol:
+        raise SolveError(f"saddle-point residual {r1:.2e} > {tol:.2e}: "
+                         f"range(G) is not the kernel of A")
+    return SaddleSolution(u, p, r1, r2, n)
 
 
 def convergence_rate(hs, errors) -> float:

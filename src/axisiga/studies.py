@@ -281,8 +281,8 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     """Coulomb-gauged magnetostatic solve with the manufactured potential on
     the rectangle [0,1] x [4,5]; Dirichlet at z=5, Neumann on the rest,
     axis at rho=0.  Emits the mode-summed induction error per refinement and
-    the fitted rate per degree.  Modes m and -m share one KKT factorization,
-    solved with both their loads."""
+    the fitted rate per degree.  Modes m and -m share the factors of one
+    saddle-point solve, solved with both their loads."""
     config.validate()
     mats = config.materials
     fd_err = validate_derivation(config.gamma, npts=40, seed=config.seed,
@@ -310,10 +310,11 @@ def run_source_study(config: StudyConfig) -> StudyReport:
                     assemble_load(forms, m, **loads)[forms.free_z1]
                     for m in pair[1:]])
                 t_solve = time.perf_counter()
-                sol = solve_saddle_point(A, B, F)
+                sol = solve_saddle_point(A, B, F, sys_.G)
                 kkt_solves.append({
                     "p": p, "subdivisions": sub, "modes": list(pair),
                     "n": A.shape[0], "k": B.shape[1],
+                    "dense_order": sol.dense_order,
                     "residual_primal": sol.residual_primal,
                     "residual_gauge": sol.residual_gauge,
                     "seconds": time.perf_counter() - t_solve})

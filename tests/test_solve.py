@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from axisiga.assembly import MaterialConstants, MeshForms, build_mode_system
 from axisiga.derham import DeRhamComplex2D
 from axisiga.geometry import BUILTIN_GEOMETRIES
+from axisiga.manufactured import ManufacturedSolution
 from axisiga import solve
 from axisiga.solve import (
     SolveError,
@@ -122,6 +123,24 @@ class TestGeneralizedEig:
         assert np.array_equal(dense.eigenvectors, sparse.eigenvectors)
         assert dense.threshold == sparse.threshold
 
+    def test_arpack_gets_the_callers_csr_m(self, monkeypatch):
+        seen, eigsh = [], solve.eigsh
+
+        def recording_eigsh(*args, **kwargs):
+            seen.append(kwargs["M"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(solve, "eigsh", recording_eigsh)
+        A, M, G = _cavity_pencil("pillbox-section", 2, 4, 1)
+        assert M.format == "csr"
+        res = solve_generalized_eig(A, M, 5, G)
+        # the pencil's M, not a CSC copy, drives the Lanczos products
+        assert seen[0].format == "csr"
+        assert np.shares_memory(seen[0].data, M.data)
+        vals = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        k = G.shape[1]
+        assert np.abs(res.eigenvalues / vals[k:k + 5] - 1).max() <= 1e-12
+
 
 def _cavity_pencil(name, p, sub, m):
     """Reduced (A, M) of one mode of a cavity and its kernel basis, the
@@ -231,85 +250,114 @@ class TestBlasThreads:
             <= 1e-13
 
 
-def _solve_both(A, B, f):
-    """The KKT solution for dense and for sparse (A, B), after checking
-    that both give the same u and p."""
-    dense = solve_saddle_point(A, B, f)
-    sparse = solve_saddle_point(sp.csr_matrix(A), sp.csr_matrix(B), f)
+def _dense_kkt(A, B, F):
+    """The oracle: a dense symmetric-indefinite (LDL^T) solve of the whole
+    (n + k) KKT matrix [A sB; sB^T 0], with s = max|A| / max|B|."""
+    a, b = sp.coo_matrix(A), sp.coo_matrix(B)
+    a.sum_duplicates()
+    b.sum_duplicates()
+    n, k = b.shape
+    sigma = np.abs(a.data).max() / np.abs(b.data).max()
+    K = np.zeros((n + k, n + k))
+    K[a.row, a.col] = a.data
+    K[b.row, n + b.col] = K[n + b.col, b.row] = sigma * b.data
+    F = np.asarray(F, dtype=float)
+    x = sla.solve(K, np.concatenate([F, np.zeros((k,) + F.shape[1:])]),
+                  assume_a="sym")
+    return x[:n], sigma * x[n:]
+
+
+def _kernel_system(n=9, k=4, seed=5, a_scale=1.0, m_scale=1.0):
+    """(A, B = M G, G) of a random pencil: PSD A with kernel range(G), SPD
+    M, each scaled."""
+    A, M, G = _random_pencil(n, k, seed)
+    return a_scale * A, m_scale * M @ G, G
+
+
+def _solve_both(A, B, f, G):
+    """The saddle-point solution for dense and for sparse (A, B, G), after
+    checking that both give the same u and p."""
+    dense = solve_saddle_point(A, B, f, G)
+    sparse = solve_saddle_point(sp.csr_matrix(A), sp.csr_matrix(B), f,
+                                sp.csr_matrix(G))
     for a, b in ((sparse.u, dense.u), (sparse.p, dense.p)):
         assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0)
     return dense, sparse
 
 
+def _rel(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+# A = [1 -1; -1 1] has the kernel G = (1, 1); M = I, so B = G
+_HAND = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones((2, 1))
+
+
 class TestSaddlePoint:
     def test_hand_solved_2x2(self):
-        for sol in _solve_both(np.array([[2.0]]), np.array([[1.0]]),
-                               np.array([3.0])):
-            assert sol.u == pytest.approx([0.0], abs=1e-12)
-            assert sol.p == pytest.approx([3.0], abs=1e-12)
+        # G^T f = 4 = G^T G p gives p = 2; A u = f - B p = (1, -1) with
+        # u_1 + u_2 = 0 gives u = (1/2, -1/2)
+        A, G = _HAND
+        for sol in _solve_both(A, G, np.array([3.0, 1.0]), G):
+            assert sol.u == pytest.approx([0.5, -0.5], abs=1e-12)
+            assert sol.p == pytest.approx([2.0], abs=1e-12)
+            assert sol.dense_order == 2
 
     def test_consistent_data_zero_multiplier(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((5, 5))
-        A = X @ X.T + 5 * np.eye(5)
-        B = rng.standard_normal((5, 2))
-        # u0 orthogonal to range-constraint: B^T u0 = 0
-        ns = np.linalg.svd(B.T)[2][2:].T  # null-space basis of B^T
-        u0 = ns @ rng.standard_normal(3)
-        for sol in _solve_both(A, B, A @ u0):
+        A, B, G = _kernel_system(8, 3, seed=1)
+        # u0 in ker B^T: a random vector with its range(G) part projected
+        # out M-orthogonally
+        r = np.random.default_rng(11).standard_normal(8)
+        u0 = r - G @ np.linalg.solve(G.T @ B, B.T @ r)
+        for sol in _solve_both(A, B, A @ u0, G):
             assert np.allclose(sol.u, u0, atol=1e-10)
             assert np.abs(sol.p).max() <= 1e-10 * np.abs(A @ u0).max()
             assert sol.residual_gauge <= 1e-10
 
     def test_extreme_scale_separation(self):
         # mimics 1/mu ~ 1e6 stiffness against eps ~ 1e-12 constraint blocks
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((8, 8))
-        A = 1e6 * (X @ X.T + 8 * np.eye(8))
-        B = 1e-12 * rng.standard_normal((8, 3))
-        f = rng.standard_normal(8)
-        for sol in _solve_both(A, B, f):
+        A, B, G = _kernel_system(8, 3, seed=2, a_scale=1e6, m_scale=1e-12)
+        f = np.random.default_rng(12).standard_normal(8)
+        for sol in _solve_both(A, B, f, G):
             assert sol.residual_primal <= 1e-10
             assert sol.residual_gauge <= 1e-10
 
     def test_zero_constraint_rejected(self):
+        A, G = _HAND
         for B in (np.zeros((2, 1)), sp.csr_matrix((2, 1))):
             with pytest.raises(SolveError):
-                solve_saddle_point(np.eye(2), B, np.ones(2))
+                solve_saddle_point(A, B, np.ones(2), G)
 
     def test_residuals_are_scale_invariant(self):
         # a tiny B or f leaves the relative residuals at round-off, neither
-        # vanishing with the scale (absolute) nor growing
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((8, 8))
-        A = X @ X.T + 8 * np.eye(8)
-        B = rng.standard_normal((8, 3))
-        f = rng.standard_normal(8)
-        for B_, f_ in ((B, f), (1e-12 * B, f), (B, 1e-10 * f)):
-            for sol in _solve_both(A, B_, f_):
+        # vanishing with the scale (absolute) nor growing; order 12, as on
+        # order 8 or 9 the projection can leave B^T u exactly 0
+        f = np.random.default_rng(14).standard_normal(12)
+        for m_scale, f_ in ((1.0, f), (1e-12, f), (1.0, 1e-10 * f)):
+            A, B, G = _kernel_system(12, 3, seed=4, m_scale=m_scale)
+            for sol in _solve_both(A, B, f_, G):
                 assert 1e-18 < sol.residual_primal < 1e-14
                 assert 1e-18 < sol.residual_gauge < 1e-14
 
 
 class TestSaddlePointLoads:
-    """Several loads, one factorization: F of shape (n, r)."""
+    """Several loads, one pair of factors: F of shape (n, r)."""
 
     @staticmethod
     def _system(seed=5):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((9, 9))
-        A = X @ X.T + 9 * np.eye(9)
-        A[0, 1:3] = A[1:3, 0] = 0.0          # some structural zeros
-        B = rng.standard_normal((9, 4))
-        B[::2, 1] = 0.0
-        return A, B, rng.standard_normal((9, 2))
+        A, B, G = _kernel_system(seed=seed)
+        # a stream apart from the pencil's, whose first numbers span A's
+        # range
+        F = np.random.default_rng(10 + seed).standard_normal((9, 2))
+        return A, B, F, G
 
     def test_columns_match_single_solves(self):
-        A, B, F = self._system()
-        for A_, B_ in ((A, B), (sp.csr_matrix(A), sp.csr_matrix(B))):
-            both = solve_saddle_point(A_, B_, F)
+        A, B, F, G = self._system()
+        for A_, B_, G_ in ((A, B, G), (sp.csr_matrix(A), sp.csr_matrix(B),
+                                       sp.csr_matrix(G))):
+            both = solve_saddle_point(A_, B_, F, G_)
             assert both.u.shape == (9, 2) and both.p.shape == (4, 2)
-            cols = [solve_saddle_point(A_, B_, f) for f in F.T]
+            cols = [solve_saddle_point(A_, B_, f, G_) for f in F.T]
             for j, one in enumerate(cols):
                 for x, y in ((both.u[:, j], one.u), (both.p[:, j], one.p)):
                     assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
@@ -317,26 +365,84 @@ class TestSaddlePointLoads:
             assert isinstance(both.residual_gauge, float)
 
     def test_one_dimensional_load_keeps_shapes(self):
-        A, B, F = self._system()
-        sol = solve_saddle_point(A, B, F[:, 0])
+        A, B, F, G = self._system()
+        sol = solve_saddle_point(A, B, F[:, 0], G)
         assert sol.u.shape == (9,) and sol.p.shape == (4,)
 
     def test_zero_load(self):
-        A, B, F = self._system()
+        A, B, F, G = self._system()
         F[:, 0] = 0.0
-        sol = solve_saddle_point(A, B, F)
+        sol = solve_saddle_point(A, B, F, G)
         assert not sol.u[:, 0].any() and not sol.p[:, 0].any()
         # the residuals are the worst column's, not the first's
         assert sol.residual_primal > 0 and sol.residual_gauge > 0
-        zero = solve_saddle_point(A, B, np.zeros((9, 1)))
-        assert not zero.u.any()
+        zero = solve_saddle_point(A, B, np.zeros((9, 1)), G)
+        assert not zero.u.any() and not zero.p.any()
         assert zero.residual_primal == zero.residual_gauge == 0.0
 
     @pytest.mark.parametrize("shape", [(8,), (10, 2), (9, 2, 1)])
     def test_bad_load_shape_rejected(self, shape):
-        A, B, _ = self._system()
+        A, B, _, G = self._system()
         with pytest.raises(SolveError):
-            solve_saddle_point(A, B, np.ones(shape))
+            solve_saddle_point(A, B, np.ones(shape), G)
+
+
+class TestSaddlePointOracle:
+    """The LDL^T solve of the whole KKT matrix is the oracle of u and p."""
+
+    @pytest.mark.parametrize("n,k,seed", [(9, 4, 5), (30, 3, 0), (40, 12, 7)])
+    def test_random_pencils_match_dense_kkt(self, n, k, seed):
+        A, B, G = _kernel_system(n, k, seed=seed)
+        F = np.random.default_rng(10 + seed).standard_normal((n, 3))
+        u0, p0 = _dense_kkt(A, B, F)
+        for sol in _solve_both(A, B, F, G):
+            assert _rel(sol.u, u0) <= 1e-11 and _rel(sol.p, p0) <= 1e-11
+            assert sol.residual_primal <= 1e-14
+            assert sol.dense_order == n
+
+    def test_rectangle_source_system_matches_dense_kkt(self):
+        s = lambda: SplineSpace1D(KnotVector.uniform(2, 4))
+        mats = MaterialConstants(1.0, 1.0)
+        forms = MeshForms(DeRhamComplex2D(s(), s()),
+                          BUILTIN_GEOMETRIES["rectangle"](), mats)
+        source = ManufacturedSolution(2.0, mats)
+        sys_ = build_mode_system(forms, 3, source=source.current,
+                                 neumann=source.neumann)
+        A, _, B, f = sys_.reduced()
+        # the manufactured current is divergence-free, so its multiplier
+        # is round-off; a random load gives an O(1) one
+        F = np.column_stack([f, np.random.default_rng(0).standard_normal(
+            A.shape[0])])
+        u0, p0 = _dense_kkt(A, B, F)
+        sol = solve_saddle_point(A, B, F, sys_.G)
+        assert sol.dense_order == A.shape[0]
+        for j in range(2):
+            assert _rel(sol.u[:, j], u0[:, j]) <= 1e-11
+            assert np.linalg.norm(B @ (sol.p[:, j] - p0[:, j])) \
+                <= 1e-11 * np.linalg.norm(F[:, j])
+        assert _rel(sol.p[:, 1], p0[:, 1]) <= 1e-11
+        assert sol.residual_primal <= 1e-14 and sol.residual_gauge <= 1e-14
+
+    def test_basis_outside_the_kernel_rejected(self):
+        A, M, G = _random_pencil(30, 3, seed=0)
+        f = np.random.default_rng(10).standard_normal(30)
+        extra = np.random.default_rng(1).standard_normal((30, 1))
+        # one column outside ker A, added or in place of a kernel column
+        for wrong in (np.c_[G, extra], np.c_[G[:, 1:], extra]):
+            with pytest.raises(SolveError, match="kernel"):
+                solve_saddle_point(A, M @ wrong, f, wrong)
+
+    def test_basis_missing_a_kernel_column_rejected(self):
+        A, M, G = _random_pencil(30, 3, seed=0)
+        f = np.random.default_rng(10).standard_normal(30)
+        with pytest.raises(SolveError):
+            solve_saddle_point(A, M @ G[:, 1:], f, G[:, 1:])
+
+    def test_bad_basis_shape_rejected(self):
+        A, B, F, G = TestSaddlePointLoads._system()
+        for wrong in (G[:, 1:], G[1:], G[:, 0]):
+            with pytest.raises(SolveError, match="shapes"):
+                solve_saddle_point(A, B, F, wrong)
 
 
 class TestConvergenceRate:

@@ -391,8 +391,9 @@ class TestCli:
         kkt = meta["kkt_solves"]
         assert [s["modes"] for s in kkt] == [[1, -1], [2]]
         for s in kkt:
-            assert (s["p"], s["subdivisions"], s["n"], s["k"]) == (2, 2, 33,
-                                                                    12)
+            # the dense factor is of order n, not n + k
+            assert (s["p"], s["subdivisions"], s["n"], s["k"],
+                    s["dense_order"]) == (2, 2, 33, 12, 33)
             assert 0 < s["residual_primal"] <= 1e-10
             assert 0 < s["residual_gauge"] <= 1e-10
             assert 0 < s["seconds"] < 60
