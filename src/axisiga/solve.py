@@ -12,8 +12,9 @@ The saddle-point solve uses the exactness of the sequence too: the kernel
 of A is range(G) and B = M G, so the multiplier comes from the sparse SPD
 factor of G^T M G and the field from one dense Cholesky factor of the SPD
 matrix A + s B B^T of order n, shared by all the loads it is given; no
-indefinite matrix of order n + k is formed.  The Cholesky factor is
-level-3 and keeps the process's BLAS threads.
+indefinite matrix of order n + k is formed.  Its dense steps run on one
+OpenBLAS thread too: at the orders the studies reach a second thread saves
+little, and the first threaded LAPACK call of a process can stall.
 """
 
 from __future__ import annotations
@@ -222,6 +223,8 @@ class SaddleSolution:
     residual_primal: float
     residual_gauge: float
     dense_order: int           # order of the dense Cholesky factor, n
+    blas_threads: int | None   # scipy's OpenBLAS threads during the dense
+                               # steps, None where they could not be set
 
 
 def _worst_ratio(num, den) -> float:
@@ -271,14 +274,16 @@ def solve_saddle_point(A, B, F, G) -> SaddleSolution:
         raise SolveError("constraint block B is zero")
     _, s_lu, project = _gauge_projection(G, B)
     p = s_lu.solve(G.T @ F)
-    H = sla.blas.dsyrk((nrm_a or 1.0) / nrm_b**2, Bd, beta=1.0, c=H,
-                       lower=1, overwrite_c=1)
-    try:
-        factor = sla.cho_factor(H, lower=True, overwrite_a=True,
-                                check_finite=False)
-    except sla.LinAlgError as exc:
-        raise SolveError(f"saddle-point factorization failed: {exc}") from exc
-    u = project(sla.cho_solve(factor, F - B @ p, check_finite=False))
+    with _one_blas_thread() as threads:
+        H = sla.blas.dsyrk((nrm_a or 1.0) / nrm_b**2, Bd, beta=1.0, c=H,
+                           lower=1, overwrite_c=1)
+        try:
+            factor = sla.cho_factor(H, lower=True, overwrite_a=True,
+                                    check_finite=False)
+        except sla.LinAlgError as exc:
+            raise SolveError(
+                f"saddle-point factorization failed: {exc}") from exc
+        u = project(sla.cho_solve(factor, F - B @ p, check_finite=False))
     Au, Bp = A @ u, B @ p
     norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
     r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
@@ -287,7 +292,7 @@ def solve_saddle_point(A, B, F, G) -> SaddleSolution:
     if not r1 <= tol:
         raise SolveError(f"saddle-point residual {r1:.2e} > {tol:.2e}: "
                          f"range(G) is not the kernel of A")
-    return SaddleSolution(u, p, r1, r2, n)
+    return SaddleSolution(u, p, r1, r2, n, threads)
 
 
 def convergence_rate(hs, errors) -> float:

@@ -315,6 +315,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
                     "p": p, "subdivisions": sub, "modes": list(pair),
                     "n": A.shape[0], "k": B.shape[1],
                     "dense_order": sol.dense_order,
+                    "blas_threads": sol.blas_threads,
                     "residual_primal": sol.residual_primal,
                     "residual_gauge": sol.residual_gauge,
                     "seconds": time.perf_counter() - t_solve})

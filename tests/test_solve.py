@@ -200,8 +200,9 @@ class TestKernelDimensionOracle:
 
 
 class TestBlasThreads:
-    """The eigensolve runs on one thread of scipy's OpenBLAS and gives the
-    thread count back after it."""
+    """The eigensolve and the dense steps of the saddle-point solve run on
+    one thread of scipy's OpenBLAS and give the thread count back after
+    them."""
 
     @pytest.fixture
     def threads(self):
@@ -239,6 +240,29 @@ class TestBlasThreads:
         with pytest.raises(SolveError, match="factorization"):
             solve_generalized_eig(A, M, 3, np.c_[G, G[:, :1]])
         assert threads() == before
+
+    def test_saddle_point_pinned_and_restored(self, threads, monkeypatch):
+        during, cho_factor = [], sla.cho_factor
+
+        def counting_cho_factor(*args, **kwargs):
+            during.append(threads())
+            return cho_factor(*args, **kwargs)
+
+        before = threads()
+        monkeypatch.setattr(solve.sla, "cho_factor", counting_cho_factor)
+        A, M, G = _random_pencil(30, 3, seed=0)
+        f = np.random.default_rng(10).standard_normal(30)
+        sol = solve_saddle_point(A, M @ G, f, G)
+        assert during == [1] and sol.blas_threads == 1
+        assert threads() == before
+        # a G missing a kernel column fails the Cholesky factor
+        with pytest.raises(SolveError, match="factorization"):
+            solve_saddle_point(A, M @ G[:, 1:], f, G[:, 1:])
+        assert threads() == before
+        monkeypatch.setattr(solve, "_scipy_openblas", lambda: None)
+        plain = solve_saddle_point(A, M @ G, f, G)
+        assert plain.blas_threads is None
+        assert _rel(plain.u, sol.u) <= 1e-13
 
     def test_runs_unpinned_without_openblas(self, monkeypatch):
         A, M, G = _cavity_pencil("pillbox-section", 2, 4, 1)

@@ -338,13 +338,15 @@ class TestCli:
         assert "error: seed: " in capsys.readouterr().err
 
     def test_import_leaves_sympy_out(self):
-        # sympy is a test dependency only: no run-time module may load it
+        # sympy is a test dependency only: no run-time module may load it;
+        # scipy.special is loaded by the Bessel functions on first use
         src = os.path.dirname(os.path.dirname(axisiga.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); import axisiga.cli; "
-                "print('sympy' in sys.modules)")
+                "print('sympy' in sys.modules, "
+                "'scipy.special' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.split() == ["False", "False"]
 
     def test_geometry_without_reference(self, capsys):
         assert main(["pillbox", "--geometry", "quarter-annulus", "--degrees",
@@ -394,6 +396,7 @@ class TestCli:
             # the dense factor is of order n, not n + k
             assert (s["p"], s["subdivisions"], s["n"], s["k"],
                     s["dense_order"]) == (2, 2, 33, 12, 33)
+            assert s["blas_threads"] == solve["blas_threads"]
             assert 0 < s["residual_primal"] <= 1e-10
             assert 0 < s["residual_gauge"] <= 1e-10
             assert 0 < s["seconds"] < 60
