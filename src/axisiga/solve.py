@@ -9,12 +9,11 @@ n x ncv Lanczos basis, sparse triangular solves) is level-2 and small, and
 splitting it across threads costs more than it saves.
 
 The saddle-point solve uses the exactness of the sequence too: the kernel
-of A is range(G) and B = M G, so the multiplier comes from the sparse SPD
-factor of G^T M G and the field from one dense Cholesky factor of the SPD
-matrix A + s B B^T of order n, shared by all the loads it is given; no
-indefinite matrix of order n + k is formed.  Its dense steps run on one
-OpenBLAS thread too: at the orders the studies reach a second thread saves
-little, and the first threaded LAPACK call of a process can stall.
+of A is range(G), so the multiplier comes from the sparse SPD factor of
+G^T M G and the field from refinement with the eigensolver's own sparse SPD
+factor of A - sigma M, on the same one thread.  Both solvers take the
+pencil (A, M) and the kernel basis G and get sigma and that factor from
+one helper; neither forms a dense n x n matrix nor one of order n + k.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackError, LinearOperator, eigsh, splu)
 
@@ -57,6 +55,8 @@ class EigenResult:
 
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold
+_SHIFT = 1e-6      # sigma = -_SHIFT max(diag A / diag M)
+_REFINE = 30       # most refinement steps of the saddle-point field
 _EXTRA = 4         # Ritz pairs computed beyond the requested count
 _SEED = 0          # ARPACK start vector and restarts: results repeat exactly
 
@@ -114,6 +114,27 @@ _SPD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
             options={"SymmetricMode": True})
 
 
+def _pencil(A, M, G):
+    """A, M and G as float CSR (ARPACK's products with M run faster on it),
+    checked for shapes and for a symmetric A."""
+    A, M, G = (sp.csr_matrix(a, dtype=float) for a in (A, M, G))
+    n = A.shape[0]
+    if A.shape != M.shape or A.shape != (n, n) or G.shape[0] != n:
+        raise SolveError("A and M must be square with equal shapes and G "
+                         "must have their order of rows")
+    if abs(A - A.T).max() > 1e-10 * max(abs(A).max(), 1.0):
+        raise SolveError("A is not symmetric")
+    return A, M, G
+
+
+def _shifted_factor(A, M):
+    """sigma below the spectrum of (A, M) and the SPD factor of A - sigma M."""
+    if not np.all(M.diagonal() > 0):
+        raise SolveError("M is not positive definite")
+    sigma = -_SHIFT * float((A.diagonal() / M.diagonal()).max())
+    return sigma, _lu(A - sigma * M, **_SPD)
+
+
 def _gauge_projection(G, B):
     """S = G^T B (G^T M G for B = M G), its sparse factor, and the
     M-orthogonal projection x - G S^{-1} B^T x onto ker B^T, which removes
@@ -148,9 +169,9 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     for a sigma just below 0, so the kernel never enters the Krylov space
     and the converged (tol=0) Ritz pairs need no further projection or
     Rayleigh-Ritz step; count + 4 pairs are computed and the ``count``
-    smallest returned.  Sparse input forms no dense n x n array.  The
-    factorizations and both Lanczos runs use one thread of scipy's
-    OpenBLAS (see the module docstring).
+    smallest returned.  Input is converted to CSR on entry: no dense n x n
+    array is formed.  The factorizations and both Lanczos runs use one
+    thread of scipy's OpenBLAS (see the module docstring).
     SolveError is raised when count >= n - k (Lanczos needs one vector more
     than it returns pairs), on a singular factor, on an ARPACK failure, and
     unless lambda_0 >= KERNEL_GAP * max(threshold, eps * max(diag A / diag M)),
@@ -158,31 +179,16 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     (G^T A G, G^T M G): a basis that misses part of the kernel or holds a
     non-kernel vector fails that check.
     """
-    A, M, G = (a if sp.issparse(a) else np.asarray(a, dtype=float)
-               for a in (A, M, G))
-    n = A.shape[0]
-    if A.shape != M.shape or A.shape != (n, n) or G.ndim != 2 \
-            or G.shape[0] != n:
-        raise SolveError("A and M must be square with equal shapes and G "
-                         "must have their order of rows")
-    if abs(A - A.T).max() > 1e-10 * max(abs(A).max(), 1.0):
-        raise SolveError("A is not symmetric")
-    # CSR throughout, as ARPACK's products with M run faster on CSR; only
-    # the two matrices that splu factors become CSC
-    A, M, G = (sp.csr_matrix(a) for a in (A, M, G))
-    k = G.shape[1]
+    A, M, G = _pencil(A, M, G)
+    n, k = G.shape
     if count < 1 or count >= n - k:
         raise SolveError(f"order {n} has fewer than {count + 1} eigenpairs "
                          f"above a {k}-dimensional kernel")
-    if not np.all(M.diagonal() > 0):
-        raise SolveError("M is not positive definite")
-    scale = float((A.diagonal() / M.diagonal()).max())
-    sigma = -1e-6 * scale
     rng = np.random.default_rng(_SEED)
     nev = min(count + _EXTRA, n - k - 1)
     with _one_blas_thread() as threads:
         GMG, gmg_lu, project = _gauge_projection(G, M @ G)
-        lu = _lu(A - sigma * M, **_SPD)
+        sigma, lu = _shifted_factor(A, M)
         try:
             vals, V = eigsh(A, nev, M=M, sigma=sigma,
                             OPinv=LinearOperator(
@@ -197,7 +203,7 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     vals, vecs = vals[order], V[:, order]
     # a kernel vector left out of G comes back as a round-off eigenvalue,
     # also when the kernel pencil is exactly zero
-    floor = max(threshold, np.finfo(float).eps * scale)
+    floor = max(threshold, np.finfo(float).eps * sigma / -_SHIFT)
     if not vals[0] >= KERNEL_GAP * floor:
         raise SolveError(f"no gap above the {k}-dimensional kernel: lambda = "
                          f"{vals[0]:.3e} after |lambda| = {floor:.3e}")
@@ -210,7 +216,7 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Solution of [A B; B^T 0] [u; p] = [f; 0], one column per load.
+    """Solution of [A B; B^T 0] [u; p] = [f; 0], B = M G, per load column.
 
     The residuals are relative and hold for the worst column:
     ``residual_primal`` is ||A u + B p - f|| / (||A u|| + ||B p|| + ||f||)
@@ -222,9 +228,9 @@ class SaddleSolution:
     p: np.ndarray              # (k,) for a 1-D load, else (k, r)
     residual_primal: float
     residual_gauge: float
-    dense_order: int           # order of the dense Cholesky factor, n
-    blas_threads: int | None   # scipy's OpenBLAS threads during the dense
-                               # steps, None where they could not be set
+    factor_nnz: int            # nonzeros of the sparse L + U of A - sigma M
+    blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
+                               # None where they could not be set
 
 
 def _worst_ratio(num, den) -> float:
@@ -233,66 +239,55 @@ def _worst_ratio(num, den) -> float:
                            where=den > 0).max(initial=0.0))
 
 
-def solve_saddle_point(A, B, F, G) -> SaddleSolution:
-    """Solve the KKT system through the exact sequence, in SPD pieces.
+def solve_saddle_point(A, M, F, G) -> SaddleSolution:
+    """Solve the KKT system with B = M G through the exact sequence, on the
+    eigensolver's sparse factors.
 
     A (n x n) is symmetric positive semi-definite with kernel exactly
-    range(G), and B = M G (n x k) for a symmetric positive definite M: for
-    a curl-curl matrix on the free Z^1 DoFs G is the gradient of the free
-    Z^0 DoFs.  If B^T u = 0 and A u + B p = f, then G^T A = 0 turns G^T of
-    the first row into G^T M G p = G^T f, and adding s B B^T u = 0 gives
-    (A + s B B^T) u = f - B p.  So p comes from the sparse factor of
-    S = G^T M G, and u from a dense Cholesky factor of
-    H = A + s B B^T, which is positive definite exactly when the KKT
-    matrix is nonsingular; u is then projected M-orthogonally onto
-    ker B^T (A u does not change, since A G = 0), which puts the gauge at
-    round-off.  s = max|A| / max|B|**2 gives both terms of H the scale
-    of A, also when the material constants make A and B differ by many
-    orders of magnitude.
+    range(G), and M symmetric positive definite, as for the eigensolver.
+    If B^T u = 0 and A u + B p = f, then G^T A = 0 turns G^T of the first
+    row into G^T M G p = G^T f: p comes from the sparse factor of G^T M G.
+    Then u solves A u = r = f - B p on ker B^T, where A is definite: from
+    u = 0, each step adds P (A - sigma M)^{-1} (r - A u), with P the
+    M-orthogonal projection onto ker B^T and the eigensolver's sigma and
+    factor, and shrinks the error by about |sigma| / lambda_1.  The steps
+    stop once the worst column's ||r - A u|| / ||r|| no longer halves, or
+    after _REFINE; each iterate lies in ker B^T, so the gauge is round-off.
 
-    A, B and G may be sparse or dense; the residuals use A and B as passed.
-    F is one load of shape (n,) or r loads as the columns of an (n, r)
-    array: both factors are shared by all of them, and u and p have the
-    shape of F (rows n and k).  SolveError is raised on inconsistent
-    shapes, on a zero B, on a failed factor and when ``residual_primal``
-    exceeds sqrt(eps): that is how a G whose range is not the kernel of A
-    shows.
+    A, M and G may be sparse or dense (CSR on entry).  F is one load of
+    shape (n,) or r loads as the columns of an (n, r) array, sharing both
+    factors; u and p have the shape of F (rows n and k).  The solve runs on
+    one thread of scipy's OpenBLAS.  SolveError is raised on inconsistent
+    shapes, on a failed factor (a zero G makes G^T M G singular) and when
+    ``residual_primal`` exceeds sqrt(eps): that is how a G whose range is
+    not the kernel of A shows.
     """
-    A, B, G = (a if sp.issparse(a) else np.asarray(a, dtype=float)
-               for a in (A, B, G))
+    A, M, G = _pencil(A, M, G)
     F = np.asarray(F, dtype=float)
-    n, k = B.shape
-    if A.shape != (n, n) or G.shape != (n, k) or F.ndim not in (1, 2) \
-            or F.shape[0] != n:
+    if F.ndim not in (1, 2) or F.shape[0] != A.shape[0]:
         raise SolveError("inconsistent saddle-point block shapes")
-    # Fortran order: LAPACK updates and factors H in place, without a copy
-    H = A.toarray(order="F") if sp.issparse(A) else np.array(A, order="F")
-    Bd = B.toarray(order="F") if sp.issparse(B) else np.asfortranarray(B)
-    nrm_a = max(H.max(initial=0.0), -H.min(initial=0.0))
-    nrm_b = max(Bd.max(initial=0.0), -Bd.min(initial=0.0))
-    if nrm_b == 0.0:
-        raise SolveError("constraint block B is zero")
-    _, s_lu, project = _gauge_projection(G, B)
-    p = s_lu.solve(G.T @ F)
-    with _one_blas_thread() as threads:
-        H = sla.blas.dsyrk((nrm_a or 1.0) / nrm_b**2, Bd, beta=1.0, c=H,
-                           lower=1, overwrite_c=1)
-        try:
-            factor = sla.cho_factor(H, lower=True, overwrite_a=True,
-                                    check_finite=False)
-        except sla.LinAlgError as exc:
-            raise SolveError(
-                f"saddle-point factorization failed: {exc}") from exc
-        u = project(sla.cho_solve(factor, F - B @ p, check_finite=False))
-    Au, Bp = A @ u, B @ p
     norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
+    B = M @ G
+    with _one_blas_thread() as threads:
+        _, s_lu, project = _gauge_projection(G, B)
+        p = s_lu.solve(G.T @ F)
+        r = F - B @ p
+        _, lu = _shifted_factor(A, M)
+        u, res, last = np.zeros_like(r), r, np.inf
+        for _ in range(_REFINE):
+            worst = _worst_ratio(norm(res), norm(r))
+            if not worst < last / 2:
+                break
+            u = u + project(lu.solve(res))
+            res, last = r - A @ u, worst
+    Au, Bp = A @ u, B @ p
     r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
-    r2 = _worst_ratio(norm(B.T @ u), nrm_b * norm(u))
+    r2 = _worst_ratio(norm(B.T @ u), np.abs(B.data).max(initial=0.0) * norm(u))
     tol = np.sqrt(np.finfo(float).eps)
     if not r1 <= tol:
         raise SolveError(f"saddle-point residual {r1:.2e} > {tol:.2e}: "
                          f"range(G) is not the kernel of A")
-    return SaddleSolution(u, p, r1, r2, n, threads)
+    return SaddleSolution(u, p, r1, r2, lu.L.nnz + lu.U.nnz, threads)
 
 
 def convergence_rate(hs, errors) -> float:

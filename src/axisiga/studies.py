@@ -23,7 +23,8 @@ from .assembly import (MaterialConstants, MeshForms, assemble_load,
 from .bessel import BesselError, PillboxSpec, pillbox_frequency, pillbox_spectrum
 from .derham import DeRhamComplex2D
 from .geometry import BUILTIN_GEOMETRIES, pillbox_section
-from .manufactured import ManufacturedSolution, validate_derivation
+from .manufactured import (ACTIVE_MODES, ManufacturedSolution,
+                           validate_derivation)
 from .solve import convergence_rate, solve_generalized_eig, solve_saddle_point
 from .splines import KnotVector, SplineSpace1D
 
@@ -89,6 +90,9 @@ class StudyConfig:
         if self.geometry not in ("", own):
             raise StudyError(f"geometry: the {self.study} study meshes "
                              f"{own or 'no geometry'}, not {self.geometry!r}")
+        if self.study == "source" and not set(self.modes) & set(ACTIVE_MODES):
+            raise StudyError(f"modes: the source study has data only for "
+                             f"modes {', '.join(map(str, ACTIVE_MODES))}")
 
     @property
     def materials(self) -> MaterialConstants:
@@ -305,16 +309,16 @@ def run_source_study(config: StudyConfig) -> StudyReport:
             err2, gauge = {}, {}
             for pair in _mirror_pairs(config.modes):
                 sys_ = build_mode_system(forms, pair[0], **loads)
-                A, _, B, f = sys_.reduced()
+                A, M, _, f = sys_.reduced()
                 F = np.column_stack([f] + [
                     assemble_load(forms, m, **loads)[forms.free_z1]
                     for m in pair[1:]])
                 t_solve = time.perf_counter()
-                sol = solve_saddle_point(A, B, F, sys_.G)
+                sol = solve_saddle_point(A, M, F, sys_.G)
                 kkt_solves.append({
                     "p": p, "subdivisions": sub, "modes": list(pair),
-                    "n": A.shape[0], "k": B.shape[1],
-                    "dense_order": sol.dense_order,
+                    "n": A.shape[0], "k": sys_.G.shape[1],
+                    "factor_nnz": sol.factor_nnz,
                     "blas_threads": sol.blas_threads,
                     "residual_primal": sol.residual_primal,
                     "residual_gauge": sol.residual_gauge,

@@ -200,9 +200,8 @@ class TestKernelDimensionOracle:
 
 
 class TestBlasThreads:
-    """The eigensolve and the dense steps of the saddle-point solve run on
-    one thread of scipy's OpenBLAS and give the thread count back after
-    them."""
+    """The eigensolve and the saddle-point solve run on one thread of
+    scipy's OpenBLAS and give the thread count back after them."""
 
     @pytest.fixture
     def threads(self):
@@ -242,25 +241,25 @@ class TestBlasThreads:
         assert threads() == before
 
     def test_saddle_point_pinned_and_restored(self, threads, monkeypatch):
-        during, cho_factor = [], sla.cho_factor
+        during, splu = [], solve.splu
 
-        def counting_cho_factor(*args, **kwargs):
+        def counting_splu(*args, **kwargs):
             during.append(threads())
-            return cho_factor(*args, **kwargs)
+            return splu(*args, **kwargs)
 
         before = threads()
-        monkeypatch.setattr(solve.sla, "cho_factor", counting_cho_factor)
+        monkeypatch.setattr(solve, "splu", counting_splu)
         A, M, G = _random_pencil(30, 3, seed=0)
         f = np.random.default_rng(10).standard_normal(30)
-        sol = solve_saddle_point(A, M @ G, f, G)
-        assert during == [1] and sol.blas_threads == 1
+        sol = solve_saddle_point(A, M, f, G)
+        assert during == [1, 1] and sol.blas_threads == 1   # S, A - sigma M
         assert threads() == before
-        # a G missing a kernel column fails the Cholesky factor
-        with pytest.raises(SolveError, match="factorization"):
-            solve_saddle_point(A, M @ G[:, 1:], f, G[:, 1:])
+        # a G missing a kernel column leaves the residual at O(1)
+        with pytest.raises(SolveError, match="kernel"):
+            solve_saddle_point(A, M, f, G[:, 1:])
         assert threads() == before
         monkeypatch.setattr(solve, "_scipy_openblas", lambda: None)
-        plain = solve_saddle_point(A, M @ G, f, G)
+        plain = solve_saddle_point(A, M, f, G)
         assert plain.blas_threads is None
         assert _rel(plain.u, sol.u) <= 1e-13
 
@@ -292,17 +291,17 @@ def _dense_kkt(A, B, F):
 
 
 def _kernel_system(n=9, k=4, seed=5, a_scale=1.0, m_scale=1.0):
-    """(A, B = M G, G) of a random pencil: PSD A with kernel range(G), SPD
-    M, each scaled."""
+    """(A, M, G) of a random pencil: PSD A with kernel range(G) and SPD M,
+    each scaled."""
     A, M, G = _random_pencil(n, k, seed)
-    return a_scale * A, m_scale * M @ G, G
+    return a_scale * A, m_scale * M, G
 
 
-def _solve_both(A, B, f, G):
-    """The saddle-point solution for dense and for sparse (A, B, G), after
+def _solve_both(A, M, f, G):
+    """The saddle-point solution for dense and for sparse (A, M, G), after
     checking that both give the same u and p."""
-    dense = solve_saddle_point(A, B, f, G)
-    sparse = solve_saddle_point(sp.csr_matrix(A), sp.csr_matrix(B), f,
+    dense = solve_saddle_point(A, M, f, G)
+    sparse = solve_saddle_point(sp.csr_matrix(A), sp.csr_matrix(M), f,
                                 sp.csr_matrix(G))
     for a, b in ((sparse.u, dense.u), (sparse.p, dense.p)):
         assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0)
@@ -314,43 +313,43 @@ def _rel(x, y):
 
 
 # A = [1 -1; -1 1] has the kernel G = (1, 1); M = I, so B = G
-_HAND = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones((2, 1))
+_HAND = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(2), np.ones((2, 1))
 
 
 class TestSaddlePoint:
     def test_hand_solved_2x2(self):
         # G^T f = 4 = G^T G p gives p = 2; A u = f - B p = (1, -1) with
         # u_1 + u_2 = 0 gives u = (1/2, -1/2)
-        A, G = _HAND
-        for sol in _solve_both(A, G, np.array([3.0, 1.0]), G):
+        A, M, G = _HAND
+        for sol in _solve_both(A, M, np.array([3.0, 1.0]), G):
             assert sol.u == pytest.approx([0.5, -0.5], abs=1e-12)
             assert sol.p == pytest.approx([2.0], abs=1e-12)
-            assert sol.dense_order == 2
 
     def test_consistent_data_zero_multiplier(self):
-        A, B, G = _kernel_system(8, 3, seed=1)
+        A, M, G = _kernel_system(8, 3, seed=1)
         # u0 in ker B^T: a random vector with its range(G) part projected
         # out M-orthogonally
         r = np.random.default_rng(11).standard_normal(8)
-        u0 = r - G @ np.linalg.solve(G.T @ B, B.T @ r)
-        for sol in _solve_both(A, B, A @ u0, G):
+        u0 = r - G @ np.linalg.solve(G.T @ M @ G, G.T @ M @ r)
+        for sol in _solve_both(A, M, A @ u0, G):
             assert np.allclose(sol.u, u0, atol=1e-10)
             assert np.abs(sol.p).max() <= 1e-10 * np.abs(A @ u0).max()
             assert sol.residual_gauge <= 1e-10
 
     def test_extreme_scale_separation(self):
         # mimics 1/mu ~ 1e6 stiffness against eps ~ 1e-12 constraint blocks
-        A, B, G = _kernel_system(8, 3, seed=2, a_scale=1e6, m_scale=1e-12)
+        A, M, G = _kernel_system(8, 3, seed=2, a_scale=1e6, m_scale=1e-12)
         f = np.random.default_rng(12).standard_normal(8)
-        for sol in _solve_both(A, B, f, G):
+        for sol in _solve_both(A, M, f, G):
             assert sol.residual_primal <= 1e-10
             assert sol.residual_gauge <= 1e-10
 
     def test_zero_constraint_rejected(self):
-        A, G = _HAND
-        for B in (np.zeros((2, 1)), sp.csr_matrix((2, 1))):
+        # B = M G is zero exactly when G is
+        A, M, _ = _HAND
+        for G in (np.zeros((2, 1)), sp.csr_matrix((2, 1))):
             with pytest.raises(SolveError):
-                solve_saddle_point(A, B, np.ones(2), G)
+                solve_saddle_point(A, M, np.ones(2), G)
 
     def test_residuals_are_scale_invariant(self):
         # a tiny B or f leaves the relative residuals at round-off, neither
@@ -358,8 +357,8 @@ class TestSaddlePoint:
         # order 8 or 9 the projection can leave B^T u exactly 0
         f = np.random.default_rng(14).standard_normal(12)
         for m_scale, f_ in ((1.0, f), (1e-12, f), (1.0, 1e-10 * f)):
-            A, B, G = _kernel_system(12, 3, seed=4, m_scale=m_scale)
-            for sol in _solve_both(A, B, f_, G):
+            A, M, G = _kernel_system(12, 3, seed=4, m_scale=m_scale)
+            for sol in _solve_both(A, M, f_, G):
                 assert 1e-18 < sol.residual_primal < 1e-14
                 assert 1e-18 < sol.residual_gauge < 1e-14
 
@@ -369,19 +368,19 @@ class TestSaddlePointLoads:
 
     @staticmethod
     def _system(seed=5):
-        A, B, G = _kernel_system(seed=seed)
+        A, M, G = _kernel_system(seed=seed)
         # a stream apart from the pencil's, whose first numbers span A's
         # range
         F = np.random.default_rng(10 + seed).standard_normal((9, 2))
-        return A, B, F, G
+        return A, M, F, G
 
     def test_columns_match_single_solves(self):
-        A, B, F, G = self._system()
-        for A_, B_, G_ in ((A, B, G), (sp.csr_matrix(A), sp.csr_matrix(B),
+        A, M, F, G = self._system()
+        for A_, M_, G_ in ((A, M, G), (sp.csr_matrix(A), sp.csr_matrix(M),
                                        sp.csr_matrix(G))):
-            both = solve_saddle_point(A_, B_, F, G_)
+            both = solve_saddle_point(A_, M_, F, G_)
             assert both.u.shape == (9, 2) and both.p.shape == (4, 2)
-            cols = [solve_saddle_point(A_, B_, f, G_) for f in F.T]
+            cols = [solve_saddle_point(A_, M_, f, G_) for f in F.T]
             for j, one in enumerate(cols):
                 for x, y in ((both.u[:, j], one.u), (both.p[:, j], one.p)):
                     assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
@@ -389,26 +388,26 @@ class TestSaddlePointLoads:
             assert isinstance(both.residual_gauge, float)
 
     def test_one_dimensional_load_keeps_shapes(self):
-        A, B, F, G = self._system()
-        sol = solve_saddle_point(A, B, F[:, 0], G)
+        A, M, F, G = self._system()
+        sol = solve_saddle_point(A, M, F[:, 0], G)
         assert sol.u.shape == (9,) and sol.p.shape == (4,)
 
     def test_zero_load(self):
-        A, B, F, G = self._system()
+        A, M, F, G = self._system()
         F[:, 0] = 0.0
-        sol = solve_saddle_point(A, B, F, G)
+        sol = solve_saddle_point(A, M, F, G)
         assert not sol.u[:, 0].any() and not sol.p[:, 0].any()
         # the residuals are the worst column's, not the first's
         assert sol.residual_primal > 0 and sol.residual_gauge > 0
-        zero = solve_saddle_point(A, B, np.zeros((9, 1)), G)
+        zero = solve_saddle_point(A, M, np.zeros((9, 1)), G)
         assert not zero.u.any() and not zero.p.any()
         assert zero.residual_primal == zero.residual_gauge == 0.0
 
     @pytest.mark.parametrize("shape", [(8,), (10, 2), (9, 2, 1)])
     def test_bad_load_shape_rejected(self, shape):
-        A, B, _, G = self._system()
+        A, M, _, G = self._system()
         with pytest.raises(SolveError):
-            solve_saddle_point(A, B, np.ones(shape), G)
+            solve_saddle_point(A, M, np.ones(shape), G)
 
 
 class TestSaddlePointOracle:
@@ -416,30 +415,29 @@ class TestSaddlePointOracle:
 
     @pytest.mark.parametrize("n,k,seed", [(9, 4, 5), (30, 3, 0), (40, 12, 7)])
     def test_random_pencils_match_dense_kkt(self, n, k, seed):
-        A, B, G = _kernel_system(n, k, seed=seed)
+        A, M, G = _kernel_system(n, k, seed=seed)
         F = np.random.default_rng(10 + seed).standard_normal((n, 3))
-        u0, p0 = _dense_kkt(A, B, F)
-        for sol in _solve_both(A, B, F, G):
+        u0, p0 = _dense_kkt(A, M @ G, F)
+        for sol in _solve_both(A, M, F, G):
             assert _rel(sol.u, u0) <= 1e-11 and _rel(sol.p, p0) <= 1e-11
             assert sol.residual_primal <= 1e-14
-            assert sol.dense_order == n
 
-    def test_rectangle_source_system_matches_dense_kkt(self):
-        s = lambda: SplineSpace1D(KnotVector.uniform(2, 4))
+    @pytest.mark.parametrize("p,sub", [(2, 4), (3, 8)])
+    def test_rectangle_source_system_matches_dense_kkt(self, p, sub):
+        s = lambda: SplineSpace1D(KnotVector.uniform(p, sub))
         mats = MaterialConstants(1.0, 1.0)
         forms = MeshForms(DeRhamComplex2D(s(), s()),
                           BUILTIN_GEOMETRIES["rectangle"](), mats)
         source = ManufacturedSolution(2.0, mats)
         sys_ = build_mode_system(forms, 3, source=source.current,
                                  neumann=source.neumann)
-        A, _, B, f = sys_.reduced()
+        A, M, B, f = sys_.reduced()
         # the manufactured current is divergence-free, so its multiplier
         # is round-off; a random load gives an O(1) one
         F = np.column_stack([f, np.random.default_rng(0).standard_normal(
             A.shape[0])])
         u0, p0 = _dense_kkt(A, B, F)
-        sol = solve_saddle_point(A, B, F, sys_.G)
-        assert sol.dense_order == A.shape[0]
+        sol = solve_saddle_point(A, M, F, sys_.G)
         for j in range(2):
             assert _rel(sol.u[:, j], u0[:, j]) <= 1e-11
             assert np.linalg.norm(B @ (sol.p[:, j] - p0[:, j])) \
@@ -454,19 +452,28 @@ class TestSaddlePointOracle:
         # one column outside ker A, added or in place of a kernel column
         for wrong in (np.c_[G, extra], np.c_[G[:, 1:], extra]):
             with pytest.raises(SolveError, match="kernel"):
-                solve_saddle_point(A, M @ wrong, f, wrong)
+                solve_saddle_point(A, M, f, wrong)
 
     def test_basis_missing_a_kernel_column_rejected(self):
         A, M, G = _random_pencil(30, 3, seed=0)
         f = np.random.default_rng(10).standard_normal(30)
         with pytest.raises(SolveError):
-            solve_saddle_point(A, M @ G[:, 1:], f, G[:, 1:])
+            solve_saddle_point(A, M, f, G[:, 1:])
 
     def test_bad_basis_shape_rejected(self):
-        A, B, F, G = TestSaddlePointLoads._system()
-        for wrong in (G[:, 1:], G[1:], G[:, 0]):
+        A, M, F, G = TestSaddlePointLoads._system()
+        for wrong in (G[1:], G[:, 0]):
             with pytest.raises(SolveError, match="shapes"):
-                solve_saddle_point(A, B, F, wrong)
+                solve_saddle_point(A, M, F, wrong)
+        with pytest.raises(SolveError, match="shapes"):
+            solve_saddle_point(A, M[1:, 1:], F, G)
+
+    def test_one_factor_for_both_solvers(self):
+        # the saddle-point solve factors the eigensolver's A - sigma M
+        A, M, G = _cavity_pencil("pillbox-section", 2, 4, 1)
+        F = np.random.default_rng(3).standard_normal(A.shape[0])
+        assert solve_saddle_point(A, M, F, G).factor_nnz \
+            == solve_generalized_eig(A, M, 5, G).factor_nnz
 
 
 class TestConvergenceRate:

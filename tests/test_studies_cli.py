@@ -53,6 +53,7 @@ class TestConfig:
         {"study": "pillbox", "geometry": __file__},
         {"study": "exactness", "geometry": "rectangle"},
         {"seed": -1},
+        {"study": "source", "modes": (1, 4)},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(StudyError):
@@ -238,8 +239,9 @@ class TestSourceStudy:
     def test_mirror_pair_shares_one_solve(self, monkeypatch):
         cfg = lambda modes: StudyConfig(study="source", degrees=(2,),
                                         subdivisions=(2, 3), modes=modes)
+        # m = 1 has no data and adds an exact 0: alone it is an input error
         single = [[r["value"] for r in run_source_study(cfg((m,))).rows
-                   if r["quantity"] == "B_error"] for m in (1, -1, 2)]
+                   if r["quantity"] == "B_error"] for m in (-1, 2)]
         solves = _count_calls(monkeypatch, "solve_saddle_point")
         rep = run_source_study(cfg((1, -1, 2)))
         assert len(solves) == 2 * 2           # per mesh, one per |m|
@@ -326,6 +328,13 @@ class TestCli:
         assert main(["source", "--modes", "3,3"]) == 1
         assert "error: modes: duplicate mode 3" in capsys.readouterr().err
 
+    def test_source_modes_without_data(self, capsys):
+        # their B_error is exactly 0: no rate can be fitted (was exit 2)
+        assert main(["source", "--degrees", "2", "--subdivisions", "2,4,8",
+                     "--modes", "1"]) == 1
+        assert "error: modes: the source study has data only for modes " \
+            "3, 2, -1, -3" in capsys.readouterr().err
+
     def test_non_finite_gamma(self, capsys):
         # NaN fails every comparison, so range checks alone let it through
         assert main(["source", "--gamma", "nan", "--degrees", "2",
@@ -393,9 +402,9 @@ class TestCli:
         kkt = meta["kkt_solves"]
         assert [s["modes"] for s in kkt] == [[1, -1], [2]]
         for s in kkt:
-            # the dense factor is of order n, not n + k
-            assert (s["p"], s["subdivisions"], s["n"], s["k"],
-                    s["dense_order"]) == (2, 2, 33, 12, 33)
+            assert (s["p"], s["subdivisions"], s["n"], s["k"]) \
+                == (2, 2, 33, 12)
+            assert s["factor_nnz"] >= 33
             assert s["blas_threads"] == solve["blas_threads"]
             assert 0 < s["residual_primal"] <= 1e-10
             assert 0 < s["residual_gauge"] <= 1e-10
