@@ -1,19 +1,23 @@
 """Linear-algebra backends: sparse generalized eigensolver, saddle-point
 solve, and log-log rate fitting.
 
-The cavity eigensolver is sparse throughout: shift-invert Lanczos (ARPACK) on
-a sparse LU factor, with the kernel range(G) projected out exactly, so its
-memory grows with the factor and not with n**2.  It runs on one thread of
-the OpenBLAS that scipy bundles: its BLAS work (Krylov products with the
-n x ncv Lanczos basis, sparse triangular solves) is level-2 and small, and
-splitting it across threads costs more than it saves.
+Both solvers use the exactness of the sequence: the kernel of A is
+range(G), and the last k rows of G = [D_rho; D_z; -I] are a nonsingular
+diagonal block, so the first n - k DoFs (the meridional ones) span an exact
+complement of the kernel, on which A is definite.  Each solver factors the
+SPD leading block K = A[:n-k, :n-k] once, with no shift, and applies
+E K^{-1} E^T (E the first n - k unit vectors) between the M-orthogonal
+projections onto the complement of range(G); the kernel costs the factor no
+fill.
 
-The saddle-point solve uses the exactness of the sequence too: the kernel
-of A is range(G), so the multiplier comes from the sparse SPD factor of
-G^T M G and the field from refinement with the eigensolver's own sparse SPD
-factor of A - sigma M, on the same one thread.  Both solvers take the
-pencil (A, M) and the kernel basis G and get sigma and that factor from
-one helper; neither forms a dense n x n matrix nor one of order n + k.
+The cavity eigensolver is shift-invert Lanczos (ARPACK) at 0 on that
+operator, so its memory grows with the factors and not with n**2.  The
+saddle-point solve takes the multiplier from the sparse SPD factor of
+G^T M G and the field from refinement on K.  Neither forms a dense n x n
+matrix nor one of order n + k, and both run on one thread of the OpenBLAS
+that scipy bundles: their BLAS work (Krylov products with the n x ncv
+Lanczos basis, sparse triangular solves) is level-2 and small, and
+splitting it across threads costs more than it saves.
 """
 
 from __future__ import annotations
@@ -49,13 +53,13 @@ class EigenResult:
     num_filtered: int          # kernel dimension: columns of the basis G
     threshold: float           # largest |lambda| of (G^T A G, G^T M G),
                                # 0 without a kernel
-    factor_nnz: int            # nonzeros of the sparse L + U of A - sigma M
+    factor_nnz: int            # nonzeros of the sparse L + U of
+                               # A[:n-k, :n-k]
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
 
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold
-_SHIFT = 1e-6      # sigma = -_SHIFT max(diag A / diag M)
 _REFINE = 30       # most refinement steps of the saddle-point field
 _EXTRA = 4         # Ritz pairs computed beyond the requested count
 _SEED = 0          # ARPACK start vector and restarts: results repeat exactly
@@ -108,15 +112,15 @@ def _lu(matrix, **options):
         raise SolveError(f"sparse factorization failed: {exc}") from exc
 
 
-# G^T M G, and A - sigma M for a sigma below 0, are positive definite: no
-# pivoting, a symmetric ordering
+# G^T M G and A's leading block are positive definite: no pivoting, a
+# symmetric ordering
 _SPD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
             options={"SymmetricMode": True})
 
 
 def _pencil(A, M, G):
     """A, M and G as float CSR (ARPACK's products with M run faster on it),
-    checked for shapes and for a symmetric A."""
+    checked for shapes, for a symmetric A and for a positive diagonal of M."""
     A, M, G = (sp.csr_matrix(a, dtype=float) for a in (A, M, G))
     n = A.shape[0]
     if A.shape != M.shape or A.shape != (n, n) or G.shape[0] != n:
@@ -124,24 +128,55 @@ def _pencil(A, M, G):
                          "must have their order of rows")
     if abs(A - A.T).max() > 1e-10 * max(abs(A).max(), 1.0):
         raise SolveError("A is not symmetric")
+    if not np.all(M.diagonal() > 0):
+        raise SolveError("M is not positive definite")
     return A, M, G
 
 
-def _shifted_factor(A, M):
-    """sigma below the spectrum of (A, M) and the SPD factor of A - sigma M."""
-    if not np.all(M.diagonal() > 0):
-        raise SolveError("M is not positive definite")
-    sigma = -_SHIFT * float((A.diagonal() / M.diagonal()).max())
-    return sigma, _lu(A - sigma * M, **_SPD)
-
-
 def _gauge_projection(G, B):
-    """S = G^T B (G^T M G for B = M G), its sparse factor, and the
-    M-orthogonal projection x - G S^{-1} B^T x onto ker B^T, which removes
-    the range(G) part of x."""
+    """S = G^T B (G^T M G for B = M G), its sparse factor, the M-orthogonal
+    projection P x = x - G S^{-1} B^T x onto ker B^T, which removes the
+    range(G) part of x, and its transpose P^T x = x - B S^{-1} G^T x onto
+    ker G^T = range(A)."""
     S = G.T @ B
     lu = _lu(S, **_SPD)
-    return S, lu, lambda x: x - G @ lu.solve(B.T @ x)
+    return (S, lu, lambda x: x - G @ lu.solve(B.T @ x),
+            lambda x: x - B @ lu.solve(G.T @ x))
+
+
+def _complement_inverse(A, G, project, dual):
+    """The inverse of A on the complement of range(G), x -> P E K^{-1} E^T
+    P^T x, and the L + U nonzeros of K = A[:n-k, :n-k].
+
+    The last k rows of G must be a nonsingular diagonal block: then the
+    first n - k unit vectors E span a complement of range(G), and K is SPD
+    when range(G) holds the kernel of A.  For x in range(A) = ker G^T,
+    E K^{-1} E^T x is a preimage of x under A, and P picks the one
+    M-orthogonal to range(G).  P^T first sends the round-off part of x
+    outside range(A) to 0; E K^{-1} E^T would send it to a non-kernel
+    vector."""
+    n, k = G.shape
+    lead = n - k
+    D = G[lead:].tocoo()
+    D.sum_duplicates()
+    D.eliminate_zeros()
+    if D.nnz != k or np.any(D.row != D.col):
+        raise SolveError("the last k rows of the kernel basis G must be a "
+                         "nonsingular diagonal block")
+    try:
+        lu = splu(sp.csc_matrix(A[:lead, :lead]), **_SPD)
+    except RuntimeError as exc:
+        raise SolveError(f"no gap above the {k}-dimensional kernel: the "
+                         f"leading block of A of order {lead} is singular "
+                         f"({exc}), so range(G) misses part of the kernel "
+                         f"of A") from exc
+
+    def inverse(x):
+        y = np.zeros_like(x)
+        y[:lead] = lu.solve(dual(x)[:lead])
+        return project(y)
+
+    return inverse, lu.L.nnz + lu.U.nnz
 
 
 def _kernel_threshold(GAG, GMG, gmg_lu, rng) -> float:
@@ -163,18 +198,22 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
 
     A is symmetric positive semi-definite and M symmetric positive definite;
     the n x k basis G spans the kernel of A (for a curl-curl pencil the
-    gradients of the free Z^0 DoFs, by exactness of the complex).  With
-    P = I - G (G^T M G)^{-1} G^T M, the M-orthogonal projector onto the
-    complement of range(G), shift-invert Lanczos runs on P (A - sigma M)^{-1}
-    for a sigma just below 0, so the kernel never enters the Krylov space
-    and the converged (tol=0) Ritz pairs need no further projection or
-    Rayleigh-Ritz step; count + 4 pairs are computed and the ``count``
-    smallest returned.  Input is converted to CSR on entry: no dense n x n
-    array is formed.  The factorizations and both Lanczos runs use one
-    thread of scipy's OpenBLAS (see the module docstring).
-    SolveError is raised when count >= n - k (Lanczos needs one vector more
-    than it returns pairs), on a singular factor, on an ARPACK failure, and
-    unless lambda_0 >= KERNEL_GAP * max(threshold, eps * max(diag A / diag M)),
+    gradients of the free Z^0 DoFs, by exactness of the complex), and its
+    last k rows are a nonsingular diagonal block (the -I of G = [D_rho;
+    D_z; -I]).  With P = I - G (G^T M G)^{-1} G^T M, the M-orthogonal
+    projector onto the complement of range(G), and K = A[:n-k, :n-k],
+    shift-invert Lanczos at 0 runs on P E K^{-1} E^T P^T (see
+    ``_complement_inverse``; there is no shift), so the kernel never
+    enters the Krylov space and the converged (tol=0) Ritz pairs need no
+    further projection or Rayleigh-Ritz step; count + 4 pairs are computed
+    and the ``count`` smallest returned.  Input is converted to CSR on
+    entry: no dense n x n array is formed.  The factorizations and both
+    Lanczos runs use one thread of scipy's OpenBLAS (see the module
+    docstring).  SolveError is raised when count >= n - k (Lanczos needs
+    one vector more than it returns pairs), when the last k rows of G are
+    not a nonsingular diagonal block, on a singular factor (a singular K
+    means a kernel vector outside range(G)), on an ARPACK failure, and unless
+    lambda_0 >= KERNEL_GAP * max(threshold, eps * max(diag A / diag M)),
     where threshold is the largest |lambda| of the kernel pencil
     (G^T A G, G^T M G): a basis that misses part of the kernel or holds a
     non-kernel vector fails that check.
@@ -187,12 +226,11 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     rng = np.random.default_rng(_SEED)
     nev = min(count + _EXTRA, n - k - 1)
     with _one_blas_thread() as threads:
-        GMG, gmg_lu, project = _gauge_projection(G, M @ G)
-        sigma, lu = _shifted_factor(A, M)
+        GMG, gmg_lu, project, dual = _gauge_projection(G, M @ G)
+        inverse, factor_nnz = _complement_inverse(A, G, project, dual)
         try:
-            vals, V = eigsh(A, nev, M=M, sigma=sigma,
-                            OPinv=LinearOperator(
-                                (n, n), lambda x: project(lu.solve(x))),
+            vals, V = eigsh(A, nev, M=M, sigma=0.0,
+                            OPinv=LinearOperator((n, n), inverse),
                             v0=project(rng.standard_normal(n)),
                             ncv=min(n - k, max(2 * nev + 1, 20)), tol=0,
                             rng=rng)
@@ -203,15 +241,15 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     vals, vecs = vals[order], V[:, order]
     # a kernel vector left out of G comes back as a round-off eigenvalue,
     # also when the kernel pencil is exactly zero
-    floor = max(threshold, np.finfo(float).eps * sigma / -_SHIFT)
+    floor = max(threshold, np.finfo(float).eps
+                * float((A.diagonal() / M.diagonal()).max()))
     if not vals[0] >= KERNEL_GAP * floor:
         raise SolveError(f"no gap above the {k}-dimensional kernel: lambda = "
                          f"{vals[0]:.3e} after |lambda| = {floor:.3e}")
     AV, LMV = A @ vecs, (M @ vecs) * vals
     num, av, lmv = (np.linalg.norm(X, axis=0) for X in (AV - LMV, AV, LMV))
     res = np.divide(num, av + lmv, out=np.zeros(count), where=av + lmv > 0)
-    return EigenResult(vals, vecs, res, k, threshold,
-                       lu.L.nnz + lu.U.nnz, threads)
+    return EigenResult(vals, vecs, res, k, threshold, factor_nnz, threads)
 
 
 @dataclass(frozen=True)
@@ -228,9 +266,11 @@ class SaddleSolution:
     p: np.ndarray              # (k,) for a 1-D load, else (k, r)
     residual_primal: float
     residual_gauge: float
-    factor_nnz: int            # nonzeros of the sparse L + U of A - sigma M
+    factor_nnz: int            # nonzeros of the sparse L + U of
+                               # A[:n-k, :n-k]
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
+    refine_steps: int          # refinement steps taken for u
 
 
 def _worst_ratio(num, den) -> float:
@@ -244,23 +284,28 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
     eigensolver's sparse factors.
 
     A (n x n) is symmetric positive semi-definite with kernel exactly
-    range(G), and M symmetric positive definite, as for the eigensolver.
-    If B^T u = 0 and A u + B p = f, then G^T A = 0 turns G^T of the first
-    row into G^T M G p = G^T f: p comes from the sparse factor of G^T M G.
-    Then u solves A u = r = f - B p on ker B^T, where A is definite: from
-    u = 0, each step adds P (A - sigma M)^{-1} (r - A u), with P the
-    M-orthogonal projection onto ker B^T and the eigensolver's sigma and
-    factor, and shrinks the error by about |sigma| / lambda_1.  The steps
-    stop once the worst column's ||r - A u|| / ||r|| no longer halves, or
-    after _REFINE; each iterate lies in ker B^T, so the gauge is round-off.
+    range(G), M symmetric positive definite, and the last k rows of G a
+    nonsingular diagonal block, as for the eigensolver.  If B^T u = 0 and
+    A u + B p = f, then G^T A = 0 turns G^T of the first row into
+    G^T M G p = G^T f: p comes from the sparse factor of G^T M G.  Then
+    u solves A u = r = f - B p on ker B^T, where A is definite: from u = 0,
+    each step adds P E K^{-1} E^T P^T (r - A u), the eigensolver's inverse
+    of A on the complement of range(G) with its factor of
+    K = A[:n-k, :n-k] (``_complement_inverse``), which is exact up to
+    round-off.  The steps stop once the worst column's ||r - A u|| / ||r||
+    no longer halves, or after _REFINE, and their count is
+    ``refine_steps``; each iterate lies in ker B^T, so the gauge is
+    round-off.
 
     A, M and G may be sparse or dense (CSR on entry).  F is one load of
     shape (n,) or r loads as the columns of an (n, r) array, sharing both
     factors; u and p have the shape of F (rows n and k).  The solve runs on
     one thread of scipy's OpenBLAS.  SolveError is raised on inconsistent
-    shapes, on a failed factor (a zero G makes G^T M G singular) and when
-    ``residual_primal`` exceeds sqrt(eps): that is how a G whose range is
-    not the kernel of A shows.
+    shapes, when the last k rows of G are not a nonsingular diagonal block,
+    on a failed factor (a zero G makes G^T M G singular, a kernel vector
+    outside range(G) makes K singular) and when ``residual_primal``
+    exceeds sqrt(eps): that is how a G whose range is not the kernel of A
+    shows.
     """
     A, M, G = _pencil(A, M, G)
     F = np.asarray(F, dtype=float)
@@ -269,17 +314,17 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
     norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
     B = M @ G
     with _one_blas_thread() as threads:
-        _, s_lu, project = _gauge_projection(G, B)
+        _, s_lu, project, dual = _gauge_projection(G, B)
         p = s_lu.solve(G.T @ F)
         r = F - B @ p
-        _, lu = _shifted_factor(A, M)
-        u, res, last = np.zeros_like(r), r, np.inf
-        for _ in range(_REFINE):
+        inverse, factor_nnz = _complement_inverse(A, G, project, dual)
+        u, res, last, steps = np.zeros_like(r), r, np.inf, 0
+        while steps < _REFINE:
             worst = _worst_ratio(norm(res), norm(r))
             if not worst < last / 2:
                 break
-            u = u + project(lu.solve(res))
-            res, last = r - A @ u, worst
+            u = u + inverse(res)
+            res, last, steps = r - A @ u, worst, steps + 1
     Au, Bp = A @ u, B @ p
     r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
     r2 = _worst_ratio(norm(B.T @ u), np.abs(B.data).max(initial=0.0) * norm(u))
@@ -287,7 +332,7 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
     if not r1 <= tol:
         raise SolveError(f"saddle-point residual {r1:.2e} > {tol:.2e}: "
                          f"range(G) is not the kernel of A")
-    return SaddleSolution(u, p, r1, r2, lu.L.nnz + lu.U.nnz, threads)
+    return SaddleSolution(u, p, r1, r2, factor_nnz, threads, steps)
 
 
 def convergence_rate(hs, errors) -> float:

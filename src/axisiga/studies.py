@@ -322,6 +322,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
                     "blas_threads": sol.blas_threads,
                     "residual_primal": sol.residual_primal,
                     "residual_gauge": sol.residual_gauge,
+                    "refine_steps": sol.refine_steps,
                     "seconds": time.perf_counter() - t_solve})
                 for m, u_free in zip(pair, sol.u.T):
                     u = sys_.expand_z1(u_free)

@@ -19,18 +19,20 @@ from axisiga.quadrature import gauss_legendre
 
 
 def _diagonal_pencil(n=12):
-    """A = diag(0, 0, 1, ..., n - 2) and M = I, with the kernel basis G of
-    the first two unit vectors."""
-    return np.diag(np.r_[0.0, 0.0, np.arange(1.0, n - 1)]), np.eye(n), \
-        np.eye(n)[:, :2]
+    """A = diag(1, ..., n - 2, 0, 0) and M = I, with the kernel basis G of
+    the last two unit vectors."""
+    return np.diag(np.r_[np.arange(1.0, n - 1), 0.0, 0.0]), np.eye(n), \
+        np.eye(n)[:, -2:]
 
 
 def _random_pencil(n=30, k=3, seed=0):
-    """A random PSD A with a k-dimensional kernel, its kernel basis G and a
-    random SPD M."""
+    """A random PSD A = X^T X with a k-dimensional kernel, its kernel basis
+    G = [W; -I] (X G = 0; the last k rows a diagonal block, as the gradient
+    of a de Rham complex has them) and a random SPD M."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n - k, n))
-    G = sla.null_space(X)
+    N = sla.null_space(X)
+    G = np.r_[-N[:n - k] @ np.linalg.inv(N[n - k:]), -np.eye(k)]
     Y = rng.standard_normal((n, n))
     return X.T @ X, Y @ Y.T + n * np.eye(n), G
 
@@ -41,7 +43,9 @@ class TestGeneralizedEig:
         res = solve_generalized_eig(A, M, 3, G)
         assert res.eigenvalues == pytest.approx([1.0, 2.0, 3.0], rel=1e-13)
         assert res.num_filtered == 2 and res.threshold == 0.0
-        assert res.factor_nnz == 2 * 12   # L stores its unit diagonal
+        # the factor of A's leading block of order 10; L stores its unit
+        # diagonal
+        assert res.factor_nnz == 2 * 10
         # a dropped column leaves an exact zero eigenvalue, and the exactly
         # zero kernel pencil a threshold of 0
         with pytest.raises(SolveError, match="no gap"):
@@ -252,7 +256,7 @@ class TestBlasThreads:
         A, M, G = _random_pencil(30, 3, seed=0)
         f = np.random.default_rng(10).standard_normal(30)
         sol = solve_saddle_point(A, M, f, G)
-        assert during == [1, 1] and sol.blas_threads == 1   # S, A - sigma M
+        assert during == [1, 1] and sol.blas_threads == 1   # S, A[:n-k, :n-k]
         assert threads() == before
         # a G missing a kernel column leaves the residual at O(1)
         with pytest.raises(SolveError, match="kernel"):
@@ -421,11 +425,15 @@ class TestSaddlePointOracle:
         for sol in _solve_both(A, M, F, G):
             assert _rel(sol.u, u0) <= 1e-11 and _rel(sol.p, p0) <= 1e-11
             assert sol.residual_primal <= 1e-14
+            assert 1 <= sol.refine_steps <= 3
 
-    @pytest.mark.parametrize("p,sub", [(2, 4), (3, 8)])
-    def test_rectangle_source_system_matches_dense_kkt(self, p, sub):
+    # mu = 1e6 scales A by 1e-6 against M: the high-contrast pencil
+    @pytest.mark.parametrize("p,sub,mu", [
+        pytest.param(2, 4, 1.0, id="2-4"), pytest.param(3, 8, 1.0, id="3-8"),
+        pytest.param(2, 4, 1e6, id="2-4-mu1e6")])
+    def test_rectangle_source_system_matches_dense_kkt(self, p, sub, mu):
         s = lambda: SplineSpace1D(KnotVector.uniform(p, sub))
-        mats = MaterialConstants(1.0, 1.0)
+        mats = MaterialConstants(1.0, mu)
         forms = MeshForms(DeRhamComplex2D(s(), s()),
                           BUILTIN_GEOMETRIES["rectangle"](), mats)
         source = ManufacturedSolution(2.0, mats)
@@ -444,6 +452,7 @@ class TestSaddlePointOracle:
                 <= 1e-11 * np.linalg.norm(F[:, j])
         assert _rel(sol.p[:, 1], p0[:, 1]) <= 1e-11
         assert sol.residual_primal <= 1e-14 and sol.residual_gauge <= 1e-14
+        assert 1 <= sol.refine_steps <= 3
 
     def test_basis_outside_the_kernel_rejected(self):
         A, M, G = _random_pencil(30, 3, seed=0)
@@ -469,11 +478,65 @@ class TestSaddlePointOracle:
             solve_saddle_point(A, M[1:, 1:], F, G)
 
     def test_one_factor_for_both_solvers(self):
-        # the saddle-point solve factors the eigensolver's A - sigma M
+        # the saddle-point solve factors the eigensolver's leading block of A
         A, M, G = _cavity_pencil("pillbox-section", 2, 4, 1)
         F = np.random.default_rng(3).standard_normal(A.shape[0])
         assert solve_saddle_point(A, M, F, G).factor_nnz \
             == solve_generalized_eig(A, M, 5, G).factor_nnz
+
+
+def _eig(A, M, G):
+    return solve_generalized_eig(A, M, 3, G)
+
+
+def _saddle(A, M, G):
+    f = np.random.default_rng(2).standard_normal(A.shape[0])
+    return solve_saddle_point(A, M, f, G)
+
+
+SOLVERS = [pytest.param(_eig, id="eig"), pytest.param(_saddle, id="saddle")]
+
+
+class TestKernelBasisContract:
+    """Both solvers factor the leading block of A of order n - k, on the
+    complement of range(G) that the first n - k unit vectors span: the last
+    k rows of G must be a nonsingular diagonal block."""
+
+    @pytest.mark.parametrize("solve_with", SOLVERS)
+    def test_tail_not_a_nonsingular_diagonal_rejected(self, solve_with):
+        A, M, G = _random_pencil()
+        # the same kernel in a basis whose last rows mix columns, the rows
+        # of the pencil reversed so that W comes last, and a zero pivot
+        mixed = G @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                              [0.0, 0.0, 1.0]])
+        zero = G.copy()
+        zero[-1, -1] = 0.0
+        for A_, M_, G_ in ((A, M, mixed), (A[::-1, ::-1], M[::-1, ::-1],
+                                           G[::-1]), (A, M, zero)):
+            with pytest.raises(SolveError, match="nonsingular diagonal"):
+                solve_with(A_, M_, G_)
+
+    @pytest.mark.parametrize("solve_with", SOLVERS)
+    def test_missing_kernel_column_rejected(self, solve_with):
+        # the dropped kernel vector lies in the leading block's coordinates:
+        # the block is singular, exactly for the diagonal pencil
+        for A, M, G in (_diagonal_pencil(), _random_pencil(),
+                        _cavity_pencil("pillbox-section", 2, 4, 1)):
+            with pytest.raises(SolveError, match="kernel"):
+                solve_with(A, M, G[:, 1:])
+
+    @pytest.mark.parametrize("solve_with,message", [
+        pytest.param(_eig, "no gap .*lambda = ", id="eig"),
+        pytest.param(_saddle, "residual .*not the kernel", id="saddle")])
+    def test_non_kernel_column_with_its_diagonal_row_rejected(
+            self, solve_with, message):
+        # the leading block stays definite, so the factor succeeds and the
+        # threshold or residual check has to catch the basis
+        A, M, G = _random_pencil()
+        wrong = G.copy()
+        wrong[:-3, 0] += np.random.default_rng(1).standard_normal(27)
+        with pytest.raises(SolveError, match=message):
+            solve_with(A, M, wrong)
 
 
 class TestConvergenceRate:

@@ -408,6 +408,7 @@ class TestCli:
             assert s["blas_threads"] == solve["blas_threads"]
             assert 0 < s["residual_primal"] <= 1e-10
             assert 0 < s["residual_gauge"] <= 1e-10
+            assert 1 <= s["refine_steps"] <= 3
             assert 0 < s["seconds"] < 60
         assert meta["kkt_max_residual_primal"] == max(
             s["residual_primal"] for s in kkt)
