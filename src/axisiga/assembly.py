@@ -11,8 +11,11 @@ top forms), converted by the eta^{-1} maps, which multiply by rho and never
 divide — every integrand is smooth up to the axis.
 
 Every integral runs over one table of Gauss points, which holds the geometry
-and each factor space's scalar basis values, tabulated once from the 1D
-tables of each direction, and contracts scalar values weighted by directions.
+and, per factor space, the 1D basis values of each direction, tabulated once.
+An integral forms the scalar tensor values it needs by one broadcast product
+of those 1D tables, contracts them weighted by directions and drops them; a
+mass part turns each factor pair's element blocks into CSR as soon as they
+are computed and sums them.
 
 The mode m enters only through eta^{-1}, whose factors 1/m multiply whole
 components: all of k=0, the (rho, z) pair of k=1, the theta component of
@@ -20,8 +23,8 @@ k=2, none of k=3.  The integrands pair like components, so every matrix is
 M_k(m) = X_k + Y_k / m**2 (Y_k from the 1/m components at m = 1), the same
 for m and -m.  ``MeshForms`` owns one mesh's tables and its free DoFs (the
 dirichlet constraints are the same for every m) and assembles X and Y on
-them once; a mode then costs two sparse axpys, the product M G, and its load
-and error norms on the same tables.
+them once; a mode then costs two sparse axpys, and its load and error norms
+on the same tables.
 """
 
 from __future__ import annotations
@@ -82,9 +85,9 @@ _EDGE_GEOM = {
 
 
 def _tensor_table(space: TensorSplineSpace, nodes):
-    """Indices (nel, nloc) into the coefficients of a tensor factor space and
-    values (nel, nloc, nq) of its local basis functions, from the 1D tables
-    at the per-element nodes (nel_d, nq_d) of each direction."""
+    """Indices (nel, nloc) into the coefficients of a tensor factor space and,
+    per direction d, the values (nel_d, p_d + 1, nq_d) of its 1D local basis
+    functions at the per-element nodes (nel_d, nq_d)."""
     local = []
     for s, x in zip((space.s1, space.s2), nodes):
         firsts, vals, _ = s.tabulate(x.ravel())
@@ -92,18 +95,16 @@ def _tensor_table(space: TensorSplineSpace, nodes):
         if np.any(firsts != firsts[:, :1]):
             raise AssemblyError("quadrature node left its element span")
         local.append((firsts[:, :1] + np.arange(s.degree + 1),
-                      vals.reshape(x.shape + (s.degree + 1,))))
+                      vals.reshape(x.shape + (-1,)).transpose(0, 2, 1)))
     (i1, v1), (i2, v2) = local
     idx = i1[:, None, :, None] * space.s2.num_basis + i2[None, :, None, :]
-    nel, nloc = idx.shape[0] * idx.shape[1], idx.shape[2] * idx.shape[3]
-    return (idx.reshape(nel, nloc),
-            np.einsum("Eia,Fjb->EFabij", v1, v2).reshape(nel, nloc, -1))
+    return idx.reshape(idx.shape[0] * idx.shape[1], -1), (v1, v2)
 
 
 class _QuadTable:
     """Gauss points of all elements, or of the elements along one edge, with
     the geometry, the quadrature weight of the cylindrical measure and the
-    scalar basis values of every factor space there.
+    1D basis tables of every factor space there.
 
     Point arrays have shape (nel, nq): element e = e1 * nel2 + e2 and point
     q = i * nq2 + j of the tensor rule.  ``dx`` is the weight of
@@ -161,11 +162,15 @@ class _QuadTable:
 
     def factors(self, k: int):
         """(idx, v) per stacked factor of Z^k: indices (nel, nloc) into the
-        Z^k coefficients and scalar values (nel, nloc, nq) of its basis."""
+        Z^k coefficients and scalar values (nel, nloc, nq) of its basis,
+        formed from the 1D tables on each call."""
         cx = self.complex
-        tables = (self._scalar[s.s1, s.s2] for s in cx.space_factors(k))
-        return [(idx + sl.start, v)
-                for (idx, v), sl in zip(tables, cx.block_slices(k))]
+        out = []
+        for s, sl in zip(cx.space_factors(k), cx.block_slices(k)):
+            idx, (v1, v2) = self._scalar[s.s1, s.s2]
+            v = v1[:, None, :, None, :, None] * v2[None, :, None, :, None, :]
+            out.append((idx + sl.start, v.reshape(idx.shape + (-1,))))
+        return out
 
     def directions(self, m: int, k: int) -> np.ndarray:
         """g (nfactor, nel, nq, ncomp): eta_m^{-1} of the push-forward of
@@ -204,7 +209,8 @@ def _mass_parts(tab: _QuadTable, k: int, weight):
 
     A factor pair f <= h adds the element blocks (v_f W) v_h^T to S, with
     W = dx weight g_f . g_h over the part's components (halved for f = h,
-    skipped where zero); the part is S + S^T.
+    skipped where zero), as a CSR matrix of its own, so that no pair's
+    triplets wait for the others; the part is S + S^T.
     """
     wq = tab.dx * (tab.at_points(weight) if callable(weight) else float(weight))
     g = tab.directions(1, k)
@@ -212,17 +218,16 @@ def _mass_parts(tab: _QuadTable, k: int, weight):
     factors, dim = tab.factors(k), tab.complex.dim(k)
     parts = []
     for gp in (g[..., ~inv_m], g[..., inv_m]):
-        coo = [(np.zeros(0), np.zeros(0, int), np.zeros(0, int))]
+        S = sp.csr_matrix((dim, dim))
         for f, (idx_f, v_f) in enumerate(factors):
             for h, (idx_h, v_h) in enumerate(factors[f:], f):
                 W = (0.5 if f == h else 1.0) * wq * np.sum(gp[f] * gp[h], -1)
                 if W.any():
                     L = np.matmul(v_f * W[:, None, :], v_h.transpose(0, 2, 1))
-                    coo.append((L, np.broadcast_to(idx_f[:, :, None], L.shape),
-                                np.broadcast_to(idx_h[:, None, :], L.shape)))
-        vals, rows, cols = (np.concatenate([a.ravel() for a in c])
-                            for c in zip(*coo))
-        S = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+                    rows = np.broadcast_to(idx_f[:, :, None], L.shape).ravel()
+                    cols = np.broadcast_to(idx_h[:, None, :], L.shape).ravel()
+                    S = S + sp.csr_matrix((L.ravel(), (rows, cols)),
+                                          shape=(dim, dim))
         parts.append((S + S.T).tocsr())
     return tuple(parts)
 
@@ -368,15 +373,20 @@ class ModeSystem:
     complex: DeRhamComplex2D
     A: sp.csr_matrix            # curl-curl (weight 1/mu) on free Z1
     M: sp.csr_matrix            # mass (weight eps) on free Z1
-    B: sp.csr_matrix            # M(eps) G: free Z0 -> free Z1
     G: sp.csr_matrix            # gradient, free Z0 -> free Z1: the kernel of A
     f: np.ndarray               # load on free Z1
     free_z1: np.ndarray
     free_z0: np.ndarray
 
+    @property
+    def B(self) -> sp.csr_matrix:
+        """M(eps) G: free Z0 -> free Z1, formed on each read (the solvers
+        form it themselves)."""
+        return (self.M @ self.G).tocsr()
+
     def reduced(self):
-        """(A, M, B, f), the system the solvers take."""
-        return self.A, self.M, self.B, self.f
+        """(A, M, f), the system the solvers take with ``G``."""
+        return self.A, self.M, self.f
 
     def expand_z1(self, u_red: np.ndarray) -> np.ndarray:
         u = np.zeros(self.complex.dim(1))
@@ -389,8 +399,8 @@ class MeshForms:
     parts of its Galerkin matrices.
 
     The constructor does the work: the quadrature table of all elements and
-    one per neumann edge, each with every factor's scalar basis tabulated
-    once, on which every mode's load and error norms run;
+    one per neumann edge, each with every factor's 1D basis tables
+    tabulated once, on which every mode's load and error norms run;
     the free Z^1/Z^0 DoFs, those not fixed on a dirichlet edge; and, on
     them, the eps-weighted Z^1 mass and the symmetrized 1/mu curl-curl
     C^T M2 C, each split as X + Y / m**2, and the gradient G.
@@ -417,16 +427,15 @@ class MeshForms:
 
 def build_mode_system(forms: MeshForms, m: int, source=None,
                       neumann=None) -> ModeSystem:
-    """A_m, M_m, B_m = M_m G and the load of mode m on the free DoFs.
+    """A_m, M_m and the load of mode m on the free DoFs.
 
     The matrices are axpys of the parts in ``forms``; only the load
     (``assemble_load``, on the tables of ``forms``) is integrated per mode.
     """
-    M = _at_mode(forms.mass, m)
     f = assemble_load(forms, m, source=source, neumann=neumann)
     return ModeSystem(
         m=m, complex=forms.complex,
-        A=_at_mode(forms.curlcurl, m), M=M, B=(M @ forms.G).tocsr(),
+        A=_at_mode(forms.curlcurl, m), M=_at_mode(forms.mass, m),
         G=forms.G, f=f[forms.free_z1],
         free_z1=forms.free_z1, free_z0=forms.free_z0,
     )

@@ -155,6 +155,13 @@ class StudyReport:
         return "\n".join(lines)
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (Linux reports
+    ``ru_maxrss`` in KiB)."""
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
     s = lambda: SplineSpace1D(KnotVector.uniform(p, sub))
     return DeRhamComplex2D(s(), s())
@@ -222,7 +229,7 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
             for pair, ref in zip(pairs, refs):
                 omegas_ref, count, target_idx, target_omega = ref
                 sys_ = build_mode_system(forms, pair[0])
-                A, M, _, _ = sys_.reduced()
+                A, M, _ = sys_.reduced()
                 # the kernel is the gradients of the free Z^0 DoFs
                 above = A.shape[0] - sys_.G.shape[1]
                 if count >= above:    # Lanczos needs one spare vector
@@ -274,6 +281,7 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
                            convergence_rate(hs, errs[m]))
     # mode-major rows; the sort is stable, so (p, sub) order stays in a mode
     report.rows.sort(key=lambda row: config.modes.index(row["m"]))
+    report.metadata["peak_rss_mb"] = _peak_rss_mb()
     return report
 
 
@@ -309,7 +317,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
             err2, gauge = {}, {}
             for pair in _mirror_pairs(config.modes):
                 sys_ = build_mode_system(forms, pair[0], **loads)
-                A, M, _, f = sys_.reduced()
+                A, M, f = sys_.reduced()
                 F = np.column_stack([f] + [
                     assemble_load(forms, m, **loads)[forms.free_z1]
                     for m in pair[1:]])
@@ -344,6 +352,7 @@ def run_source_study(config: StudyConfig) -> StudyReport:
                        convergence_rate(hs, errs))
     report.metadata["kkt_max_residual_primal"] = max(
         s["residual_primal"] for s in kkt_solves)
+    report.metadata["peak_rss_mb"] = _peak_rss_mb()
     return report
 
 
@@ -373,6 +382,7 @@ def run_exactness_suite(config: StudyConfig) -> StudyReport:
                             "dim_ker_C", "dim_ker_D"):
                     report.add(p, sub, m, dofs, key, rep[key])
                 report.add(p, sub, m, dofs, "exact", int(rep["exact"]), 1)
+    report.metadata["peak_rss_mb"] = _peak_rss_mb()
     return report
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -123,7 +125,7 @@ class TestCurlCurl:
         cx = make_complex(2, 2)
         geo = pillbox_section(1.0, 1.0)
         sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
-        A, M, _, _ = sys_.reduced()
+        A, M, _ = sys_.reduced()
         vals = np.linalg.eigvalsh(
             np.linalg.solve(M.toarray(), A.toarray()) @ np.eye(A.shape[0]))
         # count eigenvalues at numerical zero
@@ -279,7 +281,7 @@ class TestEssentialBC:
         cx = make_complex(2, 3)
         geo = pillbox_section(1.0, 1.0)
         sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
-        A, M, _, _ = sys_.reduced()
+        A, M, _ = sys_.reduced()
         from axisiga.solve import solve_generalized_eig
         res = solve_generalized_eig(A, M, 1, sys_.G)
         u = sys_.expand_z1(res.eigenvectors[:, 0])
@@ -349,8 +351,8 @@ class TestModeSystem:
         geo = pillbox_section(1.0, 1.0)
         for m in (1, -26):
             sys_ = build_mode_system(MeshForms(cx, geo), m)
-            A, M, B, _ = sys_.reduced()
-            G = sys_.G
+            A, M, _ = sys_.reduced()
+            B, G = sys_.B, sys_.G
             assert G.shape == B.shape
             assert abs(B - M @ G).max() == 0.0
             assert abs(A @ G).max() <= 1e-12 * abs(A).max()
@@ -425,6 +427,62 @@ class TestSharedTables:
             got, fresh = results(shared, m), results(MeshForms(cx, geo), m)
             for a, b in zip(got, fresh):
                 assert np.array_equal(a, b)
+
+
+class TestFactorTables:
+    """A table keeps the 1D basis values of each direction and forms the
+    tensor values of a factor space only when an integral asks for them."""
+
+    @pytest.mark.parametrize("name", BUILTIN_GEOMETRIES)
+    def test_factors_equal_tensor_tabulation(self, name):
+        # indices and values of every Z^k factor, bit for bit, against
+        # TensorSplineSpace.tabulate at the table's own points
+        geo = BUILTIN_GEOMETRIES[name]()
+        cx = make_complex(3, 2)
+        tab = _QuadTable(cx, geo)
+        rule = gauss_legendre(default_nquad(cx))
+        x1, x2 = (rule.mapped(s.breakpoints[:-1, None],
+                              s.breakpoints[1:, None])[0]
+                  for s in (cx.s1, cx.s2))
+        grid = (len(x1), len(x2), x1.shape[1], x2.shape[1])
+        pts = np.column_stack([
+            np.broadcast_to(x1[:, None, :, None], grid).ravel(),
+            np.broadcast_to(x2[None, :, None, :], grid).ravel()])
+        shape = tab.rho.shape + (-1,)         # (nel, nq, nloc) per point
+        assert np.array_equal(geo.evaluate(pts)[0].reshape(tab.rho.shape),
+                              tab.rho)
+        for k in range(4):
+            for (idx, v), space, sl in zip(tab.factors(k),
+                                           cx.space_factors(k),
+                                           cx.block_slices(k)):
+                f1, v1, _, f2, v2, _ = space.tabulate(pts)
+                i1 = f1[:, None] + np.arange(space.s1.degree + 1)
+                i2 = f2[:, None] + np.arange(space.s2.degree + 1)
+                rows = (sl.start + i1[:, :, None] * space.s2.num_basis
+                        + i2[:, None, :]).reshape(shape)
+                vals = (v1[:, :, None] * v2[:, None, :]).reshape(shape)
+                assert np.array_equal(
+                    np.broadcast_to(idx[:, None, :], rows.shape), rows)
+                assert np.array_equal(v, vals.transpose(0, 2, 1))
+
+    def test_peak_memory_within_three_parts(self):
+        # no triplets of all factor pairs at once and no tensor values past
+        # their integral: the constructor's tracemalloc peak stays within 3x
+        # the bytes of the four parts it keeps (5.4x with both)
+        geo = BUILTIN_GEOMETRIES["rectangle"]()
+        MeshForms(make_complex(3, 1), geo)    # lazy imports, the rule cache
+        cx = make_complex(3, 16)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            forms = MeshForms(cx, geo)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        parts = sum(P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+                    for P in forms.mass + forms.curlcurl)
+        assert peak <= 3 * parts
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,7 @@ class TestCli:
         from axisiga.solve import _scipy_openblas
         assert solve["blas_threads"] == (1 if _scipy_openblas() else None)
         assert 0 < meta["reference_seconds"] < 60
+        assert meta["peak_rss_mb"] > 0
         assert main(["source", "--degrees", "2", "--subdivisions", "2",
                      "--modes", "1,2,-1", "--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "source.json").read_text())["metadata"]
@@ -412,6 +413,7 @@ class TestCli:
             assert 0 < s["seconds"] < 60
         assert meta["kkt_max_residual_primal"] == max(
             s["residual_primal"] for s in kkt)
+        assert meta["peak_rss_mb"] > 0
 
     def test_eigensolver_failure_exits_2(self, monkeypatch, capsys):
         from scipy.sparse.linalg import ArpackNoConvergence
