@@ -233,10 +233,17 @@ def _mass_parts(tab: _QuadTable, k: int, weight):
 
 
 def _curlcurl_parts(tab: _QuadTable, weight):
-    """(X, Y) with the symmetrized C^T M2(weight) C = X + Y / m**2."""
+    """(X, Y) with the symmetrized C^T M2(weight) C = X + Y / m**2, each
+    part formed and symmetrized before the next, so that one full-size
+    product is alive at a time."""
     C = tab.complex.C
-    AA = [(C.T @ M2 @ C).tocsr() for M2 in _mass_parts(tab, 2, weight)]
-    return tuple(0.5 * (A + A.T) for A in AA)
+    parts = []
+    for M2 in _mass_parts(tab, 2, weight):
+        A = (C.T @ M2 @ C).tocsr()
+        A = A + A.T
+        A.data *= 0.5
+        parts.append(A)
+    return tuple(parts)
 
 
 def _at_mode(parts, m: int) -> sp.csr_matrix:

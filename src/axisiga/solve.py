@@ -53,10 +53,13 @@ class EigenResult:
     num_filtered: int          # kernel dimension: columns of the basis G
     threshold: float           # largest |lambda| of (G^T A G, G^T M G),
                                # 0 without a kernel
-    factor_nnz: int            # nonzeros of the sparse L + U of
-                               # A[:n-k, :n-k]
+    factor_nnz: int            # entries SuperLU stores for the L and U of
+                               # A[:n-k, :n-k] (relaxed supernodes store
+                               # some zeros)
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
+    op_applications: int       # calls of the main Lanczos run's operator,
+                               # LinearOperator's dtype probe included
 
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold
@@ -126,7 +129,7 @@ def _pencil(A, M, G):
     if A.shape != M.shape or A.shape != (n, n) or G.shape[0] != n:
         raise SolveError("A and M must be square with equal shapes and G "
                          "must have their order of rows")
-    if abs(A - A.T).max() > 1e-10 * max(abs(A).max(), 1.0):
+    if abs(A - A.T).max() > 1e-10 * np.abs(A.data).max(initial=0.0):
         raise SolveError("A is not symmetric")
     if not np.all(M.diagonal() > 0):
         raise SolveError("M is not positive definite")
@@ -146,7 +149,8 @@ def _gauge_projection(G, B):
 
 def _complement_inverse(A, G, project, dual):
     """The inverse of A on the complement of range(G), x -> P E K^{-1} E^T
-    P^T x, and the L + U nonzeros of K = A[:n-k, :n-k].
+    P^T x, and the entries SuperLU stores for the L and U of
+    K = A[:n-k, :n-k].
 
     The last k rows of G must be a nonsingular diagonal block: then the
     first n - k unit vectors E span a complement of range(G), and K is SPD
@@ -176,7 +180,9 @@ def _complement_inverse(A, G, project, dual):
         y[:lead] = lu.solve(dual(x)[:lead])
         return project(y)
 
-    return inverse, lu.L.nnz + lu.U.nnz
+    # lu.nnz, not lu.L.nnz + lu.U.nnz: reading L or U builds CSC copies of
+    # them that stay cached on lu, which ``inverse`` keeps alive
+    return inverse, lu.nnz
 
 
 def _kernel_threshold(GAG, GMG, gmg_lu, rng) -> float:
@@ -225,9 +231,16 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
                          f"above a {k}-dimensional kernel")
     rng = np.random.default_rng(_SEED)
     nev = min(count + _EXTRA, n - k - 1)
+    applications = 0
     with _one_blas_thread() as threads:
         GMG, gmg_lu, project, dual = _gauge_projection(G, M @ G)
         inverse, factor_nnz = _complement_inverse(A, G, project, dual)
+
+        def operator(x):
+            nonlocal applications
+            applications += 1
+            return inverse(x)
+
         # tol=0 is ARPACK's tol = eps, and dsconv accepts a Ritz value
         # theta = 1/lambda once its error bound is <= tol * max(eps**(2/3),
         # |theta|).  With SI eps and mu, theta ~ 1e-23 lies below
@@ -239,7 +252,7 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
         # relative but takes 192 applications instead of 97.
         try:
             vals, V = eigsh(A, nev, M=M, sigma=0.0,
-                            OPinv=LinearOperator((n, n), inverse),
+                            OPinv=LinearOperator((n, n), operator),
                             v0=project(rng.standard_normal(n)),
                             ncv=min(n - k, max(2 * nev + 1, 20)), tol=0,
                             rng=rng)
@@ -258,7 +271,8 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     AV, LMV = A @ vecs, (M @ vecs) * vals
     num, av, lmv = (np.linalg.norm(X, axis=0) for X in (AV - LMV, AV, LMV))
     res = np.divide(num, av + lmv, out=np.zeros(count), where=av + lmv > 0)
-    return EigenResult(vals, vecs, res, k, threshold, factor_nnz, threads)
+    return EigenResult(vals, vecs, res, k, threshold, factor_nnz, threads,
+                       applications)
 
 
 @dataclass(frozen=True)
@@ -275,8 +289,8 @@ class SaddleSolution:
     p: np.ndarray              # (k,) for a 1-D load, else (k, r)
     residual_primal: float
     residual_gauge: float
-    factor_nnz: int            # nonzeros of the sparse L + U of
-                               # A[:n-k, :n-k]
+    factor_nnz: int            # entries SuperLU stores for the L and U of
+                               # A[:n-k, :n-k], as in EigenResult
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
     refine_steps: int          # refinement steps taken for u

@@ -133,6 +133,11 @@ class StudyReport:
             "seconds": "" if seconds is None else round(seconds, 3),
         })
 
+    def phase(self, phase: str, p=None, sub=None, m=None) -> _Phase:
+        """A context that times one phase into ``metadata["phases"]``."""
+        return _Phase(self.metadata.setdefault("phases", []), phase, p, sub,
+                      m)
+
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -160,6 +165,28 @@ def _peak_rss_mb() -> float:
     ``ru_maxrss`` in KiB)."""
     import resource
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+class _Phase:
+    """Times one phase of a study with ``perf_counter``.  On exit it appends
+    to ``records`` the record of its phase, p, subdivisions, m (the first
+    mode of the mirror pair it serves), seconds and peak_rss_mb (the
+    process's peak RSS after the phase); p, subdivisions and m are None
+    where the phase serves more than one.  The record is the context
+    value."""
+
+    def __init__(self, records: list, phase: str, p, sub, m):
+        self.records = records
+        self.record = {"phase": phase, "p": p, "subdivisions": sub, "m": m}
+
+    def __enter__(self) -> dict:
+        self.start = time.perf_counter()
+        return self.record
+
+    def __exit__(self, *exc):
+        self.record["seconds"] = time.perf_counter() - self.start
+        self.record["peak_rss_mb"] = _peak_rss_mb()
+        self.records.append(self.record)
 
 
 def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
@@ -216,30 +243,31 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
     spec = PillboxSpec(config.radius, config.length, config.eps, config.mu)
     pairs = _mirror_pairs(config.modes)
     # every reference first, so that a bad target fails before any assembly
-    t_ref = time.perf_counter()
-    refs = [_pillbox_reference(config, spec, pair[0]) for pair in pairs]
-    report.metadata["reference_seconds"] = time.perf_counter() - t_ref
+    with report.phase("reference") as reference:
+        refs = [_pillbox_reference(config, spec, pair[0]) for pair in pairs]
+    report.metadata["reference_seconds"] = reference["seconds"]
     geo = pillbox_section(config.radius, config.length)
     hs = [1.0 / sub for sub in config.subdivisions]
     for p in config.degrees:
         errs = {m: [] for m in config.modes}
         for sub in config.subdivisions:
             t0 = time.perf_counter()
-            forms = MeshForms(_build_complex(p, sub), geo, config.materials)
+            with report.phase("forms", p, sub):
+                forms = MeshForms(_build_complex(p, sub), geo,
+                                  config.materials)
             for pair, ref in zip(pairs, refs):
                 omegas_ref, count, target_idx, target_omega = ref
-                sys_ = build_mode_system(forms, pair[0])
-                A, M, _ = sys_.reduced()
+                with report.phase("system", p, sub, pair[0]):
+                    sys_ = build_mode_system(forms, pair[0])
+                    A, M, _ = sys_.reduced()
                 # the kernel is the gradients of the free Z^0 DoFs
                 above = A.shape[0] - sys_.G.shape[1]
                 if count >= above:    # Lanczos needs one spare vector
                     raise StudyError(f"eigs: {count} asked, but the p={p} "
                                      f"mesh of {sub}x{sub} elements allows "
                                      f"at most {above - 1} for m={pair[0]}")
-                t_solve = time.perf_counter()
-                res = solve_generalized_eig(A, M, count, sys_.G)
-                t1 = time.perf_counter()
-                omegas = np.sqrt(res.eigenvalues)
+                with report.phase("solve", p, sub, pair[0]) as solve_phase:
+                    res = solve_generalized_eig(A, M, count, sys_.G)
                 dofs = A.shape[0]
                 report.metadata.setdefault("eig_solves", []).append({
                     "p": p, "subdivisions": sub, "m": pair[0],
@@ -249,32 +277,37 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
                                   if res.threshold else None),
                     "max_residual": float(res.residuals.max()),
                     "factor_nnz": res.factor_nnz,
+                    "op_applications": res.op_applications,
                     "blas_threads": res.blas_threads,
-                    "seconds": t1 - t_solve})
-                # spurious scan below the (eigs+1)-th analytic frequency
-                below = omegas[omegas < omegas_ref[config.eigs]]
-                spurious = 0
-                for w in below:
-                    nearest = np.min(np.abs(omegas_ref - w)) / w
-                    if nearest > 1e-2:
-                        spurious += 1
-                for m in pair:
-                    dt = time.perf_counter() - t0
-                    for i in range(config.eigs):
-                        rel = abs(omegas[i] - omegas_ref[i]) / omegas_ref[i]
-                        report.add(p, sub, m, dofs, f"omega_{i + 1}",
-                                   float(omegas[i]), float(omegas_ref[i]),
-                                   rel, dt if i == 0 else None)
-                    report.add(p, sub, m, dofs, "spurious_count", spurious,
-                               0, None)
-                    if target_idx is not None:
-                        rel = (abs(omegas[target_idx] - target_omega)
-                               / target_omega)
-                        report.add(p, sub, m, dofs, "target_error",
-                                   float(omegas[target_idx]), target_omega,
-                                   rel)
-                        errs[m].append(rel)
-                    t0 = time.perf_counter()  # later modes skip the mesh
+                    "seconds": solve_phase["seconds"]})
+                with report.phase("post", p, sub, pair[0]):
+                    omegas = np.sqrt(res.eigenvalues)
+                    # spurious scan below the (eigs+1)-th analytic frequency
+                    below = omegas[omegas < omegas_ref[config.eigs]]
+                    spurious = 0
+                    for w in below:
+                        nearest = np.min(np.abs(omegas_ref - w)) / w
+                        if nearest > 1e-2:
+                            spurious += 1
+                    for m in pair:
+                        dt = time.perf_counter() - t0
+                        for i in range(config.eigs):
+                            rel = (abs(omegas[i] - omegas_ref[i])
+                                   / omegas_ref[i])
+                            report.add(p, sub, m, dofs, f"omega_{i + 1}",
+                                       float(omegas[i]),
+                                       float(omegas_ref[i]), rel,
+                                       dt if i == 0 else None)
+                        report.add(p, sub, m, dofs, "spurious_count",
+                                   spurious, 0, None)
+                        if target_idx is not None:
+                            rel = (abs(omegas[target_idx] - target_omega)
+                                   / target_omega)
+                            report.add(p, sub, m, dofs, "target_error",
+                                       float(omegas[target_idx]),
+                                       target_omega, rel)
+                            errs[m].append(rel)
+                        t0 = time.perf_counter()  # later modes skip the mesh
         if config.target and len(hs) >= 3:
             for m in config.modes:
                 report.add(p, "", m, "", "rate_target",
@@ -297,12 +330,13 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     saddle-point solve, solved with both their loads."""
     config.validate()
     mats = config.materials
-    fd_err = validate_derivation(config.gamma, npts=40, seed=config.seed,
-                                 materials=mats)
+    report = StudyReport(config)
+    with report.phase("derivation"):
+        fd_err = validate_derivation(config.gamma, npts=40, seed=config.seed,
+                                     materials=mats)
     if not fd_err <= 1e-6:
         raise StudyError(
             f"manufactured-derivation validation failed: {fd_err:.2e} > 1e-6")
-    report = StudyReport(config)
     report.metadata["derivation_fd_error"] = fd_err
     manufactured = ManufacturedSolution(config.gamma, mats)
     loads = dict(source=manufactured.current, neumann=manufactured.neumann)
@@ -312,17 +346,19 @@ def run_source_study(config: StudyConfig) -> StudyReport:
         errs, hs = [], []
         for sub in config.subdivisions:
             t0 = time.perf_counter()
-            cx = _build_complex(p, sub)
-            forms = MeshForms(cx, geo, mats)
+            with report.phase("forms", p, sub):
+                cx = _build_complex(p, sub)
+                forms = MeshForms(cx, geo, mats)
             err2, gauge = {}, {}
             for pair in _mirror_pairs(config.modes):
-                sys_ = build_mode_system(forms, pair[0], **loads)
-                A, M, f = sys_.reduced()
-                F = np.column_stack([f] + [
-                    assemble_load(forms, m, **loads)[forms.free_z1]
-                    for m in pair[1:]])
-                t_solve = time.perf_counter()
-                sol = solve_saddle_point(A, M, F, sys_.G)
+                with report.phase("system", p, sub, pair[0]):
+                    sys_ = build_mode_system(forms, pair[0], **loads)
+                    A, M, f = sys_.reduced()
+                    F = np.column_stack([f] + [
+                        assemble_load(forms, m, **loads)[forms.free_z1]
+                        for m in pair[1:]])
+                with report.phase("solve", p, sub, pair[0]) as solve_phase:
+                    sol = solve_saddle_point(A, M, F, sys_.G)
                 kkt_solves.append({
                     "p": p, "subdivisions": sub, "modes": list(pair),
                     "n": A.shape[0], "k": sys_.G.shape[1],
@@ -331,13 +367,14 @@ def run_source_study(config: StudyConfig) -> StudyReport:
                     "residual_primal": sol.residual_primal,
                     "residual_gauge": sol.residual_gauge,
                     "refine_steps": sol.refine_steps,
-                    "seconds": time.perf_counter() - t_solve})
-                for m, u_free in zip(pair, sol.u.T):
-                    u = sys_.expand_z1(u_free)
-                    # B_h = C u against the closed-form induction
-                    err2[m] = l2_rho_error(forms, m, 2, cx.C @ u,
-                                           manufactured.b) ** 2
-                    gauge[m] = sol.residual_gauge
+                    "seconds": solve_phase["seconds"]})
+                with report.phase("post", p, sub, pair[0]):
+                    for m, u_free in zip(pair, sol.u.T):
+                        u = sys_.expand_z1(u_free)
+                        # B_h = C u against the closed-form induction
+                        err2[m] = l2_rho_error(forms, m, 2, cx.C @ u,
+                                               manufactured.b) ** 2
+                        gauge[m] = sol.residual_gauge
             dofs = len(forms.free_z1)
             for m in config.modes:
                 report.add(p, sub, m, dofs, "gauge_residual", gauge[m], 0.0)

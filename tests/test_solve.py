@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -43,8 +45,8 @@ class TestGeneralizedEig:
         res = solve_generalized_eig(A, M, 3, G)
         assert res.eigenvalues == pytest.approx([1.0, 2.0, 3.0], rel=1e-13)
         assert res.num_filtered == 2 and res.threshold == 0.0
-        # the factor of A's leading block of order 10; L stores its unit
-        # diagonal
+        # the factor of A's leading block of order 10: SuperLU stores L's
+        # unit diagonal and U's diagonal
         assert res.factor_nnz == 2 * 10
         # a dropped column leaves an exact zero eigenvalue, and the exactly
         # zero kernel pencil a threshold of 0
@@ -538,6 +540,53 @@ class TestKernelBasisContract:
         wrong[:-3, 0] += np.random.default_rng(1).standard_normal(27)
         with pytest.raises(SolveError, match=message):
             solve_with(A, M, wrong)
+
+
+class TestSymmetryCheck:
+    """A must be symmetric to 1e-10 of its largest entry, at any scale."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    @pytest.mark.parametrize("solve_with", SOLVERS)
+    def test_asymmetric_rejected_at_any_scale(self, solve_with, scale):
+        A, M, G = _random_pencil(6, 2)
+        A[0, 1] += 1e-6 * np.abs(A).max()
+        with pytest.raises(SolveError, match="not symmetric"):
+            solve_with(scale * A, M, G)
+
+    def test_symmetric_solves_at_small_scale(self):
+        A, M, G = _random_pencil(6, 2)
+        small = 1e-12 * A
+        assert _rel(_eig(small, M, G).eigenvalues,
+                    1e-12 * _eig(A, M, G).eigenvalues) <= 1e-12
+        assert _rel(_saddle(small, M, G).u, 1e12 * _saddle(A, M, G).u) \
+            <= 1e-12
+
+
+class TestSolverMemory:
+    def test_main_lanczos_starts_within_half_the_pencil(self, monkeypatch):
+        # numpy memory the eigensolver holds when its main Lanczos run
+        # starts: the factors and the projection's operands, not cached
+        # copies of them (1.01x the bytes of A, M and G while SuperLU's L
+        # and U were read and cached on the factor)
+        A, M, G = _cavity_pencil("pillbox-section", 3, 16, 26)
+        solve_generalized_eig(A, M, 10, G)      # lazy imports and caches
+        live, eigsh = [], solve.eigsh
+
+        def recording_eigsh(*args, **kwargs):
+            if "OPinv" in kwargs:
+                live.append(tracemalloc.get_traced_memory()[0])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(solve, "eigsh", recording_eigsh)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_generalized_eig(A, M, 10, G)
+        finally:
+            tracemalloc.stop()
+        pencil = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+                     for X in (A, M, G))
+        assert live[0] - base <= 0.5 * pencil
 
 
 class TestConvergenceRate:

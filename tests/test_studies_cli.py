@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from axisiga.bessel import PillboxSpec
 from axisiga.cli import main
 from axisiga.studies import (
     CSV_COLUMNS,
+    RUNNERS,
     StudyConfig,
     StudyError,
     run_exactness_suite,
@@ -275,6 +277,36 @@ class TestSourceStudy:
         assert len(built) == 1 + 2
 
 
+class TestPhases:
+    """``metadata["phases"]`` times each phase of a study once, with the
+    peak RSS after it, and the solve and reference seconds are its
+    records."""
+
+    @pytest.mark.parametrize("study,first,solves", [
+        ("pillbox", "reference", "eig_solves"),
+        ("source", "derivation", "kkt_solves")])
+    def test_phases_cover_the_study(self, study, first, solves):
+        cfg = StudyConfig(study=study, degrees=(2,), subdivisions=(3, 4),
+                          modes=(1, -1, 2), eigs=3)
+        t0 = time.perf_counter()
+        rep = RUNNERS[study](cfg)
+        wall = time.perf_counter() - t0
+        phases = rep.metadata["phases"]
+        assert [(r["phase"], r["p"], r["subdivisions"], r["m"])
+                for r in phases] == [(first, None, None, None)] + [
+            row for sub in (3, 4) for row in [("forms", 2, sub, None)] + [
+                (name, 2, sub, m) for m in (1, 2)
+                for name in ("system", "solve", "post")]]
+        assert all(r["seconds"] > 0 for r in phases)
+        rss = [r["peak_rss_mb"] for r in phases]
+        assert rss[0] > 0 and rss == sorted(rss)
+        assert sum(r["seconds"] for r in phases) >= 0.9 * wall
+        assert [s["seconds"] for s in rep.metadata[solves]] == [
+            r["seconds"] for r in phases if r["phase"] == "solve"]
+        if study == "pillbox":
+            assert rep.metadata["reference_seconds"] == phases[0]["seconds"]
+
+
 class TestCli:
     def test_info(self, capsys):
         assert main(["info"]) == 0
@@ -392,11 +424,14 @@ class TestCli:
         assert 0 <= solve["max_residual"] <= 1e-10
         assert (solve["n"], solve["count"]) == (65, 3)
         assert solve["factor_nnz"] >= 65
+        assert solve["op_applications"] >= 1
         assert 0 < solve["seconds"] < 60
         from axisiga.solve import _scipy_openblas
         assert solve["blas_threads"] == (1 if _scipy_openblas() else None)
         assert 0 < meta["reference_seconds"] < 60
         assert meta["peak_rss_mb"] > 0
+        assert meta["phases"] and all(r["peak_rss_mb"] > 0
+                                      for r in meta["phases"])
         assert main(["source", "--degrees", "2", "--subdivisions", "2",
                      "--modes", "1,2,-1", "--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "source.json").read_text())["metadata"]
@@ -414,6 +449,8 @@ class TestCli:
         assert meta["kkt_max_residual_primal"] == max(
             s["residual_primal"] for s in kkt)
         assert meta["peak_rss_mb"] > 0
+        assert meta["phases"] and all(r["peak_rss_mb"] > 0
+                                      for r in meta["phases"])
 
     def test_eigensolver_failure_exits_2(self, monkeypatch, capsys):
         from scipy.sparse.linalg import ArpackNoConvergence
