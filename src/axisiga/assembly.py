@@ -12,19 +12,23 @@ divide — every integrand is smooth up to the axis.
 
 Every integral runs over one table of Gauss points, which holds the geometry
 and, per factor space, the 1D basis values of each direction, tabulated once.
-An integral forms the scalar tensor values it needs by one broadcast product
-of those 1D tables, contracts them weighted by directions and drops them; a
-mass part turns each factor pair's element blocks into CSR as soon as they
-are computed and sums them.
+No integral forms the tensor values of a basis: a mass part, a load or an
+error norm contracts the 1D tables one direction at a time (sum
+factorization), and a mass part sums the element blocks of each factor pair
+as one CSR matrix of its own.
 
 The mode m enters only through eta^{-1}, whose factors 1/m multiply whole
 components: all of k=0, the (rho, z) pair of k=1, the theta component of
-k=2, none of k=3.  The integrands pair like components, so every matrix is
-M_k(m) = X_k + Y_k / m**2 (Y_k from the 1/m components at m = 1), the same
-for m and -m.  ``MeshForms`` owns one mesh's tables and its free DoFs (the
-dirichlet constraints are the same for every m) and assembles X and Y on
-them once; a mode then costs two sparse axpys, and its load and error norms
-on the same tables.
+k=2, none of k=3.  The integrands pair like components, so every mass
+matrix is M_k(m) = X_k + Y_k / m**2 (Y_k from the 1/m components at m = 1),
+the same for m and -m.  The complex is exact in tilde variables, so the
+curl C does not depend on m and the curl-curl matrix is C^T M_2(m) C.
+``MeshForms`` owns one mesh's tables and its free DoFs (the dirichlet
+constraints are the same for every m), and assembles on them once the X and
+Y of the Z^1 mass and of the 1/mu-weighted Z^2 mass; a mode then costs two
+sparse axpys and one product C^T M_2 C, and its load and error norms on the
+same tables.  Per mesh that is cheaper than keeping X and Y of C^T M_2 C,
+which takes two products, for up to two mirror pairs of modes.
 """
 
 from __future__ import annotations
@@ -85,20 +89,21 @@ _EDGE_GEOM = {
 
 
 def _tensor_table(space: TensorSplineSpace, nodes):
-    """Indices (nel, nloc) into the coefficients of a tensor factor space and,
-    per direction d, the values (nel_d, p_d + 1, nq_d) of its 1D local basis
-    functions at the per-element nodes (nel_d, nq_d)."""
+    """Per direction d of a tensor factor space, the 1D indices
+    (nel_d, p_d + 1) of its local basis functions and their values
+    (nel_d, p_d + 1, nq_d) at the per-element nodes (nel_d, nq_d)."""
     local = []
     for s, x in zip((space.s1, space.s2), nodes):
         firsts, vals, _ = s.tabulate(x.ravel())
         firsts = firsts.reshape(x.shape)
         if np.any(firsts != firsts[:, :1]):
             raise AssemblyError("quadrature node left its element span")
-        local.append((firsts[:, :1] + np.arange(s.degree + 1),
+        # int32, scipy's index type at these sizes: mass triplets built from
+        # these indices enter COO without a converted copy
+        index = firsts[:, :1] + np.arange(s.degree + 1)
+        local.append((index.astype(np.int32),
                       vals.reshape(x.shape + (-1,)).transpose(0, 2, 1)))
-    (i1, v1), (i2, v2) = local
-    idx = i1[:, None, :, None] * space.s2.num_basis + i2[None, :, None, :]
-    return idx.reshape(idx.shape[0] * idx.shape[1], -1), (v1, v2)
+    return tuple(local)
 
 
 class _QuadTable:
@@ -160,17 +165,14 @@ class _QuadTable:
                            / length[..., None])
             self.dx = w * length * self.rho
 
-    def factors(self, k: int):
-        """(idx, v) per stacked factor of Z^k: indices (nel, nloc) into the
-        Z^k coefficients and scalar values (nel, nloc, nq) of its basis,
-        formed from the 1D tables on each call."""
+    def tables(self, k: int):
+        """(start, n2, ((i1, v1), (i2, v2))) per stacked factor of Z^k: its
+        first Z^k coefficient, its number of basis functions in direction 2
+        and its 1D tables (see ``_tensor_table``); the basis function of
+        coefficient start + i1 * n2 + i2 has the values v1 * v2."""
         cx = self.complex
-        out = []
-        for s, sl in zip(cx.space_factors(k), cx.block_slices(k)):
-            idx, (v1, v2) = self._scalar[s.s1, s.s2]
-            v = v1[:, None, :, None, :, None] * v2[None, :, None, :, None, :]
-            out.append((idx + sl.start, v.reshape(idx.shape + (-1,))))
-        return out
+        return [(sl.start, s.s2.num_basis, self._scalar[s.s1, s.s2])
+                for s, sl in zip(cx.space_factors(k), cx.block_slices(k))]
 
     def directions(self, m: int, k: int) -> np.ndarray:
         """g (nfactor, nel, nq, ncomp): eta_m^{-1} of the push-forward of
@@ -202,55 +204,87 @@ class _QuadTable:
 _INV_M_COMPONENTS = {0: (0,), 1: (0, 1), 2: (2,), 3: ()}
 
 
+def _integrate(P1, W, P2) -> np.ndarray:
+    """sum_q P1[e1, x, q1] W[e, q] P2[e2, y, q2] on every element
+    e = e1 * nel2 + e2 (q = q1 * nq2 + q2), as (nel2, nel1, x, y): one batched
+    matmul over the elements of direction 1, then one over those of
+    direction 2 (sum factorization)."""
+    (nel1, _, nq1), (nel2, _, nq2) = P1.shape, P2.shape
+    W = W.reshape(nel1, nel2, nq1, nq2).transpose(0, 2, 1, 3)
+    T = np.matmul(P1, W.reshape(nel1, nq1, -1))
+    T = T.reshape(nel1, -1, nel2, nq2).transpose(2, 0, 1, 3)
+    L = np.matmul(T.reshape(nel2, -1, nq2), P2.transpose(0, 2, 1))
+    return L.reshape(nel2, nel1, P1.shape[1], P2.shape[1])
+
+
+def _coefficients(start, n2, i1, i2) -> np.ndarray:
+    """Z^k coefficients (nel2, nel1, p1 + 1, p2 + 1) of a factor's local
+    basis functions, in the layout of ``_integrate``."""
+    return (start + i1 * n2)[None, :, :, None] + i2[:, None, None, :]
+
+
+def _pair_matrix(tf, th, W, dim: int) -> sp.csr_matrix:
+    """The element blocks sum_q v_f[a] W v_h[b] of two factors with the
+    tables tf, th of ``_QuadTable.tables``, summed as a (dim, dim) CSR."""
+    (sf, nf, ((i1f, a1), (i2f, a2))), (sh, nh, ((i1h, b1), (i2h, b2))) = tf, th
+    P1 = (a1[:, :, None] * b1[:, None]).reshape(len(a1), -1, a1.shape[2])
+    P2 = (a2[:, :, None] * b2[:, None]).reshape(len(a2), -1, a2.shape[2])
+    L = _integrate(P1, W, P2)
+    shape = L.shape[:2] + (a1.shape[1], b1.shape[1], a2.shape[1], b2.shape[1])
+    rows = _coefficients(sf, nf, i1f, i2f)[:, :, :, None, :, None]
+    cols = _coefficients(sh, nh, i1h, i2h)[:, :, None, :, None, :]
+    return sp.csr_matrix((L.ravel(), (np.broadcast_to(rows, shape).ravel(),
+                                      np.broadcast_to(cols, shape).ravel())),
+                         shape=(dim, dim))
+
+
 def _mass_parts(tab: _QuadTable, k: int, weight):
     """(X, Y) with the weighted Z^k mass M_k(m) = X + Y / m**2: the
     integrals over the eta^{-1} components free of 1/m and over those that
     carry it, both tabulated at m = 1.
 
-    A factor pair f <= h adds the element blocks (v_f W) v_h^T to S, with
+    A factor pair f <= h adds its element blocks with
     W = dx weight g_f . g_h over the part's components (halved for f = h,
-    skipped where zero), as a CSR matrix of its own, so that no pair's
+    skipped where zero) to S, as a CSR matrix of its own, so that no pair's
     triplets wait for the others; the part is S + S^T.
     """
     wq = tab.dx * (tab.at_points(weight) if callable(weight) else float(weight))
     g = tab.directions(1, k)
     inv_m = np.isin(np.arange(g.shape[-1]), _INV_M_COMPONENTS[k])
-    factors, dim = tab.factors(k), tab.complex.dim(k)
+    tables, dim = tab.tables(k), tab.complex.dim(k)
     parts = []
     for gp in (g[..., ~inv_m], g[..., inv_m]):
         S = sp.csr_matrix((dim, dim))
-        for f, (idx_f, v_f) in enumerate(factors):
-            for h, (idx_h, v_h) in enumerate(factors[f:], f):
+        for f, tf in enumerate(tables):
+            for h, th in enumerate(tables[f:], f):
                 W = (0.5 if f == h else 1.0) * wq * np.sum(gp[f] * gp[h], -1)
                 if W.any():
-                    L = np.matmul(v_f * W[:, None, :], v_h.transpose(0, 2, 1))
-                    rows = np.broadcast_to(idx_f[:, :, None], L.shape).ravel()
-                    cols = np.broadcast_to(idx_h[:, None, :], L.shape).ravel()
-                    S = S + sp.csr_matrix((L.ravel(), (rows, cols)),
-                                          shape=(dim, dim))
+                    S = S + _pair_matrix(tf, th, W, dim)
         parts.append((S + S.T).tocsr())
     return tuple(parts)
 
 
-def _curlcurl_parts(tab: _QuadTable, weight):
-    """(X, Y) with the symmetrized C^T M2(weight) C = X + Y / m**2, each
-    part formed and symmetrized before the next, so that one full-size
-    product is alive at a time."""
-    C = tab.complex.C
-    parts = []
-    for M2 in _mass_parts(tab, 2, weight):
-        A = (C.T @ M2 @ C).tocsr()
-        A = A + A.T
-        A.data *= 0.5
-        parts.append(A)
-    return tuple(parts)
+def _compact(A: sp.csr_matrix) -> sp.csr_matrix:
+    """A with data and indices of exactly its nnz entries: a scipy sum
+    allocates both for nnz(X) + nnz(Y) and keeps them when the result fills
+    more than half."""
+    return sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr),
+                         shape=A.shape)
 
 
 def _at_mode(parts, m: int) -> sp.csr_matrix:
     """X + Y / m**2 for mode m."""
     if m == 0:
         raise DeRhamError("mode m must be nonzero")
-    return (parts[0] + parts[1] / m**2).tocsr()
+    return _compact(parts[0] + parts[1] / m**2)
+
+
+def _curlcurl(curl, M2) -> sp.csr_matrix:
+    """The symmetrized curl^T M2 curl, with exactly nnz entries."""
+    A = curl.T.tocsr() @ (M2 @ curl)    # CSR products, the cheaper order
+    A = A + A.T
+    A.data *= 0.5
+    return _compact(A)
 
 
 def assemble_mass(complex_: DeRhamComplex2D, geometry: NurbsGeometry, m: int,
@@ -271,7 +305,8 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
     The curl is applied exactly through the coefficient matrix C; only the
     weighted Z^2 mass is integrated.
     """
-    return _at_mode(_curlcurl_parts(_QuadTable(complex_, geometry), weight), m)
+    M2 = _at_mode(_mass_parts(_QuadTable(complex_, geometry), 2, weight), m)
+    return _curlcurl(complex_.C, M2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +318,9 @@ def _load_vector(tab: _QuadTable, m: int, values: np.ndarray) -> np.ndarray:
     basis function, with the table's measure."""
     w = np.einsum("feqc,eqc,eq->feq", tab.directions(m, 1), values, tab.dx)
     f = np.zeros(tab.complex.dim(1))
-    for (idx, v), wf in zip(tab.factors(1), w):
-        f += np.bincount(idx.ravel(), weights=(v @ wf[..., None]).ravel(),
+    for (start, n2, ((i1, v1), (i2, v2))), wf in zip(tab.tables(1), w):
+        f += np.bincount(_coefficients(start, n2, i1, i2).ravel(),
+                         weights=_integrate(v1, wf, v2).ravel(),
                          minlength=f.size)
     return f
 
@@ -326,8 +362,13 @@ def l2_rho_error(forms: MeshForms, m: int, k: int, coeffs: np.ndarray,
     and (npts,) otherwise.
     """
     tab, u = forms.table, np.asarray(coeffs, dtype=float)
-    phys = sum(np.einsum("ea,eaq->eq", u[idx], v)[..., None] * g
-               for (idx, v), g in zip(tab.factors(k), tab.directions(m, k)))
+    phys = 0.0
+    for (start, n2, ((i1, v1), (i2, v2))), g in zip(tab.tables(k),
+                                                     tab.directions(m, k)):
+        # the values sum_a u_a v1 v2 at every point, one direction at a time
+        U = np.matmul(u[_coefficients(start, n2, i1, i2)], v2[:, None])
+        vals = np.matmul(v1.transpose(0, 2, 1)[None], U).transpose(1, 0, 2, 3)
+        phys = phys + vals.reshape(g.shape[:-1] + (1,)) * g
     ref = tab.at_points(reference, m).reshape(phys.shape)
     return float(np.sqrt(np.sum(np.sum((phys - ref) ** 2, axis=-1) * tab.dx)))
 
@@ -408,9 +449,10 @@ class MeshForms:
     The constructor does the work: the quadrature table of all elements and
     one per neumann edge, each with every factor's 1D basis tables
     tabulated once, on which every mode's load and error norms run;
-    the free Z^1/Z^0 DoFs, those not fixed on a dirichlet edge; and, on
-    them, the eps-weighted Z^1 mass and the symmetrized 1/mu curl-curl
-    C^T M2 C, each split as X + Y / m**2, and the gradient G.
+    the free Z^1/Z^0 DoFs, those not fixed on a dirichlet edge; the
+    eps-weighted Z^1 mass on them and the 1/mu-weighted Z^2 mass (Z^2 has
+    no essential DoFs), each split as X + Y / m**2; the curl C from the
+    free Z^1 DoFs, and the gradient G between the free DoFs.
     """
 
     def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
@@ -427,8 +469,9 @@ class MeshForms:
         r = self.free_z1
         self.mass = [_restrict(P, r, r)
                      for P in _mass_parts(tab, 1, materials.eps)]
-        self.curlcurl = [_restrict(P, r, r)
-                         for P in _curlcurl_parts(tab, 1.0 / materials.mu)]
+        self.mass2 = [_compact(P)
+                      for P in _mass_parts(tab, 2, 1.0 / materials.mu)]
+        self.curl = complex_.C[:, r]
         self.G = _restrict(complex_.G, r, self.free_z0)
 
 
@@ -436,13 +479,15 @@ def build_mode_system(forms: MeshForms, m: int, source=None,
                       neumann=None) -> ModeSystem:
     """A_m, M_m and the load of mode m on the free DoFs.
 
-    The matrices are axpys of the parts in ``forms``; only the load
-    (``assemble_load``, on the tables of ``forms``) is integrated per mode.
+    M_m and the Z^2 mass are axpys of the parts in ``forms``, and A_m is
+    the symmetrized C^T M_2 C; only the load (``assemble_load``, on the
+    tables of ``forms``) is integrated per mode.
     """
     f = assemble_load(forms, m, source=source, neumann=neumann)
     return ModeSystem(
         m=m, complex=forms.complex,
-        A=_at_mode(forms.curlcurl, m), M=_at_mode(forms.mass, m),
+        A=_curlcurl(forms.curl, _at_mode(forms.mass2, m)),
+        M=_at_mode(forms.mass, m),
         G=forms.G, f=f[forms.free_z1],
         free_z1=forms.free_z1, free_z0=forms.free_z0,
     )

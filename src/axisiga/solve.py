@@ -58,8 +58,7 @@ class EigenResult:
                                # some zeros)
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
-    op_applications: int       # calls of the main Lanczos run's operator,
-                               # LinearOperator's dtype probe included
+    op_applications: int       # calls of the main Lanczos run's operator
 
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold
@@ -193,7 +192,9 @@ def _kernel_threshold(GAG, GMG, gmg_lu, rng) -> float:
         return 0.0
     if k == 1:                    # ARPACK needs two Lanczos vectors
         return float(abs(GAG[0, 0] / GMG[0, 0]))
-    vals = eigsh(GAG, 1, M=GMG, Minv=LinearOperator(GMG.shape, gmg_lu.solve),
+    # dtype given, so that LinearOperator does not probe with a zero vector
+    Minv = LinearOperator(GMG.shape, gmg_lu.solve, dtype=float)
+    vals = eigsh(GAG, 1, M=GMG, Minv=Minv,
                  which="LM", ncv=min(k, 20), v0=rng.standard_normal(k),
                  return_eigenvectors=False, rng=rng)
     return float(abs(vals).max())
@@ -252,7 +253,8 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
         # relative but takes 192 applications instead of 97.
         try:
             vals, V = eigsh(A, nev, M=M, sigma=0.0,
-                            OPinv=LinearOperator((n, n), operator),
+                            OPinv=LinearOperator((n, n), operator,
+                                                 dtype=float),
                             v0=project(rng.standard_normal(n)),
                             ncv=min(n - k, max(2 * nev + 1, 20)), tol=0,
                             rng=rng)

@@ -345,6 +345,19 @@ class TestModeSystem:
             u = sys_.expand_z1(np.ones(len(r1)))
             assert not u[con1].any() and u[r1].all()
 
+    def test_mode_matrices_are_compact(self):
+        # A and M hold exactly their nnz entries, with no spare capacity of
+        # a scipy sum kept through .base, and A is exactly symmetric
+        cx = make_complex(3, 4)
+        forms = MeshForms(cx, pillbox_section(1.0, 1.0))
+        for m in (1, -2, 26):
+            sys_ = build_mode_system(forms, m)
+            for P in (sys_.A, sys_.M, *forms.mass2):
+                for a in (P.data, P.indices):
+                    assert a.size == P.nnz
+                    assert a.base is None or a.base.size == a.size
+            assert (sys_.A != sys_.A.T).nnz == 0
+
     def test_reduced_gradient_is_the_kernel_basis(self):
         # reduced B is reduced M times reduced G exactly, and A G vanishes
         cx = make_complex(2, 3)
@@ -430,13 +443,14 @@ class TestSharedTables:
 
 
 class TestFactorTables:
-    """A table keeps the 1D basis values of each direction and forms the
-    tensor values of a factor space only when an integral asks for them."""
+    """A table keeps the 1D basis values of each direction, and the
+    integrals contract them without forming the tensor values."""
 
     @pytest.mark.parametrize("name", BUILTIN_GEOMETRIES)
     def test_factors_equal_tensor_tabulation(self, name):
-        # indices and values of every Z^k factor, bit for bit, against
-        # TensorSplineSpace.tabulate at the table's own points
+        # the indices and tensor values that the 1D tables of every Z^k
+        # factor stand for, bit for bit, against TensorSplineSpace.tabulate
+        # at the table's own points
         geo = BUILTIN_GEOMETRIES[name]()
         cx = make_complex(3, 2)
         tab = _QuadTable(cx, geo)
@@ -452,9 +466,12 @@ class TestFactorTables:
         assert np.array_equal(geo.evaluate(pts)[0].reshape(tab.rho.shape),
                               tab.rho)
         for k in range(4):
-            for (idx, v), space, sl in zip(tab.factors(k),
-                                           cx.space_factors(k),
-                                           cx.block_slices(k)):
+            for (start, n2, ((t1, w1), (t2, w2))), space, sl in zip(
+                    tab.tables(k), cx.space_factors(k), cx.block_slices(k)):
+                idx = start + t1[:, None, :, None] * n2 + t2[None, :, None, :]
+                idx = idx.reshape(tab.rho.shape[0], -1)
+                v = (w1[:, None, :, None, :, None]
+                     * w2[None, :, None, :, None, :]).reshape(idx.shape + (-1,))
                 f1, v1, _, f2, v2, _ = space.tabulate(pts)
                 i1 = f1[:, None] + np.arange(space.s1.degree + 1)
                 i2 = f2[:, None] + np.arange(space.s2.degree + 1)
@@ -466,9 +483,12 @@ class TestFactorTables:
                 assert np.array_equal(v, vals.transpose(0, 2, 1))
 
     def test_peak_memory_within_three_parts(self):
-        # no triplets of all factor pairs at once and no tensor values past
-        # their integral: the constructor's tracemalloc peak stays within 3x
-        # the bytes of the four parts it keeps (5.4x with both)
+        # no triplets of all factor pairs at once and no tensor values of
+        # the factors: the element blocks come from the 1D tables, and the
+        # constructor's tracemalloc peak stays within 3x the bytes of the
+        # four mass parts it keeps (3.3x with every factor's tensor values
+        # held through the loop, 3.6x with each pair's blocks formed from
+        # them)
         geo = BUILTIN_GEOMETRIES["rectangle"]()
         MeshForms(make_complex(3, 1), geo)    # lazy imports, the rule cache
         cx = make_complex(3, 16)
@@ -481,7 +501,7 @@ class TestFactorTables:
         finally:
             tracemalloc.stop()
         parts = sum(P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
-                    for P in forms.mass + forms.curlcurl)
+                    for P in (*forms.mass, *forms.mass2))
         assert peak <= 3 * parts
 
 
@@ -674,6 +694,8 @@ class TestSplitParts:
                         <= 1e-13 * np.abs(oracle).max())
 
     def test_mesh_forms_parts(self):
+        # the Z^1 mass parts on the free DoFs, the Z^2 parts on all of Z^2,
+        # and the curl-curl of a mode from them through the restricted curl
         cx = make_complex(2, 3)
         geo = quarter_annulus(1.0, 2.0, edge_labels={
             "west": "neumann", "east": "dirichlet",
@@ -682,10 +704,14 @@ class TestSplitParts:
         forms = MeshForms(cx, geo, mats)
         r = forms.free_z1
         assert len(r) < cx.dim(1)
-        C = cx.C.toarray()
         M = [mats.eps * _oracle_mass(cx, geo, m, 1) for m in (1, 2)]
-        A = [C.T @ (_oracle_mass(cx, geo, m, 2) / mats.mu) @ C for m in (1, 2)]
-        A = [0.5 * (a + a.T) for a in A]
-        for parts, values in ((forms.mass, M), (forms.curlcurl, A)):
-            for part, oracle in zip(parts, _oracle_split(*values)):
-                assert rel(part.toarray(), oracle[np.ix_(r, r)]) <= 1e-13
+        for part, oracle in zip(forms.mass, _oracle_split(*M)):
+            assert rel(part.toarray(), oracle[np.ix_(r, r)]) <= 1e-13
+        M2 = [_oracle_mass(cx, geo, m, 2) / mats.mu for m in (1, 2)]
+        for part, oracle in zip(forms.mass2, _oracle_split(*M2)):
+            assert rel(part.toarray(), oracle) <= 1e-13
+        Cr = cx.C.toarray()[:, r]
+        for m in (1, -3):
+            A = Cr.T @ (_oracle_mass(cx, geo, m, 2) / mats.mu) @ Cr
+            sys_ = build_mode_system(forms, m)
+            assert rel(sys_.A.toarray(), 0.5 * (A + A.T)) <= 1e-13

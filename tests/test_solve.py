@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from axisiga.assembly import MaterialConstants, MeshForms, build_mode_system
 from axisiga.derham import DeRhamComplex2D
@@ -128,6 +129,26 @@ class TestGeneralizedEig:
         assert np.array_equal(dense.eigenvalues, sparse.eigenvalues)
         assert np.array_equal(dense.eigenvectors, sparse.eigenvectors)
         assert dense.threshold == sparse.threshold
+
+    def test_op_applications_are_arpack_calls(self, monkeypatch):
+        # op_applications counts the operator calls ARPACK makes, with no
+        # probe of the operator outside the Lanczos run
+        calls, eigsh = [], solve.eigsh
+
+        def counting_eigsh(*args, OPinv=None, **kwargs):
+            if OPinv is not None:
+                def matvec(x, inner=OPinv):
+                    calls.append(1)
+                    return inner.matvec(x)
+                OPinv = LinearOperator(OPinv.shape, matvec, dtype=float)
+            return eigsh(*args, OPinv=OPinv, **kwargs)
+
+        monkeypatch.setattr(solve, "eigsh", counting_eigsh)
+        for A, M, G in (_random_pencil(),
+                        _cavity_pencil("pillbox-section", 2, 4, 1)):
+            calls.clear()
+            res = solve_generalized_eig(A, M, 5, G)
+            assert res.op_applications == len(calls) > 0
 
     def test_arpack_gets_the_callers_csr_m(self, monkeypatch):
         seen, eigsh = [], solve.eigsh
