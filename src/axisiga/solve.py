@@ -139,11 +139,13 @@ def _gauge_projection(G, B):
     """S = G^T B (G^T M G for B = M G), its sparse factor, the M-orthogonal
     projection P x = x - G S^{-1} B^T x onto ker B^T, which removes the
     range(G) part of x, and its transpose P^T x = x - B S^{-1} G^T x onto
-    ker G^T = range(A)."""
-    S = G.T @ B
+    ker G^T = range(A).  The transposes are views, taken once here rather
+    than on each application."""
+    Gt, Bt = G.T, B.T
+    S = Gt @ B
     lu = _lu(S, **_SPD)
-    return (S, lu, lambda x: x - G @ lu.solve(B.T @ x),
-            lambda x: x - B @ lu.solve(G.T @ x))
+    return (S, lu, lambda x: x - G @ lu.solve(Bt @ x),
+            lambda x: x - B @ lu.solve(Gt @ x))
 
 
 def _complement_inverse(A, G, project, dual):

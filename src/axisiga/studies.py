@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -138,6 +139,13 @@ class StudyReport:
         return _Phase(self.metadata.setdefault("phases", []), phase, p, sub,
                       m)
 
+    def extend(self, part: StudyReport):
+        """Append the rows of ``part``, the report of one task, and extend
+        each of this report's metadata lists by ``part``'s."""
+        self.rows.extend(part.rows)
+        for key, records in part.metadata.items():
+            self.metadata.setdefault(key, []).extend(records)
+
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -161,10 +169,11 @@ class StudyReport:
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident set size of this process so far, in MB (Linux reports
-    ``ru_maxrss`` in KiB)."""
+    """Peak resident set size of this process so far, in MB.  macOS reports
+    ``ru_maxrss`` in bytes, Linux in KiB."""
     import resource
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 class _Phase:
@@ -234,7 +243,11 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
     sorting.  Emits per-frequency relative errors, a spurious-mode count
     (computed eigenvalues below the (eigs+1)-th analytic frequency that have
     no analytic counterpart within 1%), and, when a target mode and at least
-    three subdivisions are given, the fitted convergence rate.  All modes
+    three subdivisions are given, the fitted convergence rate.
+
+    Each (p, sub) mesh is one task, ``_pillbox_mesh``, which returns its
+    rows, ``eig_solves`` entries and phase records; this runner joins them
+    in mesh order, fits the rates and sorts the rows mode-major.  All modes
     share one MeshForms per mesh, whose build time goes on the first mode;
     modes m and -m share one analytic reference and one eigensolve, whose
     time goes on the first of them."""
@@ -249,73 +262,89 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
     geo = pillbox_section(config.radius, config.length)
     hs = [1.0 / sub for sub in config.subdivisions]
     for p in config.degrees:
-        errs = {m: [] for m in config.modes}
+        first = len(report.rows)
         for sub in config.subdivisions:
-            t0 = time.perf_counter()
-            with report.phase("forms", p, sub):
-                forms = MeshForms(_build_complex(p, sub), geo,
-                                  config.materials)
-            for pair, ref in zip(pairs, refs):
-                omegas_ref, count, target_idx, target_omega = ref
-                with report.phase("system", p, sub, pair[0]):
-                    sys_ = build_mode_system(forms, pair[0])
-                    A, M, _ = sys_.reduced()
-                # the kernel is the gradients of the free Z^0 DoFs
-                above = A.shape[0] - sys_.G.shape[1]
-                if count >= above:    # Lanczos needs one spare vector
-                    raise StudyError(f"eigs: {count} asked, but the p={p} "
-                                     f"mesh of {sub}x{sub} elements allows "
-                                     f"at most {above - 1} for m={pair[0]}")
-                with report.phase("solve", p, sub, pair[0]) as solve_phase:
-                    res = solve_generalized_eig(A, M, count, sys_.G)
-                dofs = A.shape[0]
-                report.metadata.setdefault("eig_solves", []).append({
-                    "p": p, "subdivisions": sub, "m": pair[0],
-                    "modes": list(pair), "n": dofs,
-                    "count": count, "kernel_dim": res.num_filtered,
-                    "gap_ratio": (float(res.eigenvalues[0] / res.threshold)
-                                  if res.threshold else None),
-                    "max_residual": float(res.residuals.max()),
-                    "factor_nnz": res.factor_nnz,
-                    "op_applications": res.op_applications,
-                    "blas_threads": res.blas_threads,
-                    "seconds": solve_phase["seconds"]})
-                with report.phase("post", p, sub, pair[0]):
-                    omegas = np.sqrt(res.eigenvalues)
-                    # spurious scan below the (eigs+1)-th analytic frequency
-                    below = omegas[omegas < omegas_ref[config.eigs]]
-                    spurious = 0
-                    for w in below:
-                        nearest = np.min(np.abs(omegas_ref - w)) / w
-                        if nearest > 1e-2:
-                            spurious += 1
-                    for m in pair:
-                        dt = time.perf_counter() - t0
-                        for i in range(config.eigs):
-                            rel = (abs(omegas[i] - omegas_ref[i])
-                                   / omegas_ref[i])
-                            report.add(p, sub, m, dofs, f"omega_{i + 1}",
-                                       float(omegas[i]),
-                                       float(omegas_ref[i]), rel,
-                                       dt if i == 0 else None)
-                        report.add(p, sub, m, dofs, "spurious_count",
-                                   spurious, 0, None)
-                        if target_idx is not None:
-                            rel = (abs(omegas[target_idx] - target_omega)
-                                   / target_omega)
-                            report.add(p, sub, m, dofs, "target_error",
-                                       float(omegas[target_idx]),
-                                       target_omega, rel)
-                            errs[m].append(rel)
-                        t0 = time.perf_counter()  # later modes skip the mesh
+            report.extend(_pillbox_mesh(config, geo, pairs, refs, p, sub))
         if config.target and len(hs) >= 3:
             for m in config.modes:
+                errs = [row["rel_error"] for row in report.rows[first:]
+                        if row["quantity"] == "target_error"
+                        and row["m"] == m]
                 report.add(p, "", m, "", "rate_target",
-                           convergence_rate(hs, errs[m]))
+                           convergence_rate(hs, errs))
     # mode-major rows; the sort is stable, so (p, sub) order stays in a mode
     report.rows.sort(key=lambda row: config.modes.index(row["m"]))
     report.metadata["peak_rss_mb"] = _peak_rss_mb()
     return report
+
+
+def _pillbox_mesh(config: StudyConfig, geo, pairs, refs, p: int,
+                  sub: int) -> StudyReport:
+    """The task of one pillbox mesh: its MeshForms, then each mirror pair
+    through ``_pillbox_pair``.  Returns the mesh's rows, ``eig_solves``
+    entries and phase records; the MeshForms dies on return."""
+    part = StudyReport(config)
+    t0 = time.perf_counter()
+    with part.phase("forms", p, sub):
+        forms = MeshForms(_build_complex(p, sub), geo, config.materials)
+    for pair, ref in zip(pairs, refs):
+        t0 = _pillbox_pair(part, forms, p, sub, pair, ref, t0)
+    return part
+
+
+def _pillbox_pair(part: StudyReport, forms: MeshForms, p: int, sub: int,
+                  pair: list, ref, t0: float) -> float:
+    """Solve one mirror pair's eigenpencil on ``forms`` and add its
+    ``eig_solves`` entry, phases and rows to ``part``; the first row of
+    each mode carries the time since ``t0`` and the time of the last is
+    returned.  The pair's ModeSystem, factors and eigenvectors die on
+    return."""
+    config = part.config
+    omegas_ref, count, target_idx, target_omega = ref
+    with part.phase("system", p, sub, pair[0]):
+        sys_ = build_mode_system(forms, pair[0])
+        A, M, _ = sys_.reduced()
+    # the kernel is the gradients of the free Z^0 DoFs
+    above = A.shape[0] - sys_.G.shape[1]
+    if count >= above:    # Lanczos needs one spare vector
+        raise StudyError(f"eigs: {count} asked, but the p={p} mesh of "
+                         f"{sub}x{sub} elements allows at most "
+                         f"{above - 1} for m={pair[0]}")
+    with part.phase("solve", p, sub, pair[0]) as solve_phase:
+        res = solve_generalized_eig(A, M, count, sys_.G)
+    dofs = A.shape[0]
+    part.metadata.setdefault("eig_solves", []).append({
+        "p": p, "subdivisions": sub, "m": pair[0], "modes": list(pair),
+        "n": dofs, "count": count, "kernel_dim": res.num_filtered,
+        "gap_ratio": (float(res.eigenvalues[0] / res.threshold)
+                      if res.threshold else None),
+        "max_residual": float(res.residuals.max()),
+        "factor_nnz": res.factor_nnz,
+        "op_applications": res.op_applications,
+        "blas_threads": res.blas_threads,
+        "seconds": solve_phase["seconds"]})
+    with part.phase("post", p, sub, pair[0]):
+        omegas = np.sqrt(res.eigenvalues)
+        # spurious scan below the (eigs+1)-th analytic frequency
+        below = omegas[omegas < omegas_ref[config.eigs]]
+        spurious = 0
+        for w in below:
+            nearest = np.min(np.abs(omegas_ref - w)) / w
+            if nearest > 1e-2:
+                spurious += 1
+        for m in pair:
+            dt = time.perf_counter() - t0
+            for i in range(config.eigs):
+                rel = abs(omegas[i] - omegas_ref[i]) / omegas_ref[i]
+                part.add(p, sub, m, dofs, f"omega_{i + 1}", float(omegas[i]),
+                         float(omegas_ref[i]), rel, dt if i == 0 else None)
+            part.add(p, sub, m, dofs, "spurious_count", spurious, 0, None)
+            if target_idx is not None:
+                rel = abs(omegas[target_idx] - target_omega) / target_omega
+                part.add(p, sub, m, dofs, "target_error",
+                         float(omegas[target_idx]), target_omega, rel)
+            t0 = time.perf_counter()  # later modes skip the mesh
+    return t0
 
 
 # ---------------------------------------------------------------------------
@@ -326,71 +355,97 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     """Coulomb-gauged magnetostatic solve with the manufactured potential on
     the rectangle [0,1] x [4,5]; Dirichlet at z=5, Neumann on the rest,
     axis at rho=0.  Emits the mode-summed induction error per refinement and
-    the fitted rate per degree.  Modes m and -m share the factors of one
-    saddle-point solve, solved with both their loads."""
+    the fitted rate per degree.
+
+    Each (p, sub) mesh is one task, ``_source_mesh``, which returns its
+    rows, ``kkt_solves`` entries and phase records; this runner joins them
+    in mesh order and fits the rates.  Modes m and -m share the factors of
+    one saddle-point solve, solved with both their loads."""
     config.validate()
-    mats = config.materials
     report = StudyReport(config)
     with report.phase("derivation"):
         fd_err = validate_derivation(config.gamma, npts=40, seed=config.seed,
-                                     materials=mats)
+                                     materials=config.materials)
     if not fd_err <= 1e-6:
         raise StudyError(
             f"manufactured-derivation validation failed: {fd_err:.2e} > 1e-6")
     report.metadata["derivation_fd_error"] = fd_err
-    manufactured = ManufacturedSolution(config.gamma, mats)
-    loads = dict(source=manufactured.current, neumann=manufactured.neumann)
+    manufactured = ManufacturedSolution(config.gamma, config.materials)
     geo = BUILTIN_GEOMETRIES["rectangle"]()
-    kkt_solves = report.metadata["kkt_solves"] = []
+    hs = [1.0 / sub for sub in config.subdivisions]
     for p in config.degrees:
-        errs, hs = [], []
+        first = len(report.rows)
         for sub in config.subdivisions:
-            t0 = time.perf_counter()
-            with report.phase("forms", p, sub):
-                cx = _build_complex(p, sub)
-                forms = MeshForms(cx, geo, mats)
-            err2, gauge = {}, {}
-            for pair in _mirror_pairs(config.modes):
-                with report.phase("system", p, sub, pair[0]):
-                    sys_ = build_mode_system(forms, pair[0], **loads)
-                    A, M, f = sys_.reduced()
-                    F = np.column_stack([f] + [
-                        assemble_load(forms, m, **loads)[forms.free_z1]
-                        for m in pair[1:]])
-                with report.phase("solve", p, sub, pair[0]) as solve_phase:
-                    sol = solve_saddle_point(A, M, F, sys_.G)
-                kkt_solves.append({
-                    "p": p, "subdivisions": sub, "modes": list(pair),
-                    "n": A.shape[0], "k": sys_.G.shape[1],
-                    "factor_nnz": sol.factor_nnz,
-                    "blas_threads": sol.blas_threads,
-                    "residual_primal": sol.residual_primal,
-                    "residual_gauge": sol.residual_gauge,
-                    "refine_steps": sol.refine_steps,
-                    "seconds": solve_phase["seconds"]})
-                with report.phase("post", p, sub, pair[0]):
-                    for m, u_free in zip(pair, sol.u.T):
-                        u = sys_.expand_z1(u_free)
-                        # B_h = C u against the closed-form induction
-                        err2[m] = l2_rho_error(forms, m, 2, cx.C @ u,
-                                               manufactured.b) ** 2
-                        gauge[m] = sol.residual_gauge
-            dofs = len(forms.free_z1)
-            for m in config.modes:
-                report.add(p, sub, m, dofs, "gauge_residual", gauge[m], 0.0)
-            dt = time.perf_counter() - t0
-            err = float(np.sqrt(sum(err2[m] for m in config.modes)))
-            report.add(p, sub, "", dofs * len(config.modes), "B_error", err,
-                       None, None, dt)
-            errs.append(err)
-            hs.append(1.0 / sub)
-        if len(errs) >= 3:
+            report.extend(_source_mesh(config, geo, manufactured, p, sub))
+        if len(hs) >= 3:
+            errs = [row["value"] for row in report.rows[first:]
+                    if row["quantity"] == "B_error"]
             report.add(p, "", "", "", "rate_B_error",
                        convergence_rate(hs, errs))
     report.metadata["kkt_max_residual_primal"] = max(
-        s["residual_primal"] for s in kkt_solves)
+        s["residual_primal"] for s in report.metadata["kkt_solves"])
     report.metadata["peak_rss_mb"] = _peak_rss_mb()
     return report
+
+
+def _source_mesh(config: StudyConfig, geo, manufactured, p: int,
+                 sub: int) -> StudyReport:
+    """The task of one source mesh: its MeshForms, then each mirror pair
+    through ``_source_pair``, then the mesh's gauge and B-error rows.
+    Returns the mesh's rows, ``kkt_solves`` entries and phase records; the
+    MeshForms dies on return."""
+    part = StudyReport(config)
+    t0 = time.perf_counter()
+    with part.phase("forms", p, sub):
+        forms = MeshForms(_build_complex(p, sub), geo, config.materials)
+    err2, gauge = {}, {}
+    for pair in _mirror_pairs(config.modes):
+        pair_err2, gauge_residual = _source_pair(part, forms, manufactured,
+                                                 p, sub, pair)
+        err2.update(pair_err2)
+        gauge.update(dict.fromkeys(pair, gauge_residual))
+    dofs = len(forms.free_z1)
+    for m in config.modes:
+        part.add(p, sub, m, dofs, "gauge_residual", gauge[m], 0.0)
+    dt = time.perf_counter() - t0
+    err = float(np.sqrt(sum(err2[m] for m in config.modes)))
+    part.add(p, sub, "", dofs * len(config.modes), "B_error", err, None,
+             None, dt)
+    return part
+
+
+def _source_pair(part: StudyReport, forms: MeshForms, manufactured,
+                 p: int, sub: int, pair: list) -> tuple[dict, float]:
+    """One saddle-point solve on ``forms`` with the loads of both modes of
+    a mirror pair; adds its ``kkt_solves`` entry and phases to ``part`` and
+    returns each mode's squared induction error and the gauge residual.
+    The pair's ModeSystem, loads, factors and solution die on return."""
+    loads = dict(source=manufactured.current, neumann=manufactured.neumann)
+    with part.phase("system", p, sub, pair[0]):
+        sys_ = build_mode_system(forms, pair[0], **loads)
+        A, M, f = sys_.reduced()
+        F = np.column_stack([f] + [
+            assemble_load(forms, m, **loads)[forms.free_z1]
+            for m in pair[1:]])
+    with part.phase("solve", p, sub, pair[0]) as solve_phase:
+        sol = solve_saddle_point(A, M, F, sys_.G)
+    part.metadata.setdefault("kkt_solves", []).append({
+        "p": p, "subdivisions": sub, "modes": list(pair),
+        "n": A.shape[0], "k": sys_.G.shape[1],
+        "factor_nnz": sol.factor_nnz,
+        "blas_threads": sol.blas_threads,
+        "residual_primal": sol.residual_primal,
+        "residual_gauge": sol.residual_gauge,
+        "refine_steps": sol.refine_steps,
+        "seconds": solve_phase["seconds"]})
+    err2 = {}
+    with part.phase("post", p, sub, pair[0]):
+        for m, u_free in zip(pair, sol.u.T):
+            u = sys_.expand_z1(u_free)
+            # B_h = C u against the closed-form induction
+            err2[m] = l2_rho_error(forms, m, 2, forms.complex.C @ u,
+                                   manufactured.b) ** 2
+    return err2, sol.residual_gauge
 
 
 # ---------------------------------------------------------------------------

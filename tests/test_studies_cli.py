@@ -1,9 +1,12 @@
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,6 +308,79 @@ class TestPhases:
             r["seconds"] for r in phases if r["phase"] == "solve"]
         if study == "pillbox":
             assert rep.metadata["reference_seconds"] == phases[0]["seconds"]
+
+    @pytest.mark.parametrize("study,solves", [("pillbox", "eig_solves"),
+                                              ("source", "kkt_solves")])
+    def test_each_mesh_runs_its_pairs_before_the_next(self, study, solves):
+        # pairs in order of first appearance: (2, -2), then (1, -1)
+        rep = RUNNERS[study](StudyConfig(
+            study=study, degrees=(2, 1), subdivisions=(4, 3),
+            modes=(2, 1, -2, -1), eigs=2))
+        meshes = [(p, sub) for p in (2, 1) for sub in (4, 3)]
+        records = [(r["phase"], r["p"], r["subdivisions"], r["m"])
+                   for r in rep.metadata["phases"][1:]]
+        block = 1 + 3 * 2                # forms, then 3 phases per pair
+        assert len(records) == block * len(meshes)
+        for i, (p, sub) in enumerate(meshes):
+            assert records[i * block:(i + 1) * block] == [
+                ("forms", p, sub, None)] + [
+                (name, p, sub, m) for m in (2, 1)
+                for name in ("system", "solve", "post")]
+        assert [(s["p"], s["subdivisions"], s["modes"])
+                for s in rep.metadata[solves]] == [
+            (p, sub, pair) for p, sub in meshes
+            for pair in ([2, -2], [1, -1])]
+
+
+class TestTaskLifetimes:
+    """A mirror pair's ModeSystem dies before the next pair's is built, and
+    a mesh's MeshForms, with its pairs' systems, before the next mesh's:
+    by reference count alone, as the cyclic collector is off meanwhile."""
+
+    @pytest.fixture
+    def no_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("study", ["pillbox", "source"])
+    def test_earlier_pairs_and_meshes_are_dead(self, study, monkeypatch,
+                                               no_gc):
+        from axisiga import studies
+        systems, forms = [], []
+        alive = lambda refs: [ref for ref in refs if ref() is not None]
+
+        def recorded(name, refs, dead):
+            fn = getattr(studies, name)
+
+            def record(*args, **kwargs):
+                assert not any(alive(earlier) for earlier in dead), name
+                obj = fn(*args, **kwargs)
+                refs.append(weakref.ref(obj))
+                return obj
+
+            monkeypatch.setattr(studies, name, record)
+
+        recorded("MeshForms", forms, (forms, systems))
+        recorded("build_mode_system", systems, (systems,))
+        RUNNERS[study](StudyConfig(study=study, degrees=(2,),
+                                   subdivisions=(3, 4), modes=(1, -1, 2),
+                                   eigs=2))
+        assert len(forms) == 2 and len(systems) == 2 * 2
+        assert not alive(forms) and not alive(systems)
+
+
+def test_peak_rss_units(monkeypatch):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    import resource
+    from axisiga import studies
+    for platform, unit in (("linux", 1024), ("darwin", 1024 * 1024)):
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(
+            ru_maxrss=300 * unit))
+        assert studies._peak_rss_mb() == 300.0
 
 
 class TestCli:
