@@ -8,7 +8,8 @@ complement of the kernel, on which A is definite.  Each solver factors the
 SPD leading block K = A[:n-k, :n-k] once, with no shift, and applies
 E K^{-1} E^T (E the first n - k unit vectors) between the M-orthogonal
 projections onto the complement of range(G); the kernel costs the factor no
-fill.
+fill.  The eigensolver certifies ker A = range(G) exactly: a nonsingular K
+leaves ker A at most k dimensions, and A G = 0 puts range(G) inside it.
 
 The cavity eigensolver is shift-invert Lanczos (ARPACK) at 0 on that
 operator, so its memory grows with the factors and not with n**2.  The
@@ -51,8 +52,9 @@ class EigenResult:
     eigenvectors: np.ndarray   # columns, M-orthonormal
     residuals: np.ndarray
     num_filtered: int          # kernel dimension: columns of the basis G
-    threshold: float           # largest |lambda| of (G^T A G, G^T M G),
-                               # 0 without a kernel
+    threshold: float           # eps * max(diag A / diag M), the round-off
+                               # floor that lambda_0 must clear
+    kernel_residual: float     # max|A G| / (max|A| max|G|), 0 without G
     factor_nnz: int            # entries SuperLU stores for the L and U of
                                # A[:n-k, :n-k] (relaxed supernodes store
                                # some zeros)
@@ -62,6 +64,7 @@ class EigenResult:
 
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold
+KERNEL_TOL = 1e3 * np.finfo(float).eps   # most kernel_residual
 _REFINE = 30       # most refinement steps of the saddle-point field
 _EXTRA = 4         # Ritz pairs computed beyond the requested count
 _SEED = 0          # ARPACK start vector and restarts: results repeat exactly
@@ -136,15 +139,14 @@ def _pencil(A, M, G):
 
 
 def _gauge_projection(G, B):
-    """S = G^T B (G^T M G for B = M G), its sparse factor, the M-orthogonal
-    projection P x = x - G S^{-1} B^T x onto ker B^T, which removes the
-    range(G) part of x, and its transpose P^T x = x - B S^{-1} G^T x onto
-    ker G^T = range(A).  The transposes are views, taken once here rather
-    than on each application."""
+    """The sparse factor of S = G^T B (G^T M G for B = M G), the
+    M-orthogonal projection P x = x - G S^{-1} B^T x onto ker B^T, which
+    removes the range(G) part of x, and its transpose P^T x = x - B S^{-1}
+    G^T x onto ker G^T = range(A).  The transposes are views, taken once
+    here rather than on each application."""
     Gt, Bt = G.T, B.T
-    S = Gt @ B
-    lu = _lu(S, **_SPD)
-    return (S, lu, lambda x: x - G @ lu.solve(Bt @ x),
+    lu = _lu(Gt @ B, **_SPD)
+    return (lu, lambda x: x - G @ lu.solve(Bt @ x),
             lambda x: x - B @ lu.solve(Gt @ x))
 
 
@@ -186,20 +188,13 @@ def _complement_inverse(A, G, project, dual):
     return inverse, lu.nnz
 
 
-def _kernel_threshold(GAG, GMG, gmg_lu, rng) -> float:
-    """Largest |lambda| of the kernel pencil (G^T A G, G^T M G), which is
-    round-off when G spans a kernel of A."""
-    k = GAG.shape[0]
-    if not GAG.count_nonzero():   # ARPACK cannot start where G^T A G v0 = 0
-        return 0.0
-    if k == 1:                    # ARPACK needs two Lanczos vectors
-        return float(abs(GAG[0, 0] / GMG[0, 0]))
-    # dtype given, so that LinearOperator does not probe with a zero vector
-    Minv = LinearOperator(GMG.shape, gmg_lu.solve, dtype=float)
-    vals = eigsh(GAG, 1, M=GMG, Minv=Minv,
-                 which="LM", ncv=min(k, 20), v0=rng.standard_normal(k),
-                 return_eigenvectors=False, rng=rng)
-    return float(abs(vals).max())
+def _kernel_residual(A, G) -> float:
+    """max|A G| / (max|A| max|G|), 0 for a G with no columns.  A G dies on
+    return, before the Lanczos run; max and min stand in for abs(), which
+    would copy A's entries."""
+    top = lambda X: max(X.data.max(initial=0.0), -X.data.min(initial=0.0))
+    AG = A @ G
+    return float(top(AG) / (top(A) * top(G))) if AG.nnz else 0.0
 
 
 def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
@@ -216,16 +211,16 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     enters the Krylov space and the converged (tol=0) Ritz pairs need no
     further projection or Rayleigh-Ritz step; count + 4 pairs are computed
     and the ``count`` smallest returned.  Input is converted to CSR on
-    entry: no dense n x n array is formed.  The factorizations and both
-    Lanczos runs use one thread of scipy's OpenBLAS (see the module
+    entry: no dense n x n array is formed.  The factorizations and the
+    Lanczos run use one thread of scipy's OpenBLAS (see the module
     docstring).  SolveError is raised when count >= n - k (Lanczos needs
     one vector more than it returns pairs), when the last k rows of G are
     not a nonsingular diagonal block, on a singular factor (a singular K
-    means a kernel vector outside range(G)), on an ARPACK failure, and unless
-    lambda_0 >= KERNEL_GAP * max(threshold, eps * max(diag A / diag M)),
-    where threshold is the largest |lambda| of the kernel pencil
-    (G^T A G, G^T M G): a basis that misses part of the kernel or holds a
-    non-kernel vector fails that check.
+    means a kernel vector outside range(G)), when ``kernel_residual``
+    exceeds KERNEL_TOL (a column of G outside the kernel), on an ARPACK
+    failure, and unless lambda_0 >= KERNEL_GAP * threshold, the round-off
+    floor eps * max(diag A / diag M): a kernel vector whose K pivot is only
+    round-off fails that check.
     """
     A, M, G = _pencil(A, M, G)
     n, k = G.shape
@@ -236,8 +231,12 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     nev = min(count + _EXTRA, n - k - 1)
     applications = 0
     with _one_blas_thread() as threads:
-        GMG, gmg_lu, project, dual = _gauge_projection(G, M @ G)
+        _, project, dual = _gauge_projection(G, M @ G)
         inverse, factor_nnz = _complement_inverse(A, G, project, dual)
+        kernel_residual = _kernel_residual(A, G)
+        if not kernel_residual <= KERNEL_TOL:
+            raise SolveError(f"range(G) is not in the kernel of A: max|A G| "
+                             f"/ (max|A| max|G|) = {kernel_residual:.2e}")
 
         def operator(x):
             nonlocal applications
@@ -260,23 +259,20 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
                             v0=project(rng.standard_normal(n)),
                             ncv=min(n - k, max(2 * nev + 1, 20)), tol=0,
                             rng=rng)
-            threshold = _kernel_threshold(G.T @ (A @ G), GMG, gmg_lu, rng)
         except ArpackError as exc:      # ArpackNoConvergence included
             raise SolveError(f"Lanczos eigensolve failed: {exc}") from exc
     order = np.argsort(vals)[:count]
     vals, vecs = vals[order], V[:, order]
-    # a kernel vector left out of G comes back as a round-off eigenvalue,
-    # also when the kernel pencil is exactly zero
-    floor = max(threshold, np.finfo(float).eps
-                * float((A.diagonal() / M.diagonal()).max()))
+    # a kernel vector left out of G comes back as a round-off eigenvalue
+    floor = np.finfo(float).eps * float((A.diagonal() / M.diagonal()).max())
     if not vals[0] >= KERNEL_GAP * floor:
         raise SolveError(f"no gap above the {k}-dimensional kernel: lambda = "
                          f"{vals[0]:.3e} after |lambda| = {floor:.3e}")
     AV, LMV = A @ vecs, (M @ vecs) * vals
     num, av, lmv = (np.linalg.norm(X, axis=0) for X in (AV - LMV, AV, LMV))
     res = np.divide(num, av + lmv, out=np.zeros(count), where=av + lmv > 0)
-    return EigenResult(vals, vecs, res, k, threshold, factor_nnz, threads,
-                       applications)
+    return EigenResult(vals, vecs, res, k, floor, kernel_residual,
+                       factor_nnz, threads, applications)
 
 
 @dataclass(frozen=True)
@@ -341,7 +337,7 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
     norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
     B = M @ G
     with _one_blas_thread() as threads:
-        _, s_lu, project, dual = _gauge_projection(G, B)
+        s_lu, project, dual = _gauge_projection(G, B)
         p = s_lu.solve(G.T @ F)
         r = F - B @ p
         inverse, factor_nnz = _complement_inverse(A, G, project, dual)

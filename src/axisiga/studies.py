@@ -64,11 +64,12 @@ class StudyConfig:
             vals = getattr(self, name)
             if not vals:
                 raise StudyError(f"{name}: list must be non-empty")
+            # a repeated value would solve its meshes or modes twice
+            for i, v in enumerate(vals):
+                if v in vals[:i]:
+                    raise StudyError(f"{name}: duplicate {name[:-1]} {v}")
         if any(m == 0 for m in self.modes):
             raise StudyError("modes: mode 0 is out of scope")
-        for i, m in enumerate(self.modes):
-            if m in self.modes[:i]:
-                raise StudyError(f"modes: duplicate mode {m}")
         if any(p < 1 for p in self.degrees):
             raise StudyError("degrees: need p >= 1")
         if any(s < 1 for s in self.subdivisions):
@@ -316,8 +317,8 @@ def _pillbox_pair(part: StudyReport, forms: MeshForms, p: int, sub: int,
     part.metadata.setdefault("eig_solves", []).append({
         "p": p, "subdivisions": sub, "m": pair[0], "modes": list(pair),
         "n": dofs, "count": count, "kernel_dim": res.num_filtered,
-        "gap_ratio": (float(res.eigenvalues[0] / res.threshold)
-                      if res.threshold else None),
+        "gap_ratio": float(res.eigenvalues[0] / res.threshold),
+        "kernel_residual": res.kernel_residual,
         "max_residual": float(res.residuals.max()),
         "factor_nnz": res.factor_nnz,
         "op_applications": res.op_applications,

@@ -45,15 +45,16 @@ class TestGeneralizedEig:
         A, M, G = _diagonal_pencil()
         res = solve_generalized_eig(A, M, 3, G)
         assert res.eigenvalues == pytest.approx([1.0, 2.0, 3.0], rel=1e-13)
-        assert res.num_filtered == 2 and res.threshold == 0.0
+        assert res.num_filtered == 2 and res.kernel_residual == 0.0
+        # the round-off floor eps * max(diag A / diag M) = 10 eps
+        assert res.threshold == 10 * np.finfo(float).eps
         # the factor of A's leading block of order 10: SuperLU stores L's
         # unit diagonal and U's diagonal
         assert res.factor_nnz == 2 * 10
-        # a dropped column leaves an exact zero eigenvalue, and the exactly
-        # zero kernel pencil a threshold of 0
+        # a dropped column leaves the leading block exactly singular
         with pytest.raises(SolveError, match="no gap"):
             solve_generalized_eig(A, M, 3, G[:, 1:])
-        for k in (1, 3):    # a one-column kernel pencil is a ratio
+        for k in (1, 3):
             A, M, G = _random_pencil(k=k)
             vals = sla.eigh(A, M, eigvals_only=True)
             res = solve_generalized_eig(A, M, 5, G)
@@ -79,7 +80,9 @@ class TestGeneralizedEig:
                                     M[np.ix_(free, free)], 3,
                                     np.zeros((n - 2, 0)))
         assert res.eigenvalues[0] == pytest.approx(np.pi**2, rel=1e-3)
-        assert res.num_filtered == 0 and res.threshold == 0.0
+        assert res.num_filtered == 0 and res.kernel_residual == 0.0
+        assert res.threshold == np.finfo(float).eps * max(
+            np.diag(K)[free] / np.diag(M)[free])
         assert np.all(res.residuals <= 1e-8)
 
     def test_m_orthonormal_vectors(self):
@@ -129,6 +132,7 @@ class TestGeneralizedEig:
         assert np.array_equal(dense.eigenvalues, sparse.eigenvalues)
         assert np.array_equal(dense.eigenvectors, sparse.eigenvectors)
         assert dense.threshold == sparse.threshold
+        assert dense.kernel_residual == sparse.kernel_residual
 
     def test_op_applications_are_arpack_calls(self, monkeypatch):
         # op_applications counts the operator calls ARPACK makes, with no
@@ -208,6 +212,7 @@ class TestKernelDimensionOracle:
                 <= 1e-10 * np.abs(ref_vecs).max())
         assert res.num_filtered == kernel_dim
         assert res.eigenvalues[0] >= 1e6 * res.threshold > 0
+        assert res.kernel_residual <= 1e3 * np.finfo(float).eps
         assert res.residuals.max() <= 1e-12
 
     @pytest.mark.parametrize("name,p,sub,m", CAVITIES)
@@ -218,6 +223,19 @@ class TestKernelDimensionOracle:
         for wrong in (G[:, 1:], sp.hstack([G, sp.csr_matrix(extra)])):
             with pytest.raises(SolveError):
                 solve_generalized_eig(A, M, 10, wrong)
+
+    @pytest.mark.parametrize("name,p,sub,m", CAVITIES)
+    def test_perturbed_kernel_column_rejected(self, name, p, sub, m):
+        # a relative 1e-8 in the meridional part of one gradient keeps the
+        # diagonal row, K's factor and lambda_0's gap above round-off: only
+        # A G = 0 catches it
+        A, M, G = _cavity_pencil(name, p, sub, m)
+        n, k = G.shape
+        wrong = G.tolil()
+        wrong[:n - k, 0] += 1e-8 * abs(G).max() * np.random.default_rng(
+            3).standard_normal((n - k, 1))
+        with pytest.raises(SolveError, match=r"range\(G\)"):
+            solve_generalized_eig(A, M, 10, wrong)
 
     def test_repeatable(self):
         # byte-reproducible CSV rows rest on the seeded start vector
@@ -252,7 +270,7 @@ class TestBlasThreads:
         monkeypatch.setattr(solve, "eigsh", counting_eigsh)
         A, M, G = _random_pencil()
         res = solve_generalized_eig(A, M, 5, G)
-        assert during == [1, 1]        # the pencil's and the kernel pencil's
+        assert during == [1]           # one Lanczos run
         assert res.blas_threads == 1
         assert threads() == before
         vals = sla.eigh(A, M, eigvals_only=True)
@@ -550,12 +568,12 @@ class TestKernelBasisContract:
                 solve_with(A, M, G[:, 1:])
 
     @pytest.mark.parametrize("solve_with,message", [
-        pytest.param(_eig, "no gap .*lambda = ", id="eig"),
+        pytest.param(_eig, r"range\(G\) is not in the kernel", id="eig"),
         pytest.param(_saddle, "residual .*not the kernel", id="saddle")])
     def test_non_kernel_column_with_its_diagonal_row_rejected(
             self, solve_with, message):
         # the leading block stays definite, so the factor succeeds and the
-        # threshold or residual check has to catch the basis
+        # A G check or the residual check has to catch the basis
         A, M, G = _random_pencil()
         wrong = G.copy()
         wrong[:-3, 0] += np.random.default_rng(1).standard_normal(27)

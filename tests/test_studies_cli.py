@@ -436,6 +436,15 @@ class TestCli:
         assert main(["source", "--modes", "3,3"]) == 1
         assert "error: modes: duplicate mode 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study,flag,field", [
+        ("source", "--degrees", "degree"),
+        ("pillbox", "--subdivisions", "subdivision")])
+    def test_duplicate_mesh(self, capsys, study, flag, field):
+        # a repeated mesh would be solved twice and counted twice in the rate
+        assert main([study, flag, "2,4,2"]) == 1
+        assert f"error: {flag[2:]}: duplicate {field} 2" in (
+            capsys.readouterr().err)
+
     def test_source_modes_without_data(self, capsys):
         # their B_error is exactly 0: no rate can be fitted (was exit 2)
         assert main(["source", "--degrees", "2", "--subdivisions", "2,4,8",
@@ -497,6 +506,7 @@ class TestCli:
         assert solve["modes"] == [1, -1]
         assert solve["kernel_dim"] == 20      # free Z^0 DoFs of the mesh
         assert solve["gap_ratio"] >= 1e6
+        assert 0 <= solve["kernel_residual"] <= 1e3 * np.finfo(float).eps
         assert 0 <= solve["max_residual"] <= 1e-10
         assert (solve["n"], solve["count"]) == (65, 3)
         assert solve["factor_nnz"] >= 65
