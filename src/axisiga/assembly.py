@@ -120,8 +120,8 @@ class _QuadTable:
     def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
                  nquad: int | None = None, edge: str | None = None):
         cx = complex_
-        for gz, az in ((geometry.basis.space.s1.breakpoints, cx.s1.breakpoints),
-                       (geometry.basis.space.s2.breakpoints, cx.s2.breakpoints)):
+        for gz, az in zip(geometry.breakpoints,
+                          (cx.s1.breakpoints, cx.s2.breakpoints)):
             if not np.all(np.isin(np.round(gz, 12), np.round(az, 12))):
                 raise AssemblyError(
                     "geometry breakpoints must be nested in the analysis mesh")

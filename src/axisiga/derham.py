@@ -65,26 +65,18 @@ class DeRhamComplex2D:
         d_rho_b = sp.kron(self.D1, I2r, format="csr")     # X1b -> X2
         d_z_a = sp.kron(I1r, self.D2, format="csr")       # X1a -> X2
 
-        N0 = self.X0.dim
-        Na, Nb = self.X1a.dim, self.X1b.dim
-        N2 = self.X2.dim
-        I0 = sp.identity(N0, format="csr")
-
         # G: X0 -> [X1a; X1b; X0]
-        self.G = sp.vstack([self.D_rho, self.D_z, -I0], format="csr")
+        self.G = sp.vstack([self.D_rho, self.D_z, -sp.identity(self.X0.dim)],
+                           format="csr")
 
-        # C: [X1a; X1b; X0] -> [X1sa; X1sb; X2]
-        Z = sp.csr_matrix
-        row1 = sp.hstack([Z((Nb, Na)), -sp.identity(Nb), -self.D_z])
-        row2 = sp.hstack([sp.identity(Na), Z((Na, Nb)), self.D_rho])
-        row3 = sp.hstack([d_z_a, -d_rho_b, Z((N2, N0))])
-        self.C = sp.vstack([row1, row2, row3], format="csr")
+        # C: [X1a; X1b; X0] -> [X1sa; X1sb; X2], the table of the docstring
+        self.C = sp.bmat([[None, -sp.identity(self.X1b.dim), -self.D_z],
+                          [sp.identity(self.X1a.dim), None, self.D_rho],
+                          [d_z_a, -d_rho_b, None]], format="csr")
 
         # D: [X1sa; X1sb; X2] -> X2
-        self.D = sp.hstack(
-            [d_rho_b, d_z_a, -sp.identity(N2)],
-            format="csr",
-        )
+        self.D = sp.hstack([d_rho_b, d_z_a, -sp.identity(self.X2.dim)],
+                           format="csr")
 
     @property
     def degrees(self) -> tuple[int, int]:

@@ -109,18 +109,22 @@ def _one_blas_thread():
         put(before)
 
 
-def _lu(matrix, **options):
-    """Sparse LU of a square matrix; a singular factor is a SolveError."""
+def _symmetric_lu(csc, failure: str):
+    """SuperLU factor of a CSC matrix with no pivoting and a symmetric
+    ordering, as for G^T M G and A's definite leading block; a singular
+    factor is a SolveError that begins with ``failure``.  Callers build the
+    CSC in the argument, so that no other copy lives through the factor."""
     try:
-        return splu(sp.csc_matrix(matrix), **options)
+        return splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise SolveError(f"sparse factorization failed: {exc}") from exc
+        raise SolveError(f"{failure}: {exc}") from exc
 
 
-# G^T M G and A's leading block are positive definite: no pivoting, a
-# symmetric ordering
-_SPD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-            options={"SymmetricMode": True})
+def _max_abs(X) -> float:
+    """max|X| over the stored entries of a sparse X, 0 for none; max and min
+    stand in for abs(), which would copy the entries."""
+    return max(X.data.max(initial=0.0), -X.data.min(initial=0.0))
 
 
 def _pencil(A, M, G):
@@ -131,7 +135,7 @@ def _pencil(A, M, G):
     if A.shape != M.shape or A.shape != (n, n) or G.shape[0] != n:
         raise SolveError("A and M must be square with equal shapes and G "
                          "must have their order of rows")
-    if abs(A - A.T).max() > 1e-10 * np.abs(A.data).max(initial=0.0):
+    if _max_abs(A - A.T) > 1e-10 * _max_abs(A):
         raise SolveError("A is not symmetric")
     if not np.all(M.diagonal() > 0):
         raise SolveError("M is not positive definite")
@@ -145,7 +149,7 @@ def _gauge_projection(G, B):
     G^T x onto ker G^T = range(A).  The transposes are views, taken once
     here rather than on each application."""
     Gt, Bt = G.T, B.T
-    lu = _lu(Gt @ B, **_SPD)
+    lu = _symmetric_lu(sp.csc_matrix(Gt @ B), "sparse factorization failed")
     return (lu, lambda x: x - G @ lu.solve(Bt @ x),
             lambda x: x - B @ lu.solve(Gt @ x))
 
@@ -170,13 +174,10 @@ def _complement_inverse(A, G, project, dual):
     if D.nnz != k or np.any(D.row != D.col):
         raise SolveError("the last k rows of the kernel basis G must be a "
                          "nonsingular diagonal block")
-    try:
-        lu = splu(sp.csc_matrix(A[:lead, :lead]), **_SPD)
-    except RuntimeError as exc:
-        raise SolveError(f"no gap above the {k}-dimensional kernel: the "
-                         f"leading block of A of order {lead} is singular "
-                         f"({exc}), so range(G) misses part of the kernel "
-                         f"of A") from exc
+    lu = _symmetric_lu(sp.csc_matrix(A[:lead, :lead]),
+                       f"no gap above the {k}-dimensional kernel: the "
+                       f"leading block of A of order {lead} is singular, so "
+                       f"range(G) misses part of the kernel of A")
 
     def inverse(x):
         y = np.zeros_like(x)
@@ -190,11 +191,9 @@ def _complement_inverse(A, G, project, dual):
 
 def _kernel_residual(A, G) -> float:
     """max|A G| / (max|A| max|G|), 0 for a G with no columns.  A G dies on
-    return, before the Lanczos run; max and min stand in for abs(), which
-    would copy A's entries."""
-    top = lambda X: max(X.data.max(initial=0.0), -X.data.min(initial=0.0))
+    return, before the Lanczos run."""
     AG = A @ G
-    return float(top(AG) / (top(A) * top(G))) if AG.nnz else 0.0
+    return float(_max_abs(AG) / (_max_abs(A) * _max_abs(G))) if AG.nnz else 0.0
 
 
 def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
@@ -350,7 +349,7 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
             res, last, steps = r - A @ u, worst, steps + 1
     Au, Bp = A @ u, B @ p
     r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
-    r2 = _worst_ratio(norm(B.T @ u), np.abs(B.data).max(initial=0.0) * norm(u))
+    r2 = _worst_ratio(norm(B.T @ u), _max_abs(B) * norm(u))
     tol = np.sqrt(np.finfo(float).eps)
     if not r1 <= tol:
         raise SolveError(f"saddle-point residual {r1:.2e} > {tol:.2e}: "

@@ -10,6 +10,7 @@ Rows are emitted in a stable order so reports are byte-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import sys
@@ -135,10 +136,22 @@ class StudyReport:
             "seconds": "" if seconds is None else round(seconds, 3),
         })
 
-    def phase(self, phase: str, p=None, sub=None, m=None) -> _Phase:
-        """A context that times one phase into ``metadata["phases"]``."""
-        return _Phase(self.metadata.setdefault("phases", []), phase, p, sub,
-                      m)
+    @contextlib.contextmanager
+    def phase(self, phase: str, p=None, sub=None, m=None):
+        """Time one phase of a study with ``perf_counter``.  On exit, also
+        when the body raises, append to ``metadata["phases"]`` the record
+        of its phase, p, subdivisions, m (the first mode of the mirror pair
+        it serves), seconds and peak_rss_mb (the process's peak RSS after
+        the phase); p, subdivisions and m are None where the phase serves
+        more than one.  The record is the context value."""
+        record = {"phase": phase, "p": p, "subdivisions": sub, "m": m}
+        start = time.perf_counter()
+        try:
+            yield record
+        finally:
+            record["seconds"] = time.perf_counter() - start
+            record["peak_rss_mb"] = _peak_rss_mb()
+            self.metadata.setdefault("phases", []).append(record)
 
     def extend(self, part: StudyReport):
         """Append the rows of ``part``, the report of one task, and extend
@@ -175,28 +188,6 @@ def _peak_rss_mb() -> float:
     import resource
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-
-
-class _Phase:
-    """Times one phase of a study with ``perf_counter``.  On exit it appends
-    to ``records`` the record of its phase, p, subdivisions, m (the first
-    mode of the mirror pair it serves), seconds and peak_rss_mb (the
-    process's peak RSS after the phase); p, subdivisions and m are None
-    where the phase serves more than one.  The record is the context
-    value."""
-
-    def __init__(self, records: list, phase: str, p, sub, m):
-        self.records = records
-        self.record = {"phase": phase, "p": p, "subdivisions": sub, "m": m}
-
-    def __enter__(self) -> dict:
-        self.start = time.perf_counter()
-        return self.record
-
-    def __exit__(self, *exc):
-        self.record["seconds"] = time.perf_counter() - self.start
-        self.record["peak_rss_mb"] = _peak_rss_mb()
-        self.records.append(self.record)
 
 
 def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
@@ -463,10 +454,9 @@ def run_exactness_suite(config: StudyConfig) -> StudyReport:
             # the matrices of the complex do not depend on m: one report
             # serves every mode, its m only a label; its time goes on the
             # first mode's row
-            t0 = time.perf_counter()
-            rep = exactness_report(_build_complex(p, sub))
-            dt = time.perf_counter() - t0
-            dofs = rep["dim_Z1"]
+            with report.phase("exactness", p, sub) as phase:
+                rep = exactness_report(_build_complex(p, sub))
+            dt, dofs = phase["seconds"], rep["dim_Z1"]
             for m in config.modes:
                 report.add(p, sub, m, dofs, "norm_CG", rep["norm_CG"], 0.0,
                            None, dt if m == config.modes[0] else None)

@@ -19,6 +19,7 @@ from axisiga.studies import (
     RUNNERS,
     StudyConfig,
     StudyError,
+    StudyReport,
     run_exactness_suite,
     run_pillbox_study,
     run_source_study,
@@ -308,6 +309,38 @@ class TestPhases:
             r["seconds"] for r in phases if r["phase"] == "solve"]
         if study == "pillbox":
             assert rep.metadata["reference_seconds"] == phases[0]["seconds"]
+
+    def test_exactness_phases_cover_the_suite(self):
+        cfg = StudyConfig(study="exactness", degrees=(1, 2),
+                          subdivisions=(4, 8), modes=(1, -2))
+        t0 = time.perf_counter()
+        rep = run_exactness_suite(cfg)
+        wall = time.perf_counter() - t0
+        phases = rep.metadata["phases"]
+        assert [(r["phase"], r["p"], r["subdivisions"], r["m"])
+                for r in phases] == [("exactness", p, sub, None)
+                                     for p in (1, 2) for sub in (4, 8)]
+        assert all(r["seconds"] > 0 for r in phases)
+        rss = [r["peak_rss_mb"] for r in phases]
+        assert rss[0] > 0 and rss == sorted(rss)
+        assert sum(r["seconds"] for r in phases) >= 0.9 * wall
+        # the first mode's row of each mesh carries its phase's seconds
+        assert [r["seconds"] for r in rep.rows if r["seconds"] != ""] == [
+            round(r["seconds"], 3) for r in phases]
+
+    def test_a_phase_whose_body_raises_is_recorded(self):
+        class Failure(Exception):
+            pass
+
+        report = StudyReport(StudyConfig())
+        with pytest.raises(Failure):
+            with report.phase("solve", 2, 4, 1):
+                time.sleep(0.001)
+                raise Failure
+        [record] = report.metadata["phases"]
+        assert (record["phase"], record["p"], record["subdivisions"],
+                record["m"]) == ("solve", 2, 4, 1)
+        assert record["seconds"] >= 0.001 and record["peak_rss_mb"] > 0
 
     @pytest.mark.parametrize("study,solves", [("pillbox", "eig_solves"),
                                               ("source", "kkt_solves")])
