@@ -23,6 +23,7 @@ from .splines import KnotVector, NurbsBasis, SplineSpace1D, TensorSplineSpace
 
 EDGES = ("west", "east", "south", "north")
 EDGE_LABELS = ("axis", "dirichlet", "neumann")
+_SAMPLES = 7   # parametric samples per direction of the construction checks
 
 
 class GeometryError(ValueError):
@@ -64,8 +65,8 @@ class NurbsGeometry:
 
     # -- construction checks ------------------------------------------------
 
-    def _validate(self, nsample: int = 7):
-        xs = np.linspace(0.02, 0.98, nsample)
+    def _validate(self):
+        xs = np.linspace(0.02, 0.98, _SAMPLES)
         grid = np.array([(u, v) for u in xs for v in xs])
         rho, _, _, det = self.evaluate(grid)
         bad = np.flatnonzero(det < 1e-10)
@@ -78,8 +79,8 @@ class NurbsGeometry:
             u, v = grid[bad[0]]
             raise GeometryError(f"negative rho at ({u:.2f}, {v:.2f})")
         if self.edge_labels["west"] == "axis":
-            axis = np.column_stack([np.zeros(nsample),
-                                    np.linspace(0.0, 1.0, nsample)])
+            axis = np.column_stack([np.zeros(_SAMPLES),
+                                    np.linspace(0.0, 1.0, _SAMPLES)])
             if np.any(np.abs(self.evaluate(axis)[0]) > 1e-12):
                 raise GeometryError("declared axis edge does not lie on rho = 0")
 

@@ -14,11 +14,12 @@ leaves ker A at most k dimensions, and A G = 0 puts range(G) inside it.
 The cavity eigensolver is shift-invert Lanczos (ARPACK) at 0 on that
 operator, so its memory grows with the factors and not with n**2.  The
 saddle-point solve takes the multiplier from the sparse SPD factor of
-G^T M G and the field from refinement on K.  Neither forms a dense n x n
-matrix nor one of order n + k, and both run on one thread of the OpenBLAS
-that scipy bundles: their BLAS work (Krylov products with the n x ncv
-Lanczos basis, sparse triangular solves) is level-2 and small, and
-splitting it across threads costs more than it saves.
+G^T M G and the field from K's factor and one refinement step.  Neither
+forms a dense n x n matrix nor one of order n + k, and both run on one
+thread of the OpenBLAS that scipy bundles: their BLAS work (Krylov
+products with the n x ncv Lanczos basis, sparse triangular solves) is
+level-2 and small, and splitting it across threads costs more than it
+saves.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class EigenResult:
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold
 KERNEL_TOL = 1e3 * np.finfo(float).eps   # most kernel_residual
-_REFINE = 30       # most refinement steps of the saddle-point field
 _EXTRA = 4         # Ritz pairs computed beyond the requested count
 _SEED = 0          # ARPACK start vector and restarts: results repeat exactly
 
@@ -292,7 +292,6 @@ class SaddleSolution:
                                # A[:n-k, :n-k], as in EigenResult
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
-    refine_steps: int          # refinement steps taken for u
 
 
 def _worst_ratio(num, den) -> float:
@@ -310,14 +309,13 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
     nonsingular diagonal block, as for the eigensolver.  If B^T u = 0 and
     A u + B p = f, then G^T A = 0 turns G^T of the first row into
     G^T M G p = G^T f: p comes from the sparse factor of G^T M G.  Then
-    u solves A u = r = f - B p on ker B^T, where A is definite: from u = 0,
-    each step adds P E K^{-1} E^T P^T (r - A u), the eigensolver's inverse
-    of A on the complement of range(G) with its factor of
-    K = A[:n-k, :n-k] (``_complement_inverse``), which is exact up to
-    round-off.  The steps stop once the worst column's ||r - A u|| / ||r||
-    no longer halves, or after _REFINE, and their count is
-    ``refine_steps``; each iterate lies in ker B^T, so the gauge is
-    round-off.
+    u solves A u = r = f - B p on ker B^T, where A is definite: u is
+    P E K^{-1} E^T P^T, the eigensolver's inverse of A on the complement
+    of range(G) with its factor of K = A[:n-k, :n-k]
+    (``_complement_inverse``), applied to r and then once to r - A u.  The
+    inverse is exact up to round-off, and one refinement step in working
+    precision brings the residual to round-off (Skeel, Math. Comp. 35,
+    1980).  Both applications lie in ker B^T, so the gauge is round-off.
 
     A, M and G may be sparse or dense (CSR on entry).  F is one load of
     shape (n,) or r loads as the columns of an (n, r) array, sharing both
@@ -340,13 +338,8 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
         p = s_lu.solve(G.T @ F)
         r = F - B @ p
         inverse, factor_nnz = _complement_inverse(A, G, project, dual)
-        u, res, last, steps = np.zeros_like(r), r, np.inf, 0
-        while steps < _REFINE:
-            worst = _worst_ratio(norm(res), norm(r))
-            if not worst < last / 2:
-                break
-            u = u + inverse(res)
-            res, last, steps = r - A @ u, worst, steps + 1
+        u = inverse(r)
+        u = u + inverse(r - A @ u)
     Au, Bp = A @ u, B @ p
     r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
     r2 = _worst_ratio(norm(B.T @ u), _max_abs(B) * norm(u))
@@ -354,7 +347,7 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
     if not r1 <= tol:
         raise SolveError(f"saddle-point residual {r1:.2e} > {tol:.2e}: "
                          f"range(G) is not the kernel of A")
-    return SaddleSolution(u, p, r1, r2, factor_nnz, threads, steps)
+    return SaddleSolution(u, p, r1, r2, factor_nnz, threads)
 
 
 def convergence_rate(hs, errors) -> float:

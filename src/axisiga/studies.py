@@ -240,9 +240,9 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
     Each (p, sub) mesh is one task, ``_pillbox_mesh``, which returns its
     rows, ``eig_solves`` entries and phase records; this runner joins them
     in mesh order, fits the rates and sorts the rows mode-major.  All modes
-    share one MeshForms per mesh, whose build time goes on the first mode;
-    modes m and -m share one analytic reference and one eigensolve, whose
-    time goes on the first of them."""
+    share one MeshForms per mesh, and modes m and -m share one analytic
+    reference and one eigensolve; the first row of a mesh carries the
+    seconds of all its phases."""
     config.validate()
     report = StudyReport(config)
     spec = PillboxSpec(config.radius, config.length, config.eps, config.mu)
@@ -276,21 +276,20 @@ def _pillbox_mesh(config: StudyConfig, geo, pairs, refs, p: int,
     through ``_pillbox_pair``.  Returns the mesh's rows, ``eig_solves``
     entries and phase records; the MeshForms dies on return."""
     part = StudyReport(config)
-    t0 = time.perf_counter()
     with part.phase("forms", p, sub):
         forms = MeshForms(_build_complex(p, sub), geo, config.materials)
     for pair, ref in zip(pairs, refs):
-        t0 = _pillbox_pair(part, forms, p, sub, pair, ref, t0)
+        _pillbox_pair(part, forms, p, sub, pair, ref)
+    seconds = sum(r["seconds"] for r in part.metadata["phases"])
+    part.rows[0]["seconds"] = round(seconds, 3)
     return part
 
 
 def _pillbox_pair(part: StudyReport, forms: MeshForms, p: int, sub: int,
-                  pair: list, ref, t0: float) -> float:
+                  pair: list, ref):
     """Solve one mirror pair's eigenpencil on ``forms`` and add its
-    ``eig_solves`` entry, phases and rows to ``part``; the first row of
-    each mode carries the time since ``t0`` and the time of the last is
-    returned.  The pair's ModeSystem, factors and eigenvectors die on
-    return."""
+    ``eig_solves`` entry, phases and rows to ``part``.  The pair's
+    ModeSystem, factors and eigenvectors die on return."""
     config = part.config
     omegas_ref, count, target_idx, target_omega = ref
     with part.phase("system", p, sub, pair[0]):
@@ -325,18 +324,15 @@ def _pillbox_pair(part: StudyReport, forms: MeshForms, p: int, sub: int,
             if nearest > 1e-2:
                 spurious += 1
         for m in pair:
-            dt = time.perf_counter() - t0
             for i in range(config.eigs):
                 rel = abs(omegas[i] - omegas_ref[i]) / omegas_ref[i]
                 part.add(p, sub, m, dofs, f"omega_{i + 1}", float(omegas[i]),
-                         float(omegas_ref[i]), rel, dt if i == 0 else None)
+                         float(omegas_ref[i]), rel)
             part.add(p, sub, m, dofs, "spurious_count", spurious, 0, None)
             if target_idx is not None:
                 rel = abs(omegas[target_idx] - target_omega) / target_omega
                 part.add(p, sub, m, dofs, "target_error",
                          float(omegas[target_idx]), target_omega, rel)
-            t0 = time.perf_counter()  # later modes skip the mesh
-    return t0
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +380,9 @@ def _source_mesh(config: StudyConfig, geo, manufactured, p: int,
                  sub: int) -> StudyReport:
     """The task of one source mesh: its MeshForms, then each mirror pair
     through ``_source_pair``, then the mesh's gauge and B-error rows.
-    Returns the mesh's rows, ``kkt_solves`` entries and phase records; the
-    MeshForms dies on return."""
+    Returns the mesh's rows, ``kkt_solves`` entries and phase records, its
+    seconds on its B-error row; the MeshForms dies on return."""
     part = StudyReport(config)
-    t0 = time.perf_counter()
     with part.phase("forms", p, sub):
         forms = MeshForms(_build_complex(p, sub), geo, config.materials)
     err2, gauge = {}, {}
@@ -399,10 +394,9 @@ def _source_mesh(config: StudyConfig, geo, manufactured, p: int,
     dofs = len(forms.free_z1)
     for m in config.modes:
         part.add(p, sub, m, dofs, "gauge_residual", gauge[m], 0.0)
-    dt = time.perf_counter() - t0
     err = float(np.sqrt(sum(err2[m] for m in config.modes)))
     part.add(p, sub, "", dofs * len(config.modes), "B_error", err, None,
-             None, dt)
+             None, sum(r["seconds"] for r in part.metadata["phases"]))
     return part
 
 
@@ -428,7 +422,6 @@ def _source_pair(part: StudyReport, forms: MeshForms, manufactured,
         "blas_threads": sol.blas_threads,
         "residual_primal": sol.residual_primal,
         "residual_gauge": sol.residual_gauge,
-        "refine_steps": sol.refine_steps,
         "seconds": solve_phase["seconds"]})
     err2 = {}
     with part.phase("post", p, sub, pair[0]):

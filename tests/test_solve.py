@@ -357,6 +357,24 @@ def _rel(x, y):
     return np.linalg.norm(x - y) / np.linalg.norm(y)
 
 
+def _count_applications(monkeypatch) -> list:
+    """Record the shape of each load the saddle-point solves that follow
+    apply the complement inverse to."""
+    applied = []
+    make = solve._complement_inverse
+
+    def counted(*args):
+        inverse, factor_nnz = make(*args)
+
+        def apply(x):
+            applied.append(x.shape)
+            return inverse(x)
+        return apply, factor_nnz
+
+    monkeypatch.setattr(solve, "_complement_inverse", counted)
+    return applied
+
+
 # A = [1 -1; -1 1] has the kernel G = (1, 1); M = I, so B = G
 _HAND = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(2), np.ones((2, 1))
 
@@ -456,23 +474,27 @@ class TestSaddlePointLoads:
 
 
 class TestSaddlePointOracle:
-    """The LDL^T solve of the whole KKT matrix is the oracle of u and p."""
+    """The LDL^T solve of the whole KKT matrix is the oracle of u and p.
+    Each solve takes fixed work: the complement inverse applied to r, then
+    once to r - A u, the one refinement step."""
 
     @pytest.mark.parametrize("n,k,seed", [(9, 4, 5), (30, 3, 0), (40, 12, 7)])
-    def test_random_pencils_match_dense_kkt(self, n, k, seed):
+    def test_random_pencils_match_dense_kkt(self, monkeypatch, n, k, seed):
         A, M, G = _kernel_system(n, k, seed=seed)
         F = np.random.default_rng(10 + seed).standard_normal((n, 3))
         u0, p0 = _dense_kkt(A, M @ G, F)
+        applied = _count_applications(monkeypatch)
         for sol in _solve_both(A, M, F, G):
             assert _rel(sol.u, u0) <= 1e-11 and _rel(sol.p, p0) <= 1e-11
             assert sol.residual_primal <= 1e-14
-            assert 1 <= sol.refine_steps <= 3
+        assert applied == [(n, 3)] * 4        # twice in each of two solves
 
     # mu = 1e6 scales A by 1e-6 against M: the high-contrast pencil
     @pytest.mark.parametrize("p,sub,mu", [
         pytest.param(2, 4, 1.0, id="2-4"), pytest.param(3, 8, 1.0, id="3-8"),
         pytest.param(2, 4, 1e6, id="2-4-mu1e6")])
-    def test_rectangle_source_system_matches_dense_kkt(self, p, sub, mu):
+    def test_rectangle_source_system_matches_dense_kkt(self, monkeypatch, p,
+                                                       sub, mu):
         s = lambda: SplineSpace1D(KnotVector.uniform(p, sub))
         mats = MaterialConstants(1.0, mu)
         forms = MeshForms(DeRhamComplex2D(s(), s()),
@@ -487,14 +509,15 @@ class TestSaddlePointOracle:
         F = np.column_stack([f, np.random.default_rng(0).standard_normal(
             A.shape[0])])
         u0, p0 = _dense_kkt(A, B, F)
+        applied = _count_applications(monkeypatch)
         sol = solve_saddle_point(A, M, F, sys_.G)
+        assert applied == [F.shape] * 2
         for j in range(2):
             assert _rel(sol.u[:, j], u0[:, j]) <= 1e-11
             assert np.linalg.norm(B @ (sol.p[:, j] - p0[:, j])) \
                 <= 1e-11 * np.linalg.norm(F[:, j])
         assert _rel(sol.p[:, 1], p0[:, 1]) <= 1e-11
         assert sol.residual_primal <= 1e-14 and sol.residual_gauge <= 1e-14
-        assert 1 <= sol.refine_steps <= 3
 
     def test_basis_outside_the_kernel_rejected(self):
         A, M, G = _random_pencil(30, 3, seed=0)
