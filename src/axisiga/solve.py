@@ -142,16 +142,18 @@ def _pencil(A, M, G):
     return A, M, G
 
 
-def _gauge_projection(G, B):
-    """The sparse factor of S = G^T B (G^T M G for B = M G), the
-    M-orthogonal projection P x = x - G S^{-1} B^T x onto ker B^T, which
-    removes the range(G) part of x, and its transpose P^T x = x - B S^{-1}
-    G^T x onto ker G^T = range(A).  The transposes are views, taken once
-    here rather than on each application."""
-    Gt, Bt = G.T, B.T
+def _gauge_projection(G, M):
+    """The sparse factor of S = G^T M G, the M-orthogonal projection
+    P x = x - G S^{-1} G^T (M x) onto ker (M G)^T, which removes the
+    range(G) part of x, its transpose P^T x = x - M (G S^{-1} G^T x) onto
+    ker G^T = range(A), and max|M G|.  M G is formed only for S and its
+    maximum and dies on return: the projections apply M and G in turn,
+    so no n x k matrix besides G lives through a solve.  The transpose
+    of G is a view, taken once here rather than on each application."""
+    Gt, B = G.T, M @ G
     lu = _symmetric_lu(sp.csc_matrix(Gt @ B), "sparse factorization failed")
-    return (lu, lambda x: x - G @ lu.solve(Bt @ x),
-            lambda x: x - B @ lu.solve(Gt @ x))
+    return (lu, lambda x: x - G @ lu.solve(Gt @ (M @ x)),
+            lambda x: x - M @ (G @ lu.solve(Gt @ x)), _max_abs(B))
 
 
 def _complement_inverse(A, G, project, dual):
@@ -230,7 +232,7 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     nev = min(count + _EXTRA, n - k - 1)
     applications = 0
     with _one_blas_thread() as threads:
-        _, project, dual = _gauge_projection(G, M @ G)
+        _, project, dual, _ = _gauge_projection(G, M)
         inverse, factor_nnz = _complement_inverse(A, G, project, dual)
         kernel_residual = _kernel_residual(A, G)
         if not kernel_residual <= KERNEL_TOL:
@@ -332,17 +334,18 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
     if F.ndim not in (1, 2) or F.shape[0] != A.shape[0]:
         raise SolveError("inconsistent saddle-point block shapes")
     norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
-    B = M @ G
     with _one_blas_thread() as threads:
-        s_lu, project, dual = _gauge_projection(G, B)
+        s_lu, project, dual, max_b = _gauge_projection(G, M)
         p = s_lu.solve(G.T @ F)
-        r = F - B @ p
+        Bp = M @ (G @ p)
+        r = F - Bp
         inverse, factor_nnz = _complement_inverse(A, G, project, dual)
         u = inverse(r)
         u = u + inverse(r - A @ u)
-    Au, Bp = A @ u, B @ p
+    Au = A @ u
     r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
-    r2 = _worst_ratio(norm(B.T @ u), _max_abs(B) * norm(u))
+    # B^T u = G^T (M^T u): M^T is a view, and no B is kept for it
+    r2 = _worst_ratio(norm(G.T @ (M.T @ u)), max_b * norm(u))
     tol = np.sqrt(np.finfo(float).eps)
     if not r1 <= tol:
         raise SolveError(f"saddle-point residual {r1:.2e} > {tol:.2e}: "

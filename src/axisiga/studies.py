@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -143,14 +144,29 @@ class StudyReport:
         of its phase, p, subdivisions, m (the first mode of the mirror pair
         it serves), seconds and peak_rss_mb (the process's peak RSS after
         the phase); p, subdivisions and m are None where the phase serves
-        more than one.  The record is the context value."""
+        more than one.  The record is the context value.
+
+        While ``tracemalloc`` traces (``python -X tracemalloc`` or
+        PYTHONTRACEMALLOC=1), the phase resets the traced peak on entry,
+        and its record also holds alloc_peak_mib, the traced peak during
+        the phase, and alloc_mib, the traced size at its end, in MiB;
+        otherwise it holds neither.  The reset clears the traced peak of a
+        caller that traces around the study.  The traced figures miss
+        what C libraries allocate themselves, such as SuperLU's factors."""
         record = {"phase": phase, "p": p, "subdivisions": sub, "m": m}
+        traced = tracemalloc.is_tracing()
+        if traced:
+            tracemalloc.reset_peak()
         start = time.perf_counter()
         try:
             yield record
         finally:
             record["seconds"] = time.perf_counter() - start
             record["peak_rss_mb"] = _peak_rss_mb()
+            if traced:
+                size, peak = tracemalloc.get_traced_memory()
+                record["alloc_peak_mib"] = peak / (1 << 20)
+                record["alloc_mib"] = size / (1 << 20)
             self.metadata.setdefault("phases", []).append(record)
 
     def extend(self, part: StudyReport):

@@ -519,6 +519,34 @@ class TestSaddlePointOracle:
         assert _rel(sol.p[:, 1], p0[:, 1]) <= 1e-11
         assert sol.residual_primal <= 1e-14 and sol.residual_gauge <= 1e-14
 
+    @pytest.mark.parametrize("n,k,seed", [(9, 4, 5), (30, 3, 0), (40, 12, 7)])
+    def test_gauge_residual_is_that_of_b(self, monkeypatch, n, k, seed):
+        # residual_gauge is ||(M G)^T u|| / (max|M G| ||u||) of the worst
+        # column, recomputed here with an explicit M G: at round-off on the
+        # solve, and to 1e-12 once u gets a range(G) part, which A u
+        # does not see
+        A, M, G = _kernel_system(n, k, seed=seed)
+        F = np.random.default_rng(10 + seed).standard_normal((n, 3))
+        B = M @ G
+
+        def gauge(u):
+            return max(np.linalg.norm(B.T @ u, axis=0)
+                       / (np.abs(B).max() * np.linalg.norm(u, axis=0)))
+
+        sol = solve_saddle_point(A, M, F, G)
+        assert sol.residual_gauge == pytest.approx(gauge(sol.u), abs=1e-15)
+        make = solve._complement_inverse
+        shift = np.random.default_rng(seed).standard_normal((k, 3))
+
+        def shifted(*args):
+            inverse, factor_nnz = make(*args)
+            return lambda x: inverse(x) + G @ shift, factor_nnz
+
+        monkeypatch.setattr(solve, "_complement_inverse", shifted)
+        sol = solve_saddle_point(A, M, F, G)
+        assert sol.residual_gauge > 1e-3
+        assert sol.residual_gauge == pytest.approx(gauge(sol.u), rel=1e-12)
+
     def test_basis_outside_the_kernel_rejected(self):
         A, M, G = _random_pencil(30, 3, seed=0)
         f = np.random.default_rng(10).standard_normal(30)
@@ -548,6 +576,29 @@ class TestSaddlePointOracle:
         F = np.random.default_rng(3).standard_normal(A.shape[0])
         assert solve_saddle_point(A, M, F, G).factor_nnz \
             == solve_generalized_eig(A, M, 5, G).factor_nnz
+
+
+class TestNoStoredB:
+    """Neither solver keeps B = M G: the projections apply M and G in
+    turn, and M G lives only while G^T M G is formed."""
+
+    def test_projections_capture_no_n_by_k_matrix_but_g(self):
+        A, M, G = _cavity_pencil("pillbox-section", 2, 4, 1)
+        A, M, G = solve._pencil(A, M, G)
+        _, project, dual, max_b = solve._gauge_projection(G, M)
+        B = M @ G
+        assert max_b == np.abs(B.toarray()).max()
+        for fn in (project, dual):
+            held = [c.cell_contents for c in fn.__closure__]
+            assert any(h is G for h in held)
+            assert not any(sp.issparse(h) and h.shape == G.shape
+                           and h is not G for h in held)
+        x = np.random.default_rng(0).standard_normal(G.shape[0])
+        S = (G.T @ B).toarray()
+        want = x - G @ np.linalg.solve(S, B.T @ x)
+        assert _rel(project(x), want) <= 1e-12
+        want = x - B @ np.linalg.solve(S, G.T @ x)
+        assert _rel(dual(x), want) <= 1e-12
 
 
 def _eig(A, M, G):

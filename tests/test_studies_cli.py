@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -349,6 +350,35 @@ class TestPhases:
         assert (record["phase"], record["p"], record["subdivisions"],
                 record["m"]) == ("solve", 2, 4, 1)
         assert record["seconds"] >= 0.001 and record["peak_rss_mb"] > 0
+
+    def test_traced_phases_record_allocations(self, tmp_path):
+        # tracemalloc adds the traced peak and end size of each phase to
+        # its record, and nothing else changes: untraced records have
+        # neither field, and the CSV differs only in its seconds
+        if tracemalloc.is_tracing():
+            pytest.skip("the untraced run needs tracemalloc off")
+        cfg = StudyConfig(study="source", degrees=(2,), subdivisions=(2, 3),
+                          modes=(1, -1))
+        untraced = run_source_study(cfg)
+        tracemalloc.start()
+        try:
+            traced = run_source_study(cfg)
+        finally:
+            tracemalloc.stop()
+        fields = {"alloc_peak_mib", "alloc_mib"}
+        assert not any(fields & r.keys() for r in untraced.metadata["phases"])
+        records = traced.metadata["phases"]
+        assert len(records) == len(untraced.metadata["phases"])
+        assert all(r["alloc_peak_mib"] >= r["alloc_mib"] > 0 for r in records)
+        # the forms phase allocates more than it keeps
+        assert any(r["alloc_peak_mib"] > r["alloc_mib"] for r in records
+                   if r["phase"] == "forms")
+        for name, rep in (("a", untraced), ("b", traced)):
+            rep.write_csv(tmp_path / f"{name}.csv")
+        strip = lambda name: [",".join(line.split(",")[:-1]) for line in
+                              (tmp_path / f"{name}.csv").read_text()
+                              .splitlines()]
+        assert strip("a") == strip("b")
 
     @pytest.mark.parametrize("study,solves", [("pillbox", "eig_solves"),
                                               ("source", "kkt_solves")])
