@@ -378,9 +378,25 @@ def _at_mode(parts, m: int) -> sp.csr_matrix:
 
 
 def _curlcurl(curl, M2) -> sp.csr_matrix:
-    """The symmetrized curl^T M2 curl, with exactly nnz entries."""
+    """The symmetrized curl^T M2 curl, (A + A^T) / 2, with exactly nnz
+    entries.  Where A's pattern is its transpose's, the sum is taken in A's
+    own data, against the sorted transpose: a + b == b + a, so the values
+    are scipy's sum's, with no buffer for it.  SpGEMM drops sums that are
+    exactly 0, which can leave an entry of round-off size without its
+    mirror; then the pattern differs, mostly already in the row counts,
+    and scipy adds the two."""
     A = curl.T.tocsr() @ (M2 @ curl)    # CSR products, the cheaper order
-    A = A + A.T
+    T = A.T.tocsr()                     # sorted indices
+    if np.array_equal(T.indptr, A.indptr):
+        A.sort_indices()
+        if np.array_equal(T.indices, A.indices):
+            A.data += T.data
+            if not A.data.all():    # scipy's sum drops entries that are 0
+                A.eliminate_zeros()
+                A = _compact(A)
+            A.data *= 0.5
+            return A
+    A = A + T
     A.data *= 0.5
     return _compact(A)
 

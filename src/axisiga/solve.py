@@ -109,6 +109,28 @@ def _one_blas_thread():
         put(before)
 
 
+@functools.cache
+def _libc_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none (macOS,
+    musl)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_heap():
+    """Give the heap's free memory back to the system.  glibc keeps what
+    freed transients (assembly, the input check) leave there, and SuperLU's
+    factors, which are mmapped, never reuse it; released before the
+    factors, it no longer adds to the peak RSS."""
+    trim = _libc_malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _symmetric_lu(csc, failure: str):
     """SuperLU factor of a CSC matrix with no pivoting and a symmetric
     ordering, as for G^T M G and A's definite leading block; a singular
@@ -224,6 +246,7 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     round-off fails that check.
     """
     A, M, G = _pencil(A, M, G)
+    _release_heap()
     n, k = G.shape
     if count < 1 or count >= n - k:
         raise SolveError(f"order {n} has fewer than {count + 1} eigenpairs "
@@ -330,6 +353,7 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
     shows.
     """
     A, M, G = _pencil(A, M, G)
+    _release_heap()
     F = np.asarray(F, dtype=float)
     if F.ndim not in (1, 2) or F.shape[0] != A.shape[0]:
         raise SolveError("inconsistent saddle-point block shapes")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -142,9 +143,10 @@ class StudyReport:
         """Time one phase of a study with ``perf_counter``.  On exit, also
         when the body raises, append to ``metadata["phases"]`` the record
         of its phase, p, subdivisions, m (the first mode of the mirror pair
-        it serves), seconds and peak_rss_mb (the process's peak RSS after
-        the phase); p, subdivisions and m are None where the phase serves
-        more than one.  The record is the context value.
+        it serves), seconds, rss_mb (the process's RSS at the phase's end,
+        where ``/proc/self/stat`` gives it) and peak_rss_mb (the process's
+        peak RSS after the phase); p, subdivisions and m are None where the
+        phase serves more than one.  The record is the context value.
 
         While ``tracemalloc`` traces (``python -X tracemalloc`` or
         PYTHONTRACEMALLOC=1), the phase resets the traced peak on entry,
@@ -162,6 +164,9 @@ class StudyReport:
             yield record
         finally:
             record["seconds"] = time.perf_counter() - start
+            rss = _rss_mb()     # first: the peak then includes it
+            if rss is not None:
+                record["rss_mb"] = rss
             record["peak_rss_mb"] = _peak_rss_mb()
             if traced:
                 size, peak = tracemalloc.get_traced_memory()
@@ -204,6 +209,20 @@ def _peak_rss_mb() -> float:
     import resource
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _rss_mb() -> float | None:
+    """Resident set size of this process now, in MB, from the rss field of
+    ``/proc/self/stat``; None where that file is missing.  That field is
+    the count whose high-water mark ``ru_maxrss`` reports; ``statm`` sums
+    the per-CPU counters exactly and can read above the peak."""
+    try:
+        with open("/proc/self/stat") as fh:
+            # the fields after the command name, which may hold spaces
+            pages = int(fh.read().rsplit(")", 1)[1].split()[21])
+    except OSError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20)
 
 
 def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
@@ -288,29 +307,34 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
 
 def _pillbox_mesh(config: StudyConfig, geo, pairs, refs, p: int,
                   sub: int) -> StudyReport:
-    """The task of one pillbox mesh: its MeshForms, then each mirror pair
-    through ``_pillbox_pair``.  Returns the mesh's rows, ``eig_solves``
-    entries and phase records; the MeshForms dies on return."""
+    """The task of one pillbox mesh: its MeshForms, then each mirror pair's
+    ModeSystem, solved through ``_pillbox_pair``.  Returns the mesh's rows,
+    ``eig_solves`` entries and phase records.  The solves need only the
+    ModeSystem, so the MeshForms dies before the last pair's, and each
+    pair's system before the next pair's is built."""
     part = StudyReport(config)
     with part.phase("forms", p, sub):
         forms = MeshForms(_build_complex(p, sub), geo, config.materials)
-    for pair, ref in zip(pairs, refs):
-        _pillbox_pair(part, forms, p, sub, pair, ref)
+    for i, (pair, ref) in enumerate(zip(pairs, refs)):
+        with part.phase("system", p, sub, pair[0]):
+            sys_ = build_mode_system(forms, pair[0])
+        if i == len(pairs) - 1:
+            del forms
+        _pillbox_pair(part, sys_, p, sub, pair, ref)
+        del sys_
     seconds = sum(r["seconds"] for r in part.metadata["phases"])
     part.rows[0]["seconds"] = round(seconds, 3)
     return part
 
 
-def _pillbox_pair(part: StudyReport, forms: MeshForms, p: int, sub: int,
-                  pair: list, ref):
-    """Solve one mirror pair's eigenpencil on ``forms`` and add its
-    ``eig_solves`` entry, phases and rows to ``part``.  The pair's
-    ModeSystem, factors and eigenvectors die on return."""
+def _pillbox_pair(part: StudyReport, sys_, p: int, sub: int, pair: list,
+                  ref):
+    """Solve one mirror pair's eigenpencil, its ModeSystem ``sys_``, and add
+    its ``eig_solves`` entry, phases and rows to ``part``.  The pair's
+    factors and eigenvectors die on return."""
     config = part.config
     omegas_ref, count, target_idx, target_omega = ref
-    with part.phase("system", p, sub, pair[0]):
-        sys_ = build_mode_system(forms, pair[0])
-        A, M, _ = sys_.reduced()
+    A, M, _ = sys_.reduced()
     # the kernel is the gradients of the free Z^0 DoFs
     above = A.shape[0] - sys_.G.shape[1]
     if count >= above:    # Lanczos needs one spare vector

@@ -10,7 +10,10 @@ from axisiga.assembly import (
     AssemblyError,
     MaterialConstants,
     MeshForms,
+    _at_mode,
     _coefficients,
+    _compact,
+    _curlcurl,
     _integrate,
     _mass_parts,
     _QuadTable,
@@ -831,3 +834,70 @@ class TestBandAssembly:
         for m in (1, -3):
             M = build_mode_system(forms, m).M
             assert (M != M.T).nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# exact symmetrization of the curl-curl product
+# ---------------------------------------------------------------------------
+
+def _scipy_symmetrized(curl, M2):
+    """(A + A^T) / 2 of A = curl^T M2 curl as scipy's sum gives it, with
+    exactly nnz entries."""
+    A = curl.T.tocsr() @ (M2 @ curl)
+    A = A + A.T
+    A.data *= 0.5
+    return _compact(A)
+
+
+def _unmirrored(A) -> int:
+    """Entries of A whose transposed position holds none."""
+    S = A.copy()
+    S.data[:] = 1.0
+    return (S != S.T).nnz
+
+
+_SYMMETRIZATION_MESHES = {
+    "pillbox-p3-8x8": _BAND_CASES["pillbox-p3-8x8"],
+    "rectangle-p3-16x16": lambda: (make_complex(3, 16),
+                                   BUILTIN_GEOMETRIES["rectangle"]()),
+    "rectangle-p2-4x4": _BAND_CASES["rectangle-p2-4x4"],
+    "shell-p3-4x4": _shell,
+}
+
+
+class TestSymmetrization:
+    """A of a mode is scipy's (A + A^T) / 2 of the curl-curl product,
+    bitwise, whether the sum is taken in A's own data (the product's
+    pattern is symmetric) or by scipy (SpGEMM left entries without a
+    mirror)."""
+
+    @pytest.mark.parametrize("mesh,m,unmirrored", [
+        ("pillbox-p3-8x8", 1, False), ("pillbox-p3-8x8", 26, False),
+        ("rectangle-p3-16x16", 1, True), ("rectangle-p3-16x16", 2, True),
+        ("rectangle-p3-16x16", 3, False), ("rectangle-p2-4x4", -2, False),
+        ("shell-p3-4x4", 1, False)])
+    def test_equals_scipy_sum(self, mesh, m, unmirrored):
+        forms = MeshForms(*_SYMMETRIZATION_MESHES[mesh]())
+        M2 = _at_mode(forms.mass2, m)
+        product = forms.curl.T.tocsr() @ (M2 @ forms.curl)
+        assert (_unmirrored(product) > 0) == unmirrored
+        want = _scipy_symmetrized(forms.curl, M2)
+        got = build_mode_system(forms, m).A
+        assert got.data.size == got.indices.size == got.nnz
+        assert (got != got.T).nnz == 0
+        got, want = got.copy(), want.copy()
+        got.sort_indices()
+        want.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_sum_of_exactly_zero_dropped(self):
+        # an entry whose mirror is its negative sums to 0, which scipy's
+        # sum does not store
+        curl = sp.identity(2, format="csr")
+        M2 = sp.csr_matrix(np.array([[1.0, 1.0], [-1.0, 2.0]]))
+        got = _curlcurl(curl, M2)
+        assert got.nnz == got.data.size == 2
+        assert np.array_equal(got.toarray(), np.diag([1.0, 2.0]))
+        want = _scipy_symmetrized(curl, M2)
+        assert np.array_equal(got.indices, want.indices)

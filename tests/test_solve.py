@@ -702,6 +702,42 @@ class TestSolverMemory:
         assert live[0] - base <= 0.5 * pencil
 
 
+class TestHeapRelease:
+    """Each solve gives the heap's free memory back once, after its input
+    check and before its first factor; where the C library has no
+    malloc_trim it does nothing, and the results are the same."""
+
+    @pytest.mark.parametrize("solve_with", SOLVERS)
+    def test_once_after_the_check_before_the_factors(self, solve_with,
+                                                      monkeypatch):
+        events = []
+
+        def spy(name):
+            fn = getattr(solve, name)
+
+            def recorded(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(solve, name, recorded)
+
+        for name in ("_pencil", "_release_heap", "_symmetric_lu"):
+            spy(name)
+        solve_with(*_cavity_pencil("pillbox-section", 2, 4, 1))
+        assert events == ["_pencil", "_release_heap", "_symmetric_lu",
+                          "_symmetric_lu"]      # S, then K
+
+    @pytest.mark.parametrize("solve_with", SOLVERS)
+    def test_same_results_without_malloc_trim(self, solve_with,
+                                              monkeypatch):
+        pencil = _cavity_pencil("pillbox-section", 2, 4, 1)
+        trimmed = solve_with(*pencil)
+        monkeypatch.setattr(solve, "_libc_malloc_trim", lambda: None)
+        plain = solve_with(*pencil)
+        for key, value in vars(trimmed).items():
+            assert np.array_equal(vars(plain)[key], value), key
+
+
 class TestConvergenceRate:
     def test_exact_quadratic(self):
         hs = np.array([0.5, 0.25, 0.125, 0.0625])

@@ -305,6 +305,9 @@ class TestPhases:
         assert all(r["seconds"] > 0 for r in phases)
         rss = [r["peak_rss_mb"] for r in phases]
         assert rss[0] > 0 and rss == sorted(rss)
+        if sys.platform.startswith("linux"):
+            # what a phase leaves resident, below the peak so far
+            assert all(0 < r["rss_mb"] <= r["peak_rss_mb"] for r in phases)
         assert sum(r["seconds"] for r in phases) >= 0.9 * wall
         assert [s["seconds"] for s in rep.metadata[solves]] == [
             r["seconds"] for r in phases if r["phase"] == "solve"]
@@ -350,6 +353,22 @@ class TestPhases:
         assert (record["phase"], record["p"], record["subdivisions"],
                 record["m"]) == ("solve", 2, 4, 1)
         assert record["seconds"] >= 0.001 and record["peak_rss_mb"] > 0
+
+    def test_rss_absent_without_proc(self, monkeypatch):
+        import builtins
+        real_open = builtins.open
+
+        def no_proc(path, *args, **kwargs):
+            if str(path).startswith("/proc/"):
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_proc)
+        report = StudyReport(StudyConfig())
+        with report.phase("solve", 2, 4, 1):
+            pass
+        [record] = report.metadata["phases"]
+        assert "rss_mb" not in record and record["peak_rss_mb"] > 0
 
     def test_traced_phases_record_allocations(self, tmp_path):
         # tracemalloc adds the traced peak and end size of each phase to
@@ -441,6 +460,34 @@ class TestTaskLifetimes:
                                    eigs=2))
         assert len(forms) == 2 and len(systems) == 2 * 2
         assert not alive(forms) and not alive(systems)
+
+    @pytest.mark.parametrize("study,name,when_called", [
+        # the eigensolves need only their ModeSystem: the MeshForms dies
+        # before the last pair's
+        ("pillbox", "solve_generalized_eig", [True, False]),
+        # the error norms of every mode read the MeshForms' table
+        ("source", "l2_rho_error", [True, True, True])])
+    def test_mesh_forms_live_while_needed(self, study, name, when_called,
+                                          monkeypatch, no_gc):
+        from axisiga import studies
+        forms, alive = [], []
+        make, fn = studies.MeshForms, getattr(studies, name)
+
+        def recording_forms(*args, **kwargs):
+            obj = make(*args, **kwargs)
+            forms.append(weakref.ref(obj))
+            return obj
+
+        def recording_call(*args, **kwargs):
+            alive.append(forms[0]() is not None)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(studies, "MeshForms", recording_forms)
+        monkeypatch.setattr(studies, name, recording_call)
+        RUNNERS[study](StudyConfig(study=study, degrees=(2,),
+                                   subdivisions=(3,), modes=(1, -1, 2),
+                                   eigs=2))
+        assert len(forms) == 1 and alive == when_called
 
 
 def test_peak_rss_units(monkeypatch):
