@@ -10,13 +10,15 @@ curl-conforming pair, Piola for the div-conforming pair, density scaling for
 top forms), converted by the eta^{-1} maps, which multiply by rho and never
 divide — every integrand is smooth up to the axis.
 
-Every integral runs over one table of Gauss points, which holds the geometry
-and, per factor space, the 1D basis values of each direction, tabulated once.
-No integral forms the tensor values of a basis: a mass part, a load or an
-error norm contracts the 1D tables one direction at a time (sum
-factorization).  A mass part sums each factor pair the same way straight
-into the band storage of its pattern, the Kronecker product of two banded
-1D patterns, with no element blocks and no triplets.
+Every integral runs over one table of Gauss points, the tensor grid of the
+1D points of both directions, which holds the geometry and, per 1D space of
+the factors, one sparse basis matrix P (num_basis, N_d) of its values at
+the points of its direction, tabulated once.  No integral forms the tensor
+values of a basis: it contracts the two P one direction at a time (sum
+factorization), P1 W P2^T for a load, P1^T U P2 for the values in an error
+norm.  A mass part sums each factor pair the same way straight into the
+band storage of its pattern, the Kronecker product of two banded 1D
+patterns, with no element blocks and no triplets.
 
 The mode m enters only through eta^{-1}, whose factors 1/m multiply whole
 components: all of k=0, the (rho, z) pair of k=1, the theta component of
@@ -93,30 +95,32 @@ _EDGE_GEOM = {
 }
 
 
-def _line_table(space: SplineSpace1D, x: np.ndarray):
-    """The 1D indices (nel, p + 1) of the local basis functions of a 1D
-    space and their values (nel, p + 1, nq) at the per-element nodes
-    x (nel, nq)."""
-    firsts, vals, _ = space.tabulate(x.ravel())
-    firsts = firsts.reshape(x.shape)
-    if np.any(firsts != firsts[:, :1]):
-        raise AssemblyError("quadrature node left its element span")
-    # int32, scipy's index type at these sizes: index arrays built from them
-    # enter scipy without a converted copy
-    index = firsts[:, :1] + np.arange(space.degree + 1)
-    return (index.astype(np.int32),
-            vals.reshape(x.shape + (-1,)).transpose(0, 2, 1))
+def _basis_matrix(space: SplineSpace1D, x: np.ndarray) -> sp.csc_matrix:
+    """The basis of a 1D space at the points x, as the CSC matrix P
+    (num_basis, len(x)) whose column q holds the p + 1 values at x[q] that
+    may be nonzero."""
+    firsts, vals, _ = space.tabulate(x)
+    p1 = space.degree + 1
+    # int32, scipy's index type at these sizes: index arrays built from
+    # them enter scipy without a converted copy
+    index = (firsts[:, None] + np.arange(p1)).astype(np.int32)
+    return sp.csc_matrix(
+        (vals.ravel(), index.ravel(),
+         np.arange(0, vals.size + 1, p1, dtype=np.int32)),
+        shape=(space.num_basis, len(x)))
 
 
 class _QuadTable:
     """Gauss points of all elements, or of the elements along one edge, with
     the geometry, the quadrature weight of the cylindrical measure and the
-    1D basis tables of every factor space there.
+    1D basis matrices of every factor space there.
 
-    Point arrays have shape (nel, nq): element e = e1 * nel2 + e2 and point
-    q = i * nq2 + j of the tensor rule.  ``dx`` is the weight of
-    rho drho dz, or of rho ds on an edge, where ``normal`` (nel, nq, 2) is the
-    outward unit normal.  One table serves every integral over its points.
+    The points are the tensor grid of the 1D Gauss points of both
+    directions, N_d = nel_d * nq_d of them in direction d (one across an
+    edge), so point arrays have shape (N1, N2).  ``dx`` is the weight of
+    rho drho dz, or of rho ds on an edge, where ``normal`` (N1, N2, 2) is
+    the outward unit normal.  One table serves every integral over its
+    points.
     """
 
     def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
@@ -132,10 +136,11 @@ class _QuadTable:
         nodes, weights = [], []
         for d, s in enumerate((cx.s1, cx.s2)):
             if edge is not None and _EDGE_GEOM[edge][0] == d:
-                x, w = np.array([[_EDGE_GEOM[edge][1]]]), np.ones((1, 1))
+                x, w = np.array([_EDGE_GEOM[edge][1]]), np.ones(1)
             else:
                 z = s.breakpoints
-                x, w = rule.mapped(z[:-1, None], z[1:, None])
+                x, w = (a.ravel()
+                        for a in rule.mapped(z[:-1, None], z[1:, None]))
             nodes.append(x)
             weights.append(w)
         # the six factors of Z^1 and Z^2 take their 1D spaces from two per
@@ -144,20 +149,16 @@ class _QuadTable:
         for space in cx.space_factors(1) + cx.space_factors(2):
             for d, line in enumerate((space.s1, space.s2)):
                 if (d, line) not in self.lines:
-                    self.lines[d, line] = _line_table(line, nodes[d])
-        (nel1, nq1), (nel2, nq2) = nodes[0].shape, nodes[1].shape
-        grid = (nel1, nel2, nq1, nq2)
-        shape = (nel1 * nel2, nq1 * nq2)
-        pts = np.column_stack([
-            np.broadcast_to(nodes[0][:, None, :, None], grid).ravel(),
-            np.broadcast_to(nodes[1][None, :, None, :], grid).ravel()])
+                    self.lines[d, line] = _basis_matrix(line, nodes[d])
+        shape = (len(nodes[0]), len(nodes[1]))
+        pts = np.column_stack([np.repeat(nodes[0], shape[1]),
+                               np.tile(nodes[1], shape[0])])
         rho, z, J, det = geometry.evaluate(pts)
         if np.any(det <= 0):
             raise AssemblyError("non-positive Jacobian at a quadrature point")
         self.rho, self.z = rho.reshape(shape), z.reshape(shape)
         self.J, self.det = J.reshape(shape + (2, 2)), det.reshape(shape)
-        w = (weights[0][:, None, :, None]
-             * weights[1][None, :, None, :]).reshape(shape)
+        w = np.outer(*weights)
         self.normal = None
         if edge is None:
             self.dx = w * self.det * self.rho
@@ -170,19 +171,21 @@ class _QuadTable:
             self.dx = w * length * self.rho
 
     def tables(self, k: int):
-        """(start, n2, ((i1, v1), (i2, v2))) per stacked factor of Z^k: its
-        first Z^k coefficient, its number of basis functions in direction 2
-        and its 1D tables (see ``_line_table``) per direction; the basis
-        function of coefficient start + i1 * n2 + i2 has the values v1 * v2."""
+        """(start, P1, P2) per stacked factor of Z^k: its first Z^k
+        coefficient and the basis matrices (see ``_basis_matrix``) of its
+        1D spaces; the coefficients of the factor are start + i1 * n2 + i2
+        with n2 = P2.shape[0], and the basis function of coefficient
+        (i1, i2) has the values P1[i1, :, None] * P2[i2, None, :] on the
+        grid."""
         cx = self.complex
-        return [(sl.start, s.s2.num_basis,
-                 (self.lines[0, s.s1], self.lines[1, s.s2]))
+        return [(sl.start, self.lines[0, s.s1], self.lines[1, s.s2])
                 for s, sl in zip(cx.space_factors(k), cx.block_slices(k))]
 
     def directions(self, m: int, k: int) -> np.ndarray:
-        """g (nfactor, nel, nq, ncomp): eta_m^{-1} of the push-forward of
+        """g (nfactor, N1, N2, ncomp): eta_m^{-1} of the push-forward of
         each factor's unit tilde component, so that a basis function of
-        factor f has the physical components v * g[f]."""
+        factor f with the values v (N1, N2) has the physical components
+        v[..., None] * g[f]."""
         n = len(self.complex.space_factors(k))
         unit = np.broadcast_to(np.eye(n)[:, None, None],
                                (n,) + self.rho.shape + (n,))
@@ -193,7 +196,7 @@ class _QuadTable:
     def at_points(self, fn, *args) -> np.ndarray:
         """fn(*args, rho, z), with the edge normals as a last argument on an
         edge, called once on all points; the result gets the table's
-        (nel, nq) leading shape."""
+        (N1, N2) leading shape."""
         pts = (self.rho.ravel(), self.z.ravel())
         if self.normal is not None:
             pts += (self.normal.reshape(-1, 2),)
@@ -209,65 +212,47 @@ class _QuadTable:
 _INV_M_COMPONENTS = {0: (0,), 1: (0, 1), 2: (2,), 3: ()}
 
 
-def _integrate(P1, W, P2) -> np.ndarray:
-    """sum_q P1[e1, x, q1] W[e, q] P2[e2, y, q2] on every element
-    e = e1 * nel2 + e2 (q = q1 * nq2 + q2), as (nel2, nel1, x, y): one batched
-    matmul over the elements of direction 1, then one over those of
-    direction 2 (sum factorization)."""
-    (nel1, _, nq1), (nel2, _, nq2) = P1.shape, P2.shape
-    W = W.reshape(nel1, nel2, nq1, nq2).transpose(0, 2, 1, 3)
-    T = np.matmul(P1, W.reshape(nel1, nq1, -1))
-    T = T.reshape(nel1, -1, nel2, nq2).transpose(2, 0, 1, 3)
-    L = np.matmul(T.reshape(nel2, -1, nq2), P2.transpose(0, 2, 1))
-    return L.reshape(nel2, nel1, P1.shape[1], P2.shape[1])
-
-
-def _coefficients(start, n2, i1, i2) -> np.ndarray:
-    """Z^k coefficients (nel2, nel1, p1 + 1, p2 + 1) of a factor's local
-    basis functions, in the layout of ``_integrate``."""
-    return (start + i1 * n2)[None, :, :, None] + i2[:, None, None, :]
-
-
-def _band_factor(rows, vr, cols, vc):
+def _band_factor(Pr, Pc):
     """(Q, low, w) of one direction and one pair of 1D spaces, with the
-    local indices rows, cols (nel, p + 1) and values vr, vc (nel, p + 1,
-    nq) of their basis functions: the sparse Q (n_rows * w, nel * nq) with
-    Q[i * w + c, e * nq + q] = vr[e, a, q] vc[e, b, q] where element e
-    pairs i = rows[e, a] with i + low + c = cols[e, b].  For W on the
-    points of this direction, Q W sums every element's pairs into the band
-    storage of width w of their 1D pattern; a pair of no element stays 0.
-    Q is CSC, one column per point, so it is built without a conversion
-    and its product sums each band entry in the order of the points."""
-    (nel, na, nq), nb = vr.shape, vc.shape[1]
+    basis matrices Pr, Pc of their spaces (``_basis_matrix``): the sparse
+    Q (n_rows * w, N) with Q[i * w + c, q] = Pr[i, q] Pc[i + low + c, q],
+    every pair of basis functions that point q sees.  For W on the points
+    of this direction, Q W sums their products into the band storage of
+    width w of the 1D pattern; a pair that no point sees stays 0.  Q is
+    CSC, one column per point, so it is built without a conversion and its
+    product sums each band entry in the order of the points."""
+    npts = Pr.shape[1]
+    rows, vr = Pr.indices.reshape(npts, -1), Pr.data.reshape(npts, -1)
+    cols, vc = Pc.indices.reshape(npts, -1), Pc.data.reshape(npts, -1)
+    na, nb = vr.shape[1], vc.shape[1]
     d = cols[:, None, :] - rows[:, :, None]
     low = int(d.min())
     w = int(d.max()) - low + 1
-    target = rows[:, :, None] * w + (d - low)
-    vr, vc = vr.transpose(0, 2, 1), vc.transpose(0, 2, 1)
-    data = vr[..., :, None] * vc[..., None, :]          # (nel, nq, na, nb)
+    data = vr[:, :, None] * vc[:, None, :]              # (N, na, nb)
     Q = sp.csc_matrix(
-        (data.ravel(), np.broadcast_to(target[:, None], data.shape).ravel(),
+        (data.ravel(), (rows[:, :, None] * w + (d - low)).ravel(),
          np.arange(0, data.size + 1, na * nb, dtype=np.int32)),
-        shape=((int(rows.max()) + 1) * w, nel * nq))
+        shape=(Pr.shape[0] * w, npts))
     return Q, low, w
 
 
 def _band_sum(WT, factors) -> np.ndarray:
     """The band (n1, n2, w1 * w2) of one factor pair, Q1 W Q2^T with the
-    ``_band_factor``s of both directions and WT = W^T (nel2 * nq2,
-    nel1 * nq1): entry (i1, i2, c1 * w2 + c2) is the pair's matrix entry at
-    (i1, i2) and (i1 + low1 + c1, i2 + low2 + c2)."""
+    ``_band_factor``s of both directions and WT = W^T (N2, N1): entry
+    (i1, i2, c1 * w2 + c2) is the pair's matrix entry at (i1, i2) and
+    (i1 + low1 + c1, i2 + low2 + c2)."""
     (Q1, _, w1), (Q2, _, w2) = factors
     R = Q1 @ (Q2 @ WT).T
     n1, n2 = R.shape[0] // w1, R.shape[1] // w2
     return R.reshape(n1, w1, n2, w2).transpose(0, 2, 1, 3).reshape(n1, n2, -1)
 
 
-def _band_columns(n1, n2, factors, start, n2h) -> np.ndarray:
+def _band_columns(n1, n2, factors, table) -> np.ndarray:
     """The columns (n1, n2, w1 * w2) of the entries of a ``_band_sum``
-    band, for a column factor with first coefficient start and n2h basis
-    functions in direction 2."""
+    band, for the column factor with the ``_QuadTable.tables`` entry
+    table."""
     (_, low1, w1), (_, low2, w2) = factors
+    start, n2h = table[0], table[2].shape[0]
     i1, i2, c1, c2 = (np.arange(n, dtype=np.int32) for n in (n1, n2, w1, w2))
     i1 = i1[:, None] + low1 + c1
     i2 = i2[:, None] + low2 + c2
@@ -291,7 +276,7 @@ def _mass_parts(tab: _QuadTable, k: int, weight, free=None):
     # one band factor per direction and pair of 1D spaces
     lines = [(s.s1, s.s2) for s in tab.complex.space_factors(k)]
     pairs = {(d, f[d], h[d]) for f in lines for h in lines for d in (0, 1)}
-    band = {(d, a, b): _band_factor(*tab.lines[d, a], *tab.lines[d, b])
+    band = {(d, a, b): _band_factor(tab.lines[d, a], tab.lines[d, b])
             for d, a, b in pairs}
     factors = {(f, h): [band[d, fl[d], hl[d]] for d in (0, 1)]
                for f, fl in enumerate(lines) for h, hl in enumerate(lines)}
@@ -319,32 +304,29 @@ def _mass_part(tables, wq, g, factors, renumber) -> sp.csr_matrix:
     """
     free = np.flatnonzero(renumber >= 0)
     nf = len(tables)
-    starts = [start for start, _, _ in tables] + [len(renumber)]
-    (nel1, _, nq1), (nel2, _, nq2) = (v.shape for _, v in tables[0][2])
     WT = {}
     for f in range(nf):
         for h in range(f, nf):
             w = wq * np.sum(g[f] * g[h], -1)
             if w.any():
-                w = w.reshape(nel1, nel2, nq1, nq2).transpose(1, 3, 0, 2)
-                WT[f, h] = WT[h, f] = w.reshape(nel2 * nq2, nel1 * nq1)
+                WT[f, h] = WT[h, f] = w.T
 
     def row_band(f):
         """The bands of row factor f, the free numbers of their columns
         and the entries kept, each flattened in row order."""
-        start, n2, _ = tables[f]
-        n1 = (starts[f + 1] - start) // n2
+        start, P1, P2 = tables[f]
+        n1, n2 = P1.shape[0], P2.shape[0]
         row = [h for h in range(nf) if (f, h) in WT]
         vals = np.concatenate([np.empty((n1, n2, 0))] + [
             _band_sum(WT[f, h], factors[f, h]) for h in row], axis=-1)
         cols = np.concatenate([np.empty((n1, n2, 0), dtype=np.int32)] + [
-            _band_columns(n1, n2, factors[f, h], starts[h], tables[h][1])
+            _band_columns(n1, n2, factors[f, h], tables[h])
             for h in row], axis=-1)
         # a band entry off the matrix is 0, so its clipped column does not
         # matter
         cols = renumber.take(cols, mode="clip")
         keep = ((vals != 0) & (cols >= 0)
-                & (renumber[start:starts[f + 1]] >= 0).reshape(n1, n2, 1))
+                & (renumber[start:start + n1 * n2] >= 0).reshape(n1, n2, 1))
         return vals.ravel(), cols.ravel(), keep.reshape(n1 * n2, -1)
 
     counts = np.concatenate([row_band(f)[2].sum(-1) for f in range(nf)])
@@ -428,15 +410,14 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
 # ---------------------------------------------------------------------------
 
 def _load_vector(tab: _QuadTable, m: int, values: np.ndarray) -> np.ndarray:
-    """Integrals of values (nel, nq, 3) against eta_1^{-1} of every Z^1
-    basis function, with the table's measure."""
-    w = np.einsum("feqc,eqc,eq->feq", tab.directions(m, 1), values, tab.dx)
-    f = np.zeros(tab.complex.dim(1))
-    for (start, n2, ((i1, v1), (i2, v2))), wf in zip(tab.tables(1), w):
-        f += np.bincount(_coefficients(start, n2, i1, i2).ravel(),
-                         weights=_integrate(v1, wf, v2).ravel(),
-                         minlength=f.size)
-    return f
+    """Integrals of values (N1, N2, 3) against eta_1^{-1} of every Z^1
+    basis function, with the table's measure: P1 W P2^T per factor, with
+    W the values' weight at the points (sum factorization)."""
+    w = np.einsum("fxyc,xyc,xy->fxy", tab.directions(m, 1), values, tab.dx)
+    # as (P2 (P1 W)^T)^T: no dense matrix times a sparse one, which scipy
+    # takes through two more transposed sparse objects at every call
+    return np.concatenate([(P2 @ (P1 @ wf).T).T.ravel()
+                           for (_, P1, P2), wf in zip(tab.tables(1), w)])
 
 
 def assemble_load(forms: MeshForms, m: int, source=None,
@@ -471,18 +452,20 @@ def l2_rho_error(forms: MeshForms, m: int, k: int, coeffs: np.ndarray,
     """Weighted L2_rho norm of eta^{-1} u_h - reference for a Z^k field, on
     the interior quadrature table of ``forms``.
 
-    ``coeffs`` are the Z^k coefficients of u_h; reference(m, rho, z) returns
-    the physical cylindrical components, of shape (npts, 3) for k in {1, 2}
-    and (npts,) otherwise.
+    ``coeffs`` are the Z^k coefficients of u_h, exactly dim Z^k of them;
+    reference(m, rho, z) returns the physical cylindrical components, of
+    shape (npts, 3) for k in {1, 2} and (npts,) otherwise.
     """
     tab, u = forms.table, np.asarray(coeffs, dtype=float)
+    if u.shape != (forms.complex.dim(k),):
+        raise AssemblyError(f"a Z^{k} field takes {forms.complex.dim(k)} "
+                            f"coefficients, not {u.shape}")
     phys = 0.0
-    for (start, n2, ((i1, v1), (i2, v2))), g in zip(tab.tables(k),
-                                                     tab.directions(m, k)):
-        # the values sum_a u_a v1 v2 at every point, one direction at a time
-        U = np.matmul(u[_coefficients(start, n2, i1, i2)], v2[:, None])
-        vals = np.matmul(v1.transpose(0, 2, 1)[None], U).transpose(1, 0, 2, 3)
-        phys = phys + vals.reshape(g.shape[:-1] + (1,)) * g
+    for (start, P1, P2), g in zip(tab.tables(k), tab.directions(m, k)):
+        # the values P1^T U P2 at the grid, one direction at a time, with
+        # the sparse factor on the left (see ``_load_vector``)
+        U = u[start:start + P1.shape[0] * P2.shape[0]].reshape(P1.shape[0], -1)
+        phys = phys + (P2.T @ (P1.T @ U).T).T[..., None] * g
     ref = tab.at_points(reference, m).reshape(phys.shape)
     return float(np.sqrt(np.sum(np.sum((phys - ref) ** 2, axis=-1) * tab.dx)))
 
@@ -556,9 +539,9 @@ class MeshForms:
     parts of its Galerkin matrices.
 
     The constructor does the work: the quadrature table of all elements and
-    one per neumann edge, each with every factor's 1D basis tables
-    tabulated once, on which every mode's load and error norms run;
-    the free Z^1/Z^0 DoFs, those not fixed on a dirichlet edge; the
+    one per neumann edge, each with the basis matrix of every 1D space of
+    the factors tabulated once, on which every mode's load and error norms
+    run; the free Z^1/Z^0 DoFs, those not fixed on a dirichlet edge; the
     eps-weighted Z^1 mass on them and the 1/mu-weighted Z^2 mass (Z^2 has
     no essential DoFs), each split as X + Y / m**2; the curl C from the
     free Z^1 DoFs, and the gradient G between the free DoFs.

@@ -61,7 +61,7 @@ class EigenResult:
                                # some zeros)
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
-    op_applications: int       # calls of the main Lanczos run's operator
+    op_applications: int       # calls of the Lanczos run's operator
 
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold

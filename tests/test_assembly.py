@@ -11,10 +11,8 @@ from axisiga.assembly import (
     MaterialConstants,
     MeshForms,
     _at_mode,
-    _coefficients,
     _compact,
     _curlcurl,
-    _integrate,
     _mass_parts,
     _QuadTable,
     assemble_curlcurl,
@@ -423,6 +421,18 @@ class TestErrorNorm:
                            lambda m, r, z: np.ones_like(r))
         assert err <= 1e-14
 
+    def test_coefficient_count_must_match(self):
+        # an extra trailing entry or a missing one is an error, not a
+        # field whose tail is ignored or an IndexError
+        cx = make_complex(2, 2)
+        forms = MeshForms(cx, UNIT)
+        u = np.ones(cx.dim(1))
+        ref = lambda m, r, z: np.zeros(r.shape + (3,))
+        assert np.isfinite(l2_rho_error(forms, 1, 1, u, ref))
+        for bad in (np.append(u, 1e9), u[:-1]):
+            with pytest.raises(AssemblyError, match="coefficients"):
+                l2_rho_error(forms, 1, 1, bad, ref)
+
 
 class TestSharedTables:
     """One MeshForms serves the loads and error norms of every mode."""
@@ -455,39 +465,31 @@ class TestFactorTables:
 
     @pytest.mark.parametrize("name", BUILTIN_GEOMETRIES)
     def test_factors_equal_tensor_tabulation(self, name):
-        # the indices and tensor values that the 1D tables of every Z^k
-        # factor stand for, bit for bit, against TensorSplineSpace.tabulate
-        # at the table's own points
+        # kron(P1, P2) of every Z^k factor is its tensor basis at the
+        # table's grid, bit for bit against TensorSplineSpace.tabulate at
+        # the same points
         geo = BUILTIN_GEOMETRIES[name]()
         cx = make_complex(3, 2)
         tab = _QuadTable(cx, geo)
         rule = gauss_legendre(default_nquad(cx))
         x1, x2 = (rule.mapped(s.breakpoints[:-1, None],
-                              s.breakpoints[1:, None])[0]
+                              s.breakpoints[1:, None])[0].ravel()
                   for s in (cx.s1, cx.s2))
-        grid = (len(x1), len(x2), x1.shape[1], x2.shape[1])
-        pts = np.column_stack([
-            np.broadcast_to(x1[:, None, :, None], grid).ravel(),
-            np.broadcast_to(x2[None, :, None, :], grid).ravel()])
-        shape = tab.rho.shape + (-1,)         # (nel, nq, nloc) per point
+        pts = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
         assert np.array_equal(geo.evaluate(pts)[0].reshape(tab.rho.shape),
                               tab.rho)
         for k in range(4):
-            for (start, n2, ((t1, w1), (t2, w2))), space, sl in zip(
+            for (start, P1, P2), space, sl in zip(
                     tab.tables(k), cx.space_factors(k), cx.block_slices(k)):
-                idx = start + t1[:, None, :, None] * n2 + t2[None, :, None, :]
-                idx = idx.reshape(tab.rho.shape[0], -1)
-                v = (w1[:, None, :, None, :, None]
-                     * w2[None, :, None, :, None, :]).reshape(idx.shape + (-1,))
+                assert start == sl.start
                 f1, v1, _, f2, v2, _ = space.tabulate(pts)
                 i1 = f1[:, None] + np.arange(space.s1.degree + 1)
                 i2 = f2[:, None] + np.arange(space.s2.degree + 1)
-                rows = (sl.start + i1[:, :, None] * space.s2.num_basis
-                        + i2[:, None, :]).reshape(shape)
-                vals = (v1[:, :, None] * v2[:, None, :]).reshape(shape)
-                assert np.array_equal(
-                    np.broadcast_to(idx[:, None, :], rows.shape), rows)
-                assert np.array_equal(v, vals.transpose(0, 2, 1))
+                rows = i1[:, :, None] * space.s2.num_basis + i2[:, None, :]
+                want = np.zeros((space.dim, len(pts)))
+                want[rows, np.arange(len(pts))[:, None, None]] = (
+                    v1[:, :, None] * v2[:, None, :])
+                assert np.array_equal(sp.kron(P1, P2).toarray(), want)
 
     def test_peak_memory_within_three_parts(self):
         # no triplets of all factor pairs at once and no tensor values of
@@ -629,10 +631,27 @@ def _scalar_reference(m, rho, z):
     return rho * z + m
 
 
-_GEOMETRY_MODES = [
-    pytest.param(name, m, id=name if m == -3 else f"{name}-m{m}")
+def _repeated_knots():
+    # interior multiplicities 2, 1, 3 and 1, 2 at p = 3: the first index
+    # of an element is not e + const, and the reduced spaces keep a C^0 knot
+    s1 = SplineSpace1D(KnotVector(3, [0, .2, .5, .7, 1], [4, 2, 1, 3, 4]))
+    s2 = SplineSpace1D(KnotVector(3, [0, .1, .4, 1], [4, 1, 2, 4]))
+    return DeRhamComplex2D(s1, s2), rectangle(0, 1, 0, 1)
+
+
+def _uniform(name, degrees=(2, 2)):
+    """The case of a builtin geometry and a 3 x 3 mesh."""
+    return lambda: (DeRhamComplex2D(*(SplineSpace1D(KnotVector.uniform(p, 3))
+                                      for p in degrees)),
+                    BUILTIN_GEOMETRIES[name]())
+
+
+_ORACLE_CASES = [
+    pytest.param(_uniform(name), m, id=name if m == -3 else f"{name}-m{m}")
     for name in ("rectangle", "pillbox-section", "quarter-annulus")
-    for m in (-3, 1, 26)]
+    for m in (-3, 1, 26)] + [
+    pytest.param(_repeated_knots, m, id="repeated-knots" + suffix)
+    for m, suffix in ((-3, ""), (26, "-m26"))]
 
 
 def rel(a, b):
@@ -643,15 +662,12 @@ class TestPointwiseOracle:
     """The batched tabulation reproduces a point-by-point assembly built from
     the scalar public API to round-off."""
 
-    @pytest.mark.parametrize("name,m,degrees", [
-        pytest.param(*case.values, (2, 2), id=case.id)
-        for case in _GEOMETRY_MODES] + [
+    @pytest.mark.parametrize("case,m", _ORACLE_CASES + [
         # unequal degrees: a swapped direction in a factor table shows
-        pytest.param("quarter-annulus", -3, (2, 3), id="quarter-annulus-p2p3")])
-    def test_mass_and_loads(self, name, m, degrees):
-        geo = BUILTIN_GEOMETRIES[name]()
-        cx = DeRhamComplex2D(*(SplineSpace1D(KnotVector.uniform(p, 3))
-                               for p in degrees))
+        pytest.param(_uniform("quarter-annulus", (2, 3)), -3,
+                     id="quarter-annulus-p2p3")])
+    def test_mass_and_loads(self, case, m):
+        cx, geo = case()
         for k in range(4):
             M = assemble_mass(cx, geo, m, k=k).toarray()
             assert rel(M, _oracle_mass(cx, geo, m, k)) <= 1e-13
@@ -660,15 +676,14 @@ class TestPointwiseOracle:
         assert rel(f, _oracle_source_load(cx, geo, m, _source)) <= 1e-13
         f = assemble_load(forms, m, neumann=_neumann)
         ref = _oracle_neumann_load(cx, geo, m, _neumann)
-        if name == "pillbox-section":   # PEC walls and the axis only
+        if "neumann" not in geo.edge_labels.values():   # the pillbox
             assert not f.any() and not ref.any()
         else:
             assert rel(f, ref) <= 1e-13
 
-    @pytest.mark.parametrize("name,m", _GEOMETRY_MODES)
-    def test_error_norms(self, name, m):
-        geo = BUILTIN_GEOMETRIES[name]()
-        cx = make_complex(2, 3)
+    @pytest.mark.parametrize("case,m", _ORACLE_CASES)
+    def test_error_norms(self, case, m):
+        cx, geo = case()
         forms = MeshForms(cx, geo)
         rng = np.random.default_rng(11)
         for k in range(4):
@@ -725,26 +740,21 @@ class TestSplitParts:
 
 
 # ---------------------------------------------------------------------------
-# band assembly against the element-triplet summation
+# band assembly against the Kronecker product of the basis matrices
 # ---------------------------------------------------------------------------
 
 def _pair_matrix(tf, th, W, dim):
-    """The element blocks sum_q v_f[a] W v_h[b] of two factors with the
-    tables tf, th of ``_QuadTable.tables``, summed as a (dim, dim) CSR from
-    their COO triplets."""
-    (sf, nf, ((i1f, a1), (i2f, a2))), (sh, nh, ((i1h, b1), (i2h, b2))) = tf, th
-    P1 = (a1[:, :, None] * b1[:, None]).reshape(len(a1), -1, a1.shape[2])
-    P2 = (a2[:, :, None] * b2[:, None]).reshape(len(a2), -1, a2.shape[2])
-    L = _integrate(P1, W, P2)
-    shape = L.shape[:2] + (a1.shape[1], b1.shape[1], a2.shape[1], b2.shape[1])
-    rows = _coefficients(sf, nf, i1f, i2f)[:, :, :, None, :, None]
-    cols = _coefficients(sh, nh, i1h, i2h)[:, :, None, :, None, :]
-    return sp.csr_matrix((L.ravel(), (np.broadcast_to(rows, shape).ravel(),
-                                      np.broadcast_to(cols, shape).ravel())),
+    """The block of two factors with the tables tf, th of
+    ``_QuadTable.tables``, K_f diag(W) K_h^T with K = kron(P1, P2) the
+    tensor basis at the grid points, as a (dim, dim) CSR."""
+    (sf, P1f, P2f), (sh, P1h, P2h) = tf, th
+    B = (sp.kron(P1f, P2f, format="csr") @ sp.diags(W.ravel())
+         @ sp.kron(P1h, P2h, format="csr").T).tocoo()
+    return sp.csr_matrix((B.data, (B.row + sf, B.col + sh)),
                          shape=(dim, dim))
 
 
-def _triplet_mass_parts(tab, k, weight):
+def _kron_mass_parts(tab, k, weight):
     """(X, Y) summed as one CSR matrix per factor pair f <= h, the diagonal
     pairs at half weight, and symmetrized as S + S^T: scipy's sums drop
     exact zeros."""
@@ -769,14 +779,6 @@ def _shell():
     return make_complex(3, 4), _shell_section()
 
 
-def _repeated_knots():
-    # interior multiplicities 2, 1, 3 and 1, 2 at p = 3: the first index
-    # of an element is not e + const, and the reduced spaces keep a C^0 knot
-    s1 = SplineSpace1D(KnotVector(3, [0, .2, .5, .7, 1], [4, 2, 1, 3, 4]))
-    s2 = SplineSpace1D(KnotVector(3, [0, .1, .4, 1], [4, 1, 2, 4]))
-    return DeRhamComplex2D(s1, s2), rectangle(0, 1, 0, 1)
-
-
 _BAND_CASES = {
     "pillbox-p3-8x8": lambda: (make_complex(3, 8), pillbox_section(1.0, 1.0)),
     # exact zeros: without dropping them the Z^1 parts hold 3576 entries
@@ -790,8 +792,8 @@ _BAND_CASES = {
 
 class TestBandAssembly:
     """Each mass part, summed straight into the band storage of its
-    Kronecker pattern, has the sparsity pattern of the element-triplet
-    summation exactly and its values to round-off."""
+    Kronecker pattern, has the sparsity pattern of the sum of per-pair
+    products K_f diag(W) K_h^T exactly and its values to round-off."""
 
     @staticmethod
     def _assert_same(got, want):
@@ -807,7 +809,7 @@ class TestBandAssembly:
         tab = _QuadTable(cx, geo)
         for k in (1, 2):
             for got, want in zip(_mass_parts(tab, k, 2.0),
-                                 _triplet_mass_parts(tab, k, 2.0)):
+                                 _kron_mass_parts(tab, k, 2.0)):
                 assert want.nnz > 0
                 self._assert_same(got, want)
 
@@ -823,7 +825,7 @@ class TestBandAssembly:
                          essential_dofs(cx, 1, geo.edge_labels))
         tab = _QuadTable(cx, geo)
         for got, want in zip(_mass_parts(tab, 1, 1.0, r),
-                             _triplet_mass_parts(tab, 1, 1.0)):
+                             _kron_mass_parts(tab, 1, 1.0)):
             self._assert_same(got, want[r][:, r].tocsr())
 
     def test_mode_mass_is_exactly_symmetric(self):

@@ -110,7 +110,9 @@ class TestElementRule:
     def test_axis_element_weights_finite(self):
         geo = rectangle(0, 1, 0, 1)
         r = table(geo, [0, 0.25, 0.5, 0.75, 1], [0, 1], 4)
-        axis_element = r.dx[0]  # parametric element (0, 0.25) x (0, 1)
+        # the 4 x 4 points of parametric element (0, 0.25) x (0, 1)
+        axis_element = r.dx[:4]
+        assert axis_element.shape == (4, 4)
         assert np.all(np.isfinite(axis_element))
         assert np.all(axis_element >= 0)
 
