@@ -62,7 +62,6 @@ def _make_config(args) -> StudyConfig:
         setattr(cfg, key, _coerce(key, val))
     if cfg.study != study:
         raise StudyError(f"study: the config is for {cfg.study}, not {study}")
-    cfg.validate()
     return cfg
 
 

@@ -271,11 +271,12 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
         # theta = 1/lambda once its error bound is <= tol * max(eps**(2/3),
         # |theta|).  With SI eps and mu, theta ~ 1e-23 lies below
         # eps**(2/3) ~ 3.7e-11, so the test is absolute, about 8e-27, or
-        # about 6e-4 relative on the criterion 2 pillbox; the _EXTRA pairs
-        # absorb it on fine meshes, not at m = 26 on coarse ones.  Measured
-        # on criterion 2: tol=1e-13 stops after 31 operator applications,
-        # 18 % off, and scaling the operator to theta = O(1) makes the test
-        # relative but takes 192 applications instead of 97.
+        # about 6e-4 relative on the criterion 2 pillbox.  On its mesh (p=3
+        # 32x32, 10 eigs) max_residual reads 1.4e-12 after 46 applications
+        # at m = 1, 1.7e-5 after 56 at m = 10 and 2.1e-15 after 96 at
+        # m = 26.  tol=1e-13 stops after 31, 18 % off; scaling the operator
+        # to theta = O(1) makes the test relative but takes 191 applications
+        # instead of 96 at m = 26 (ROADMAP item 6).
         try:
             vals, V = eigsh(A, nev, M=M, sigma=0.0,
                             OPinv=LinearOperator((n, n), operator,

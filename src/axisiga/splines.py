@@ -208,14 +208,11 @@ def derivative_matrix(space: SplineSpace1D) -> tuple[SplineSpace1D, sp.csr_matri
     p = space.degree
     n = space.num_basis
     xi = space.knots
-    rows, cols, vals = [], [], []
-    for j in range(n - 1):
-        d = xi[j + p + 1] - xi[j + 1]
-        c = p / d if d > 0.0 else 0.0
-        rows += [j, j]
-        cols += [j, j + 1]
-        vals += [-c, c]
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(n - 1, n))
+    d = xi[p + 1:n + p] - xi[1:n]
+    c = np.divide(p, d, out=np.zeros(n - 1), where=d > 0.0)
+    D = sp.csr_matrix((np.column_stack([-c, c]).ravel(),
+                       np.add.outer(np.arange(n - 1), [0, 1]).ravel(),
+                       2 * np.arange(n)), shape=(n - 1, n))
     if reduced.num_basis != n - 1:
         raise SplineError("inconsistent derivative-space dimension")
     return reduced, D

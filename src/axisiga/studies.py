@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -126,7 +127,7 @@ class StudyReport:
     metadata: dict = field(default_factory=dict)
 
     def add(self, p, sub, m, dofs, quantity, value, reference=None,
-            rel_error=None, seconds=None):
+            rel_error=None):
         parity = "" if m in ("", None) else (
             "symmetric" if m > 0 else "antisymmetric")
         self.rows.append({
@@ -135,7 +136,7 @@ class StudyReport:
             "quantity": quantity, "value": value,
             "reference": "" if reference is None else reference,
             "rel_error": "" if rel_error is None else rel_error,
-            "seconds": "" if seconds is None else round(seconds, 3),
+            "seconds": "",
         })
 
     @contextlib.contextmanager
@@ -230,6 +231,29 @@ def _build_complex(p: int, sub: int) -> DeRhamComplex2D:
     return DeRhamComplex2D(s(), s())
 
 
+def _sweep(report: StudyReport, task, timed: str, rate=None):
+    """Extend ``report`` by ``task(p, sub)``, one mesh's StudyReport, for
+    each degree and subdivision, and put the sum of the task's phase seconds
+    on its first ``timed`` row.  ``rate = (quantity, key, name)`` ends each
+    degree of 3 subdivisions or more with a ``name`` row per m: the rate of
+    its ``quantity`` rows' ``key``.  Tasks are partials, which pickle."""
+    hs = [1.0 / sub for sub in report.config.subdivisions]
+    for p in report.config.degrees:
+        first = len(report.rows)
+        for sub in report.config.subdivisions:
+            part = task(p, sub)
+            seconds = sum(r["seconds"] for r in part.metadata["phases"])
+            row = next(r for r in part.rows if r["quantity"] == timed)
+            row["seconds"] = round(seconds, 3)
+            report.extend(part)
+        if rate and len(hs) >= 3:
+            quantity, key, name = rate
+            rows = [r for r in report.rows[first:] if r["quantity"] == quantity]
+            for m in dict.fromkeys(r["m"] for r in rows):
+                errs = [r[key] for r in rows if r["m"] == m]
+                report.add(p, "", m, "", name, convergence_rate(hs, errs))
+
+
 # ---------------------------------------------------------------------------
 # pillbox eigenvalue study
 # ---------------------------------------------------------------------------
@@ -272,12 +296,10 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
     no analytic counterpart within 1%), and, when a target mode and at least
     three subdivisions are given, the fitted convergence rate.
 
-    Each (p, sub) mesh is one task, ``_pillbox_mesh``, which returns its
-    rows, ``eig_solves`` entries and phase records; this runner joins them
-    in mesh order, fits the rates and sorts the rows mode-major.  All modes
-    share one MeshForms per mesh, and modes m and -m share one analytic
-    reference and one eigensolve; the first row of a mesh carries the
-    seconds of all its phases."""
+    ``_sweep`` runs each (p, sub) mesh as one task, ``_pillbox_mesh``; this
+    runner then sorts the rows mode-major.  All modes share one MeshForms
+    per mesh, and modes m and -m share one analytic reference and one
+    eigensolve."""
     config.validate()
     report = StudyReport(config)
     spec = PillboxSpec(config.radius, config.length, config.eps, config.mu)
@@ -287,18 +309,9 @@ def run_pillbox_study(config: StudyConfig) -> StudyReport:
         refs = [_pillbox_reference(config, spec, pair[0]) for pair in pairs]
     report.metadata["reference_seconds"] = reference["seconds"]
     geo = pillbox_section(config.radius, config.length)
-    hs = [1.0 / sub for sub in config.subdivisions]
-    for p in config.degrees:
-        first = len(report.rows)
-        for sub in config.subdivisions:
-            report.extend(_pillbox_mesh(config, geo, pairs, refs, p, sub))
-        if config.target and len(hs) >= 3:
-            for m in config.modes:
-                errs = [row["rel_error"] for row in report.rows[first:]
-                        if row["quantity"] == "target_error"
-                        and row["m"] == m]
-                report.add(p, "", m, "", "rate_target",
-                           convergence_rate(hs, errs))
+    rate = ("target_error", "rel_error", "rate_target") if config.target else None
+    _sweep(report, functools.partial(_pillbox_mesh, config, geo, pairs, refs),
+           "omega_1", rate)
     # mode-major rows; the sort is stable, so (p, sub) order stays in a mode
     report.rows.sort(key=lambda row: config.modes.index(row["m"]))
     report.metadata["peak_rss_mb"] = _peak_rss_mb()
@@ -322,8 +335,6 @@ def _pillbox_mesh(config: StudyConfig, geo, pairs, refs, p: int,
             del forms
         _pillbox_pair(part, sys_, p, sub, pair, ref)
         del sys_
-    seconds = sum(r["seconds"] for r in part.metadata["phases"])
-    part.rows[0]["seconds"] = round(seconds, 3)
     return part
 
 
@@ -385,10 +396,8 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     axis at rho=0.  Emits the mode-summed induction error per refinement and
     the fitted rate per degree.
 
-    Each (p, sub) mesh is one task, ``_source_mesh``, which returns its
-    rows, ``kkt_solves`` entries and phase records; this runner joins them
-    in mesh order and fits the rates.  Modes m and -m share the factors of
-    one saddle-point solve, solved with both their loads."""
+    ``_sweep`` runs each (p, sub) mesh as one task, ``_source_mesh``.  Modes
+    m and -m share the factors of one saddle-point solve, with both loads."""
     config.validate()
     report = StudyReport(config)
     with report.phase("derivation"):
@@ -400,16 +409,8 @@ def run_source_study(config: StudyConfig) -> StudyReport:
     report.metadata["derivation_fd_error"] = fd_err
     manufactured = ManufacturedSolution(config.gamma, config.materials)
     geo = BUILTIN_GEOMETRIES["rectangle"]()
-    hs = [1.0 / sub for sub in config.subdivisions]
-    for p in config.degrees:
-        first = len(report.rows)
-        for sub in config.subdivisions:
-            report.extend(_source_mesh(config, geo, manufactured, p, sub))
-        if len(hs) >= 3:
-            errs = [row["value"] for row in report.rows[first:]
-                    if row["quantity"] == "B_error"]
-            report.add(p, "", "", "", "rate_B_error",
-                       convergence_rate(hs, errs))
+    _sweep(report, functools.partial(_source_mesh, config, geo, manufactured),
+           "B_error", ("B_error", "value", "rate_B_error"))
     report.metadata["kkt_max_residual_primal"] = max(
         s["residual_primal"] for s in report.metadata["kkt_solves"])
     report.metadata["peak_rss_mb"] = _peak_rss_mb()
@@ -420,8 +421,8 @@ def _source_mesh(config: StudyConfig, geo, manufactured, p: int,
                  sub: int) -> StudyReport:
     """The task of one source mesh: its MeshForms, then each mirror pair
     through ``_source_pair``, then the mesh's gauge and B-error rows.
-    Returns the mesh's rows, ``kkt_solves`` entries and phase records, its
-    seconds on its B-error row; the MeshForms dies on return."""
+    Returns the mesh's rows, ``kkt_solves`` entries and phase records; the
+    MeshForms dies on return."""
     part = StudyReport(config)
     with part.phase("forms", p, sub):
         forms = MeshForms(_build_complex(p, sub), geo, config.materials)
@@ -435,8 +436,7 @@ def _source_mesh(config: StudyConfig, geo, manufactured, p: int,
     for m in config.modes:
         part.add(p, sub, m, dofs, "gauge_residual", gauge[m], 0.0)
     err = float(np.sqrt(sum(err2[m] for m in config.modes)))
-    part.add(p, sub, "", dofs * len(config.modes), "B_error", err, None,
-             None, sum(r["seconds"] for r in part.metadata["phases"]))
+    part.add(p, sub, "", dofs * len(config.modes), "B_error", err)
     return part
 
 
@@ -480,26 +480,28 @@ def _source_pair(part: StudyReport, forms: MeshForms, manufactured,
 def run_exactness_suite(config: StudyConfig) -> StudyReport:
     """Exactness report rows across (p, mesh, m) with pass/fail flags."""
     config.validate()
-    from .derham import exactness_report
     report = StudyReport(config)
-    for p in config.degrees:
-        for sub in config.subdivisions:
-            # the matrices of the complex do not depend on m: one report
-            # serves every mode, its m only a label; its time goes on the
-            # first mode's row
-            with report.phase("exactness", p, sub) as phase:
-                rep = exactness_report(_build_complex(p, sub))
-            dt, dofs = phase["seconds"], rep["dim_Z1"]
-            for m in config.modes:
-                report.add(p, sub, m, dofs, "norm_CG", rep["norm_CG"], 0.0,
-                           None, dt if m == config.modes[0] else None)
-                report.add(p, sub, m, dofs, "norm_DC", rep["norm_DC"], 0.0)
-                for key in ("rank_G", "rank_C", "rank_D", "dim_ker_G",
-                            "dim_ker_C", "dim_ker_D"):
-                    report.add(p, sub, m, dofs, key, rep[key])
-                report.add(p, sub, m, dofs, "exact", int(rep["exact"]), 1)
+    _sweep(report, functools.partial(_exactness_mesh, config), "norm_CG")
     report.metadata["peak_rss_mb"] = _peak_rss_mb()
     return report
+
+
+def _exactness_mesh(config: StudyConfig, p: int, sub: int) -> StudyReport:
+    """The task of one exactness mesh.  The matrices of the complex do not
+    depend on m: one report serves every mode, its m only a label."""
+    from .derham import exactness_report
+    part = StudyReport(config)
+    with part.phase("exactness", p, sub):
+        rep = exactness_report(_build_complex(p, sub))
+    dofs = rep["dim_Z1"]
+    for m in config.modes:
+        part.add(p, sub, m, dofs, "norm_CG", rep["norm_CG"], 0.0)
+        part.add(p, sub, m, dofs, "norm_DC", rep["norm_DC"], 0.0)
+        for key in ("rank_G", "rank_C", "rank_D", "dim_ker_G", "dim_ker_C",
+                    "dim_ker_D"):
+            part.add(p, sub, m, dofs, key, rep[key])
+        part.add(p, sub, m, dofs, "exact", int(rep["exact"]), 1)
+    return part
 
 
 RUNNERS = {

@@ -236,6 +236,26 @@ class TestSourceStudy:
         rate = [r for r in rep.rows if r["quantity"] == "rate_B_error"]
         assert rate[0]["value"] >= 2 - 0.3
 
+    def test_rate_rows_close_each_degree(self):
+        cfg = StudyConfig(study="source", degrees=(1, 2),
+                          subdivisions=(2, 3, 4), modes=(1, -1))
+        rep = run_source_study(cfg)
+        assert [(r["quantity"], r["p"], r["subdivisions"])
+                for r in rep.rows] == [
+            row for p in (1, 2) for row in [
+                (q, p, sub) for sub in (2, 3, 4) for q in (
+                    "gauge_residual", "gauge_residual", "B_error")] + [
+                ("rate_B_error", p, "")]]
+        # each B_error row carries the sum of its mesh's phase seconds
+        phases = rep.metadata["phases"]
+        assert [r["seconds"] for r in rep.rows
+                if r["quantity"] == "B_error"] == [
+            round(sum(r["seconds"] for r in phases
+                      if (r["p"], r["subdivisions"]) == (p, sub)), 3)
+            for p in (1, 2) for sub in (2, 3, 4)]
+        assert all(r["seconds"] == "" for r in rep.rows
+                   if r["quantity"] != "B_error")
+
     def test_negative_mode_runs(self):
         cfg = StudyConfig(study="source", degrees=(2,), subdivisions=(2, 3),
                           modes=(-1,), gamma=2.0)
