@@ -2,12 +2,10 @@
 
 All bilinear forms are integrals over the cross-section with the cylindrical
 measure rho drho dz.  Trial/test fields are expanded in the Cartesian factor
-spaces of the discrete complex.  A basis function of one factor is a scalar
-tensor spline times the factor's unit tilde component, so its physical
-cylindrical components are the scalar value times a per-point direction: the
-push-forward of that unit component through the geometry (covariant for the
-curl-conforming pair, Piola for the div-conforming pair, density scaling for
-top forms), converted by the eta^{-1} maps, which multiply by rho and never
+spaces of the discrete complex; their tilde values reach the physical
+cylindrical components through the push-forward of the geometry (covariant
+for the curl-conforming pair, Piola for the div-conforming pair, density
+scaling for top forms) and the eta^{-1} maps, which multiply by rho and never
 divide — every integrand is smooth up to the axis.
 
 Every integral runs over one table of Gauss points, the tensor grid of the
@@ -15,9 +13,11 @@ Every integral runs over one table of Gauss points, the tensor grid of the
 the factors, one sparse basis matrix P (num_basis, N_d) of its values at
 the points of its direction, tabulated once.  No integral forms the tensor
 values of a basis: it contracts the two P one direction at a time (sum
-factorization), P1 W P2^T for a load, P1^T U P2 for the values in an error
-norm.  A mass part sums each factor pair the same way straight into the
-band storage of its pattern, the Kronecker product of two banded 1D
+factorization).  A load maps its data once per point by the transposes of
+both maps and takes P1 W P2^T per factor; an error norm maps the field
+P1^T U P2 once per point.  Only a mass part pairs per-point directions, the
+m = 1 images of the factors' unit components, and sums each pair straight
+into the band storage of its pattern, the Kronecker product of two banded 1D
 patterns, with no element blocks and no triplets.
 
 The mode m enters only through eta^{-1}, whose factors 1/m multiply whole
@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .derham import DeRhamComplex2D, DeRhamError, eta_inverse, tilde_push_forward
-from .geometry import EDGES, NurbsGeometry
+from .geometry import EDGES, NurbsGeometry, pullback_values
 from .quadrature import gauss_legendre
 from .splines import SplineSpace1D
 
@@ -181,27 +181,29 @@ class _QuadTable:
         return [(sl.start, self.lines[0, s.s1], self.lines[1, s.s2])
                 for s, sl in zip(cx.space_factors(k), cx.block_slices(k))]
 
-    def directions(self, m: int, k: int) -> np.ndarray:
-        """g (nfactor, N1, N2, ncomp): eta_m^{-1} of the push-forward of
-        each factor's unit tilde component, so that a basis function of
-        factor f with the values v (N1, N2) has the physical components
-        v[..., None] * g[f]."""
+    def directions(self, k: int) -> np.ndarray:
+        """g (nfactor, N1, N2, ncomp): eta_1^{-1} of the push-forward of
+        each factor's unit tilde component, for the mass parts: a basis
+        function of factor f with the values v (N1, N2) has the physical
+        components v[..., None] * g[f] at m = 1."""
         n = len(self.complex.space_factors(k))
         unit = np.broadcast_to(np.eye(n)[:, None, None],
                                (n,) + self.rho.shape + (n,))
         U = tilde_push_forward(k, self.J, self.det, unit)
         U = U if k in (1, 2) else U[..., 0]
-        return eta_inverse(m, k, self.rho, U).reshape(U.shape[:3] + (-1,))
+        return eta_inverse(1, k, self.rho, U).reshape(U.shape[:3] + (-1,))
 
-    def at_points(self, fn, *args) -> np.ndarray:
+    def at_points(self, name: str, fn, *args, tail: tuple = ()) -> np.ndarray:
         """fn(*args, rho, z), with the edge normals as a last argument on an
-        edge, called once on all points; the result gets the table's
-        (N1, N2) leading shape."""
+        edge, called once on all points, with the table's (N1, N2) leading
+        shape; an AssemblyError names fn ``name`` if not (npts,) + tail."""
         pts = (self.rho.ravel(), self.z.ravel())
         if self.normal is not None:
             pts += (self.normal.reshape(-1, 2),)
         out = np.asarray(fn(*args, *pts), dtype=float)
-        return out.reshape(self.rho.shape + out.shape[1:])
+        if out.shape != (want := (self.rho.size,) + tail):
+            raise AssemblyError(f"{name} has shape {out.shape}, not {want}")
+        return out.reshape(self.rho.shape + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +272,9 @@ def _mass_parts(tab: _QuadTable, k: int, weight, free=None):
     pattern, one direction at a time (sum factorization, see
     ``_band_factor`` and ``_mass_part``): no element block is formed.
     """
-    wq = tab.dx * (tab.at_points(weight) if callable(weight) else float(weight))
-    g = tab.directions(1, k)
+    wq = tab.dx * (tab.at_points("weight", weight) if callable(weight)
+                   else float(weight))
+    g = tab.directions(k)
     inv_m = np.isin(np.arange(g.shape[-1]), _INV_M_COMPONENTS[k])
     # one band factor per direction and pair of 1D spaces
     lines = [(s.s1, s.s2) for s in tab.complex.space_factors(k)]
@@ -409,11 +412,14 @@ def assemble_curlcurl(complex_: DeRhamComplex2D, geometry: NurbsGeometry,
 # load assembly and error norms
 # ---------------------------------------------------------------------------
 
-def _load_vector(tab: _QuadTable, m: int, values: np.ndarray) -> np.ndarray:
-    """Integrals of values (N1, N2, 3) against eta_1^{-1} of every Z^1
-    basis function, with the table's measure: P1 W P2^T per factor, with
-    W the values' weight at the points (sum factorization)."""
-    w = np.einsum("fxyc,xyc,xy->fxy", tab.directions(m, 1), values, tab.dx)
+def _load_vector(tab: _QuadTable, m: int, name: str, fn) -> np.ndarray:
+    """Integrals of the callback ``name`` against eta_m^{-1} of every Z^1
+    basis function: P1 W P2^T per factor, W its weighted values mapped once
+    per point by the transpose of eta_m^{-1} and of the push-forward."""
+    v = tab.at_points(name, fn, m, tail=(3,)) * tab.dx[..., None]
+    scale = (tab.rho / (m * tab.det))[..., None]
+    pair = pullback_values("1*", tab.J, tab.det, v[..., :2] * scale)
+    w = (pair[..., 0], pair[..., 1], v[..., 2] - v[..., 0] / m)
     # as (P2 (P1 W)^T)^T: no dense matrix times a sparse one, which scipy
     # takes through two more transposed sparse objects at every call
     return np.concatenate([(P2 @ (P1 @ wf).T).T.ravel()
@@ -440,10 +446,10 @@ def assemble_load(forms: MeshForms, m: int, source=None,
         raise DeRhamError("mode m must be nonzero")
     f = np.zeros(forms.complex.dim(1))
     if source is not None:
-        f += _load_vector(forms.table, m, forms.table.at_points(source, m))
+        f += _load_vector(forms.table, m, "source", source)
     if neumann is not None:
         for tab in forms.edge_tables:
-            f += _load_vector(tab, m, tab.at_points(neumann, m))
+            f += _load_vector(tab, m, "neumann", neumann)
     return f
 
 
@@ -460,14 +466,15 @@ def l2_rho_error(forms: MeshForms, m: int, k: int, coeffs: np.ndarray,
     if u.shape != (forms.complex.dim(k),):
         raise AssemblyError(f"a Z^{k} field takes {forms.complex.dim(k)} "
                             f"coefficients, not {u.shape}")
-    phys = 0.0
-    for (start, P1, P2), g in zip(tab.tables(k), tab.directions(m, k)):
-        # the values P1^T U P2 at the grid, one direction at a time, with
-        # the sparse factor on the left (see ``_load_vector``)
-        U = u[start:start + P1.shape[0] * P2.shape[0]].reshape(P1.shape[0], -1)
-        phys = phys + (P2.T @ (P1.T @ U).T).T[..., None] * g
-    ref = tab.at_points(reference, m).reshape(phys.shape)
-    return float(np.sqrt(np.sum(np.sum((phys - ref) ** 2, axis=-1) * tab.dx)))
+    # each factor's values P1^T U P2 (see ``_load_vector``) in one field
+    tilde = np.stack([(P2.T @ (P1.T @ u[s:s + P1.shape[0] * P2.shape[0]]
+                               .reshape(P1.shape[0], -1)).T).T
+                      for s, P1, P2 in tab.tables(k)], axis=-1)
+    phys = tilde_push_forward(k, tab.J, tab.det, tilde)
+    phys = eta_inverse(m, k, tab.rho, phys if k in (1, 2) else phys[..., 0])
+    ref = tab.at_points("reference", reference, m, tail=phys.shape[2:])
+    d2 = ((phys - ref) ** 2).reshape(tab.dx.shape + (-1,))
+    return float(np.sqrt(np.sum(np.sum(d2, axis=-1) * tab.dx)))
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,9 @@ class ModeSpace:
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[0] != self.complex.dim(k):
-            raise DeRhamError("coefficient vector has wrong length")
+        if coeffs.shape != (self.complex.dim(k),):
+            raise DeRhamError(f"a Z^{k} field takes {self.complex.dim(k)} "
+                              f"coefficients, not {coeffs.shape}")
         tilde = np.stack(
             [f.eval_field(coeffs[s], pts) for f, s in
              zip(self.complex.space_factors(k), self.complex.block_slices(k))],

@@ -23,9 +23,16 @@ from axisiga.assembly import (
     essential_dofs,
     l2_rho_error,
 )
-from axisiga.derham import DeRhamComplex2D, DeRhamError, ModeSpace
+from axisiga.derham import (
+    DeRhamComplex2D,
+    DeRhamError,
+    ModeSpace,
+    eta_inverse,
+    tilde_push_forward,
+)
 from axisiga.geometry import (
     BUILTIN_GEOMETRIES,
+    NurbsGeometry,
     pillbox_section,
     quarter_annulus,
     rectangle,
@@ -235,6 +242,21 @@ class TestLoad:
                 total += w * full[2]
         assert f[i_edge] == pytest.approx(total, rel=1e-12)
 
+    def test_callback_shapes_are_checked(self):
+        # p = 1 with one element: an edge has 3 points, so a scalar neumann
+        # value per point would broadcast against 3 components
+        cx = make_complex(1, 1)
+        forms = MeshForms(cx, UNIT)
+        vec = lambda m, r, z, *n: np.zeros(r.shape + (3,))
+        assert not assemble_load(forms, 1, source=vec, neumann=vec).any()
+        cases = [("source", lambda m, r, z: r, r"\(9,\), not \(9, 3\)"),
+                 ("source", lambda m, r, z: np.zeros((len(r), 2)),
+                  r"\(9, 2\), not \(9, 3\)"),
+                 ("neumann", lambda m, r, z, n: r, r"\(3,\), not \(3, 3\)")]
+        for name, fn, shapes in cases:
+            with pytest.raises(AssemblyError, match=f"{name} has shape {shapes}"):
+                assemble_load(forms, 1, **{name: fn})
+
 
 class TestEssentialBC:
     def test_all_neumann_removes_nothing(self):
@@ -432,6 +454,23 @@ class TestErrorNorm:
         for bad in (np.append(u, 1e9), u[:-1]):
             with pytest.raises(AssemblyError, match="coefficients"):
                 l2_rho_error(forms, 1, 1, bad, ref)
+
+    def test_reference_shape_must_match(self):
+        # (npts, 3) for k in {1, 2}, (npts,) for k in {0, 3}
+        cx = make_complex(1, 1)
+        forms = MeshForms(cx, UNIT)
+        scalar = lambda m, r, z: r
+        vector = lambda m, r, z: np.zeros(r.shape + (3,))
+        column = lambda m, r, z: r[:, None]
+        for k, good, bads in ((0, scalar, (vector, column)),
+                              (1, vector, (scalar, column)),
+                              (2, vector, (scalar,)), (3, scalar, (vector,))):
+            u = np.ones(cx.dim(k))
+            assert np.isfinite(l2_rho_error(forms, 1, k, u, good))
+            for bad in bads:
+                with pytest.raises(AssemblyError,
+                                   match=r"reference has shape .*, not \(9"):
+                    l2_rho_error(forms, 1, k, u, bad)
 
 
 class TestSharedTables:
@@ -759,7 +798,7 @@ def _kron_mass_parts(tab, k, weight):
     pairs at half weight, and symmetrized as S + S^T: scipy's sums drop
     exact zeros."""
     wq = tab.dx * weight
-    g = tab.directions(1, k)
+    g = tab.directions(k)
     inv_m = np.isin(np.arange(g.shape[-1]), _INV_M_COMPONENTS[k])
     tables, dim = tab.tables(k), tab.complex.dim(k)
     parts = []
@@ -836,6 +875,79 @@ class TestBandAssembly:
         for m in (1, -3):
             M = build_mode_system(forms, m).M
             assert (M != M.T).nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# loads and error norms against the per-factor direction tensor
+# ---------------------------------------------------------------------------
+
+def _mode_directions(tab, m, k):
+    """g (nfactor, N1, N2, ncomp): eta_m^{-1} of the push-forward of each
+    factor's unit tilde component at every point of tab."""
+    n = len(tab.complex.space_factors(k))
+    unit = np.broadcast_to(np.eye(n)[:, None, None],
+                           (n,) + tab.rho.shape + (n,))
+    U = tilde_push_forward(k, tab.J, tab.det, unit)
+    U = U if k in (1, 2) else U[..., 0]
+    return eta_inverse(m, k, tab.rho, U).reshape(U.shape[:3] + (-1,))
+
+
+def _direction_load(tab, m, values):
+    """The load P1 W P2^T per factor with W = dx sum_c g_fc values_c."""
+    w = np.einsum("fxyc,xyc,xy->fxy", _mode_directions(tab, m, 1), values,
+                  tab.dx)
+    return np.concatenate([P1 @ wf @ P2.T
+                           for (_, P1, P2), wf in zip(tab.tables(1), w)],
+                          axis=None)
+
+
+def _direction_error(tab, m, k, u, reference):
+    """The error norm with u_h = sum_f (P1^T U_f P2) g_f."""
+    phys = 0.0
+    for (start, P1, P2), g in zip(tab.tables(k), _mode_directions(tab, m, k)):
+        U = u[start:start + P1.shape[0] * P2.shape[0]].reshape(P1.shape[0], -1)
+        phys = phys + (P1.T @ U @ P2)[..., None] * g
+    ref = tab.at_points("reference", reference, m,
+                        tail=(3,) if k in (1, 2) else ()).reshape(phys.shape)
+    return float(np.sqrt(np.sum(np.sum((phys - ref) ** 2, axis=-1) * tab.dx)))
+
+
+def _neumann_shell():
+    """The shell with its three edges off the axis labelled neumann."""
+    cx, geo = _shell()
+    return cx, NurbsGeometry(geo.basis, geo.control, {
+        "west": "axis", "east": "neumann",
+        "south": "neumann", "north": "neumann"})
+
+
+class TestDirectionTensorOracle:
+    """A load maps its data and an error norm its field once per point;
+    both agree with contracting a per-factor direction tensor, each unit
+    tilde component pushed through both maps, to round-off."""
+
+    @pytest.mark.parametrize("m", [1, -2, 3, 26])
+    @pytest.mark.parametrize("case", [
+        pytest.param(_uniform("quarter-annulus", (3, 3)), id="quarter-annulus"),
+        pytest.param(_neumann_shell, id="shell"),
+        pytest.param(_repeated_knots, id="repeated-knots")])
+    def test_loads_and_norms(self, case, m):
+        cx, geo = case()
+        forms = MeshForms(cx, geo)
+        assert len(forms.edge_tables) >= 3
+        tab = forms.table
+        want = _direction_load(tab, m, tab.at_points("source", _source, m,
+                                                     tail=(3,)))
+        assert rel(assemble_load(forms, m, source=_source), want) <= 1e-15
+        want = sum(_direction_load(t, m, t.at_points("neumann", _neumann, m,
+                                                     tail=(3,)))
+                   for t in forms.edge_tables)
+        assert rel(assemble_load(forms, m, neumann=_neumann), want) <= 1e-15
+        rng = np.random.default_rng(5)
+        for k in range(4):
+            u = rng.standard_normal(cx.dim(k))
+            ref = _source if k in (1, 2) else _scalar_reference
+            want = _direction_error(tab, m, k, u, ref)
+            assert abs(l2_rho_error(forms, m, k, u, ref) - want) <= 1e-15 * want
 
 
 # ---------------------------------------------------------------------------

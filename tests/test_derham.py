@@ -260,3 +260,15 @@ class TestModeFieldEvaluation:
     def test_mode_zero_rejected(self):
         with pytest.raises(DeRhamError):
             ModeSpace(make_complex(1, 1), 0)
+
+    def test_coefficient_shape_must_match(self):
+        # a stack of fields or a vector of the wrong length is an error,
+        # not a reshape failure deep in the factor evaluation
+        cx = make_complex(2, 2)
+        ms, pts = ModeSpace(cx, 1), np.full((3, 2), 0.5)
+        for k in range(4):
+            u = np.ones(cx.dim(k))
+            assert np.isfinite(ms.eval_field(k, u, pts).physical).all()
+            for bad in (np.column_stack([u, u]), np.append(u, 1.0)):
+                with pytest.raises(DeRhamError, match="coefficients"):
+                    ms.eval_field(k, bad, pts)
