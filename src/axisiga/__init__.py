@@ -40,7 +40,6 @@ from .geometry import (
     rectangle,
 )
 from .manufactured import ManufacturedSolution, validate_derivation
-from .quadrature import QuadratureRule1D, gauss_legendre
 from .solve import (
     EigenResult,
     SaddleSolution,

@@ -43,7 +43,6 @@ import scipy.sparse as sp
 
 from .derham import DeRhamComplex2D, DeRhamError, eta_inverse, tilde_push_forward
 from .geometry import EDGES, NurbsGeometry, pullback_values
-from .quadrature import gauss_legendre
 from .splines import SplineSpace1D
 
 
@@ -95,6 +94,15 @@ _EDGE_GEOM = {
 }
 
 
+def _element_rule(breakpoints: np.ndarray, n: int):
+    """(x, w): numpy's n-point Gauss-Legendre rule, exact for degree
+    2n - 1, mapped onto each element between consecutive breakpoints."""
+    t, wt = np.polynomial.legendre.leggauss(n)
+    a, b = breakpoints[:-1, None], breakpoints[1:, None]
+    h = 0.5 * (b - a)
+    return (a + h * (t + 1.0)).ravel(), (h * wt).ravel()
+
+
 def _basis_matrix(space: SplineSpace1D, x: np.ndarray) -> sp.csc_matrix:
     """The basis of a 1D space at the points x, as the CSC matrix P
     (num_basis, len(x)) whose column q holds the p + 1 values at x[q] that
@@ -132,15 +140,13 @@ class _QuadTable:
                 raise AssemblyError(
                     "geometry breakpoints must be nested in the analysis mesh")
         self.complex = cx
-        rule = gauss_legendre(nquad or default_nquad(cx))
+        nquad = nquad or default_nquad(cx)
         nodes, weights = [], []
         for d, s in enumerate((cx.s1, cx.s2)):
             if edge is not None and _EDGE_GEOM[edge][0] == d:
                 x, w = np.array([_EDGE_GEOM[edge][1]]), np.ones(1)
             else:
-                z = s.breakpoints
-                x, w = (a.ravel()
-                        for a in rule.mapped(z[:-1, None], z[1:, None]))
+                x, w = _element_rule(s.breakpoints, nquad)
             nodes.append(x)
             weights.append(w)
         # the six factors of Z^1 and Z^2 take their 1D spaces from two per

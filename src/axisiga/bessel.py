@@ -1,48 +1,52 @@
 """Bessel functions of the first kind, their roots, and pillbox frequencies.
 
 Analytic reference for cavity benchmarks: J_m, J_m' and the roots chi_{mn}
-and chi'_{mn} come from scipy.special, imported on first use, for integer
-orders 0 <= m <= 60 and arguments and roots in [0, 200]; on top of them sit
-the closed-form TM/TE angular frequencies of a right circular cylindrical
+and chi'_{mn} come from scipy.special, imported on first use, for any
+integer order m >= 0 and finite argument; on top of them sit the
+closed-form TM/TE angular frequencies of a right circular cylindrical
 cavity and its sorted spectrum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 EPS0 = 8.8541878128e-12   # vacuum permittivity, F/m
 MU0 = 4.0e-7 * math.pi    # vacuum permeability, H/m
-
-_M_MAX = 60
-_X_MAX = 200.0
 
 
 class BesselError(ValueError):
     pass
 
 
-def _check(m, x=0.0):
-    if not isinstance(m, int) or m < 0 or m > _M_MAX:
-        raise BesselError(f"order {m} outside supported range [0, {_M_MAX}]")
-    if not (0.0 <= x <= _X_MAX):
-        raise BesselError(f"argument {x} outside supported range [0, {_X_MAX}]")
+def _check(m, x=0.0) -> int:
+    """The order m as an int, if it is an integer >= 0 and x is finite."""
+    try:
+        m_int = operator.index(m)
+    except TypeError:
+        raise BesselError(f"order {m} is not an integer") from None
+    if m_int < 0:
+        raise BesselError(f"order {m} is negative")
+    if not math.isfinite(x):
+        raise BesselError(f"argument {x} is not finite")
+    return m_int
 
 
 # scipy.special is imported where it is used: no other module needs it, and
 # importing it (about 0.06 s) would land on every study and on import axisiga
 
 def bessel_j(m: int, x: float) -> float:
-    """J_m(x) for integer 0 <= m <= 60 and 0 <= x <= 200."""
-    _check(m, x)
+    """J_m(x) for integer m >= 0 and finite x."""
+    m = _check(m, x)
     from scipy.special import jv
     return float(jv(m, x))
 
 
 def bessel_j_prime(m: int, x: float) -> float:
-    """J_m'(x) for integer 0 <= m <= 60 and 0 <= x <= 200."""
-    _check(m, x)
+    """J_m'(x) for integer m >= 0 and finite x."""
+    m = _check(m, x)
     from scipy.special import jvp
     return float(jvp(m, x))
 
@@ -58,20 +62,16 @@ class BesselRoot:
 
 
 def bessel_roots(m: int, count: int, kind: str = "J") -> list[float]:
-    """The first ``count`` positive roots of J_m ('J') or J_m' ('Jprime'),
-    none above 200; a root does not depend on how many are asked for.  The
-    trivial root at x = 0 of J_m (m >= 1) and J_m' (m >= 2) is excluded."""
-    _check(m)
+    """The first ``count`` positive roots of J_m ('J') or J_m' ('Jprime');
+    a root does not depend on how many are asked for.  The trivial root at
+    x = 0 of J_m (m >= 1) and J_m' (m >= 2) is excluded."""
+    m = _check(m)
     if count < 1:
         raise BesselError("root count (index n) must be >= 1")
     if kind not in ("J", "Jprime"):
         raise BesselError(f"unknown kind {kind!r}")
     from scipy.special import jn_zeros, jnp_zeros
-    roots = (jn_zeros if kind == "J" else jnp_zeros)(m, count)
-    if roots[-1] > _X_MAX:
-        raise BesselError(f"root {count} of order {m} not found "
-                          f"below {_X_MAX}")
-    return roots.tolist()
+    return (jn_zeros if kind == "J" else jnp_zeros)(m, count).tolist()
 
 
 def bessel_root(m: int, n: int, kind: str = "J") -> BesselRoot:
@@ -142,9 +142,9 @@ def pillbox_spectrum(spec: PillboxSpec, m: int, count: int,
         raise BesselError("enumeration bounds too small for requested count")
     cutoff = entries[count - 1]["omega"]
     # smallest frequency any excluded (n > n_max or q > q_max) mode could
-    # have; the first excluded root is chi' for m >= 1 but chi for m = 0
+    # have; roots grow with n, and chi' comes first for m >= 1, chi for m = 0
     min_excluded = min(_omega(min(chi[n_max], chi_prime[n_max]), 0, spec),
-                       _omega(0.0, q_max + 1, spec))
+                       _omega(min(chi[0], chi_prime[0]), q_max + 1, spec))
     if min_excluded < cutoff:
         raise BesselError("enumeration bounds truncate the spectrum; raise n_max/q_max")
     return entries[:count]

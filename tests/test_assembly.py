@@ -15,6 +15,7 @@ from axisiga.assembly import (
     _curlcurl,
     _mass_parts,
     _QuadTable,
+    _element_rule,
     assemble_curlcurl,
     assemble_load,
     assemble_mass,
@@ -37,7 +38,6 @@ from axisiga.geometry import (
     quarter_annulus,
     rectangle,
 )
-from axisiga.quadrature import gauss_legendre
 from axisiga.splines import KnotVector, SplineSpace1D
 
 
@@ -158,15 +158,14 @@ class TestMixed:
         B = build_mode_system(MeshForms(cx, UNIT, UNIT_MATERIALS), m).B.toarray()
         ms = ModeSpace(cx, m)
         nq = default_nquad(cx)
-        rule = gauss_legendre(nq)
         ref = np.zeros_like(B)
         z1_dim = cx.dim(1)
         eye = np.eye(z1_dim)
         zb = cx.s1.breakpoints
         for e1 in range(nel):
             for e2 in range(nel):
-                x1, w1 = rule.mapped(zb[e1], zb[e1 + 1])
-                x2, w2 = rule.mapped(zb[e2], zb[e2 + 1])
+                x1, w1 = _element_rule(zb[e1:e1 + 2], nq)
+                x2, w2 = _element_rule(zb[e2:e2 + 2], nq)
                 pts = np.array([(a, b) for a in x1 for b in x2])
                 wq = np.outer(w1, w2).ravel()
                 rho = pts[:, 0]
@@ -231,15 +230,12 @@ class TestLoad:
         assert np.abs(f[sl[0]]).max() <= 1e-14
         i_edge = sl[2].start + np.ravel_multi_index(
             (cx.s1.num_basis - 1, 2), cx.X0.shape)
-        rule = gauss_legendre(6)
         total = 0.0
-        for a, b in cx.s2.elements:
-            xs, ws = rule.mapped(a, b)
-            for x, w in zip(xs, ws):
-                fb, vb = cx.s2.eval_basis(x)
-                full = np.zeros(cx.s2.num_basis)
-                full[fb : fb + 3] = vb
-                total += w * full[2]
+        for x, w in zip(*_element_rule(cx.s2.breakpoints, 6)):
+            fb, vb = cx.s2.eval_basis(x)
+            full = np.zeros(cx.s2.num_basis)
+            full[fb : fb + 3] = vb
+            total += w * full[2]
         assert f[i_edge] == pytest.approx(total, rel=1e-12)
 
     def test_callback_shapes_are_checked(self):
@@ -510,9 +506,7 @@ class TestFactorTables:
         geo = BUILTIN_GEOMETRIES[name]()
         cx = make_complex(3, 2)
         tab = _QuadTable(cx, geo)
-        rule = gauss_legendre(default_nquad(cx))
-        x1, x2 = (rule.mapped(s.breakpoints[:-1, None],
-                              s.breakpoints[1:, None])[0].ravel()
+        x1, x2 = (_element_rule(s.breakpoints, default_nquad(cx))[0]
                   for s in (cx.s1, cx.s2))
         pts = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
         assert np.array_equal(geo.evaluate(pts)[0].reshape(tab.rho.shape),
@@ -594,9 +588,7 @@ def _oracle_basis(cx, geo, m, k, xi):
 
 
 def _gauss_points(space, nq):
-    rule = gauss_legendre(nq)
-    for a, b in space.elements:
-        yield from zip(*rule.mapped(a, b))
+    return zip(*_element_rule(space.breakpoints, nq))
 
 
 def _oracle_mass(cx, geo, m, k):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import jn_zeros
+from scipy.special import jn_zeros, jnp_zeros, jv, jvp
 
 from axisiga.bessel import (
     BesselError,
@@ -56,12 +56,40 @@ class TestValues:
                 assert abs(bessel_j(m, float(x)) - ref) <= 1e-9
 
     def test_out_of_range(self):
-        with pytest.raises(BesselError):
-            bessel_j(61, 1.0)
-        with pytest.raises(BesselError):
-            bessel_j(2, 201.0)
-        with pytest.raises(BesselError):
-            bessel_j(2, -1.0)
+        # any integer order m >= 0 and finite argument is in range: orders
+        # above 60 and arguments beyond [0, 200] are scipy's values
+        for m, x in ((61, 70.0), (200, 250.0), (2, 201.0), (2, -1.0)):
+            assert bessel_j(m, x) == float(jv(m, x))
+            assert bessel_j_prime(m, x) == float(jvp(m, x))
+        for m in (61, 80, 200):
+            for x in (10.0, 100.0, 250.0):
+                ref = bessel_j_integral(m, x)
+                assert abs(bessel_j(m, x) - ref) <= 1e-9
+        for x in (float("nan"), float("inf")):
+            with pytest.raises(BesselError, match="argument"):
+                bessel_j(2, x)
+
+    @pytest.mark.parametrize("bad,why", [(-1, "negative"),
+                                         (1.5, "not an integer")])
+    def test_bad_order_named(self, bad, why):
+        spec = PillboxSpec(0.035, 0.1)
+        for call in (lambda: bessel_j(bad, 1.0),
+                     lambda: bessel_j_prime(bad, 1.0),
+                     lambda: bessel_roots(bad, 2),
+                     lambda: pillbox_spectrum(spec, bad, 3)):
+            with pytest.raises(BesselError, match=f"order {bad} is {why}"):
+                call()
+
+    def test_numpy_integer_orders(self):
+        # a numpy integer order gives the bits of the same int order
+        spec = PillboxSpec(0.035, 0.1)
+        three = np.int64(3)
+        assert bessel_j(three, 1.0) == bessel_j(3, 1.0)
+        assert bessel_j_prime(three, 1.0) == bessel_j_prime(3, 1.0)
+        assert bessel_roots(three, 2) == bessel_roots(3, 2)
+        assert bessel_roots(three, 2, "Jprime") == bessel_roots(3, 2, "Jprime")
+        assert (pillbox_spectrum(spec, np.int64(1), 3)
+                == pillbox_spectrum(spec, 1, 3))
 
     def test_derivative_identity_vs_finite_difference(self):
         h = 1e-7
@@ -132,7 +160,7 @@ class TestRootSearch:
     """``bessel_roots`` against properties of the zeros that need no
     second zero finder: interlacing and the integral representation."""
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 26, 40, 60])
+    @pytest.mark.parametrize("m", [0, 1, 3, 26, 40, 60, 61, 200])
     @pytest.mark.parametrize("kind", ["J", "Jprime"])
     def test_roots_independent_of_count(self, m, kind):
         # fewer roots, same bits
@@ -140,7 +168,7 @@ class TestRootSearch:
         for n in range(1, 13):
             assert bessel_roots(m, n, kind) == many[:n]
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 26, 40, 59, 60])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 26, 40, 59, 60, 61, 100])
     @pytest.mark.parametrize("kind", ["J", "Jprime"])
     def test_match_scipy_zeros(self, m, kind):
         # the zeros bessel_roots takes from scipy are zeros by an
@@ -149,9 +177,8 @@ class TestRootSearch:
         f = bessel_j_integral if kind == "J" else bessel_jp_integral
         assert max(abs(f(m, x)) for x in roots) <= 1e-9
         if kind == "J":
-            # j_{m,n} < j_{m+1,n} < j_{m,n+1}; order 61 is out of range
-            lo, hi = (m, m + 1) if m < 60 else (m - 1, m)
-            inner, outer = bessel_roots(hi, 13), bessel_roots(lo, 14)
+            # j_{m,n} < j_{m+1,n} < j_{m,n+1}
+            inner, outer = bessel_roots(m + 1, 13), bessel_roots(m, 14)
         elif m >= 1:
             # j'_{m,n} < j_{m,n} < j'_{m,n+1}
             inner, outer = bessel_roots(m, 13), bessel_roots(m, 14, kind)
@@ -160,14 +187,17 @@ class TestRootSearch:
             inner, outer = roots, bessel_roots(0, 14)
         assert all(a < x < b for a, x, b in zip(outer, inner, outer[1:]))
 
-    def test_root_beyond_range_rejected(self):
-        # j_{0,63} ~ 197.1 and j_{0,64} ~ 200.3
-        assert bessel_roots(0, 63)[-1] == pytest.approx(jn_zeros(0, 63)[-1],
-                                                        rel=1e-12)
-        with pytest.raises(BesselError, match="not found below"):
-            bessel_roots(0, 64)
-        with pytest.raises(BesselError, match="order"):
-            bessel_roots(61, 1)
+    def test_roots_above_200_match_scipy(self):
+        # j_{0,63} ~ 197.1 and j_{0,64} ~ 200.3: roots above 200 and orders
+        # above 60 are scipy's, and they are zeros by the integral oracle
+        roots = bessel_roots(0, 64)
+        assert roots == jn_zeros(0, 64).tolist() and roots[-1] > 200
+        roots = bessel_roots(200, 13)
+        assert roots == jn_zeros(200, 13).tolist()
+        assert max(abs(bessel_j_integral(200, x)) for x in roots) <= 1e-9
+        assert bessel_roots(61, 13, "Jprime") == jnp_zeros(61, 13).tolist()
+        with pytest.raises(BesselError, match="order -1"):
+            bessel_roots(-1, 1)
 
 
 class TestPillbox:
@@ -223,6 +253,18 @@ class TestPillbox:
             pillbox_spectrum(self.spec, 0, 9, n_max=1)
         with pytest.raises(BesselError, match="truncate"):
             pillbox_spectrum(self.spec, 0, 27, n_max=2)
+        # q_max = 1 cuts the 20 lowest m = 1 modes
+        assert max(e["q"] for e in pillbox_spectrum(self.spec, 1, 20)) > 1
+        with pytest.raises(BesselError, match="truncate"):
+            pillbox_spectrum(self.spec, 1, 20, q_max=1)
+
+    @pytest.mark.parametrize("m", [41, 43, 60, 61, 100, 200])
+    def test_high_order_spectrum_not_truncated(self, m):
+        # for large m, chi'_{m1} / R alone exceeds (q_max + 1) pi / L: the
+        # bound on the modes beyond q_max carries the first radial root, so
+        # the guard passes the 11 lowest, and they are those of wider bounds
+        assert pillbox_spectrum(self.spec, m, 11) == pillbox_spectrum(
+            self.spec, m, 11, n_max=20, q_max=80)
 
     @pytest.mark.parametrize("m", [0, 26])
     def test_spectrum_entries_equal_frequencies(self, m):

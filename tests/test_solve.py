@@ -6,7 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from axisiga.assembly import MaterialConstants, MeshForms, build_mode_system
+from axisiga.assembly import (MaterialConstants, MeshForms, _element_rule,
+                              build_mode_system)
 from axisiga.derham import DeRhamComplex2D
 from axisiga.geometry import BUILTIN_GEOMETRIES
 from axisiga.manufactured import ManufacturedSolution
@@ -18,7 +19,6 @@ from axisiga.solve import (
     solve_saddle_point,
 )
 from axisiga.splines import KnotVector, SplineSpace1D
-from axisiga.quadrature import gauss_legendre
 
 
 def _diagonal_pencil(n=12):
@@ -65,16 +65,13 @@ class TestGeneralizedEig:
         # classical P1 FEM on [0,1] with 64 elements: lambda_1 ~ pi^2
         s = SplineSpace1D(KnotVector.uniform(1, 64))
         n = s.num_basis
-        rule = gauss_legendre(2)
         K = np.zeros((n, n))
         M = np.zeros((n, n))
-        for a, b in s.elements:
-            xs, ws = rule.mapped(a, b)
-            for x, w in zip(xs, ws):
-                f, v = s.eval_basis(x)
-                _, d = s.eval_basis_deriv(x)
-                K[f : f + 2, f : f + 2] += w * np.outer(d, d)
-                M[f : f + 2, f : f + 2] += w * np.outer(v, v)
+        for x, w in zip(*_element_rule(s.breakpoints, 2)):
+            f, v = s.eval_basis(x)
+            _, d = s.eval_basis_deriv(x)
+            K[f : f + 2, f : f + 2] += w * np.outer(d, d)
+            M[f : f + 2, f : f + 2] += w * np.outer(v, v)
         free = np.arange(1, n - 1)  # drop the boundary hats
         res = solve_generalized_eig(K[np.ix_(free, free)],
                                     M[np.ix_(free, free)], 3,

@@ -134,6 +134,25 @@ class TestPillboxStudy:
                     if r["quantity"] == "spurious_count"]
         assert spurious == [0, 0]
 
+    def test_mode_above_60(self):
+        # nothing in the discretization bounds m: the study of m = 61 runs,
+        # and its reference column is the enumeration of scipy's roots
+        from scipy.special import jn_zeros, jnp_zeros
+        cfg = StudyConfig(study="pillbox", degrees=(2,), subdivisions=(4,),
+                          modes=(61,), eigs=3)
+        rows = run_pillbox_study(cfg).rows
+        c = 1.0 / np.sqrt(cfg.eps * cfg.mu)
+        scipy_omegas = sorted(
+            c * np.sqrt((x / cfg.radius) ** 2
+                        + (q * np.pi / cfg.length) ** 2)
+            for roots, q0 in ((jn_zeros(61, 12), 0), (jnp_zeros(61, 12), 1))
+            for x in roots for q in range(q0, 41))
+        omegas = [r for r in rows if r["quantity"].startswith("omega_")]
+        assert [r["reference"] for r in omegas] == scipy_omegas[:3]
+        assert all(r["m"] == 61 and r["rel_error"] < 0.05 for r in omegas)
+        assert [r["value"] for r in rows
+                if r["quantity"] == "spurious_count"] == [0]
+
     def test_named_section_follows_radius_and_length(self):
         # the named builtin is the config's radius x length, as the default
         strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"}
