@@ -25,13 +25,16 @@ components: all of k=0, the (rho, z) pair of k=1, the theta component of
 k=2, none of k=3.  The integrands pair like components, so every mass
 matrix is M_k(m) = X_k + Y_k / m**2 (Y_k from the 1/m components at m = 1),
 the same for m and -m.  The complex is exact in tilde variables, so the
-curl C does not depend on m and the curl-curl matrix is C^T M_2(m) C.
-``MeshForms`` owns one mesh's tables and its free DoFs (the dirichlet
-constraints are the same for every m), and assembles on them once the X and
-Y of the Z^1 mass and of the 1/mu-weighted Z^2 mass; a mode then costs two
-sparse axpys and one product C^T M_2 C, and its load and error norms on the
-same tables.  Per mesh that is cheaper than keeping X and Y of C^T M_2 C,
-which takes two products, for up to two mirror pairs of modes.
+curl C does not depend on m and the curl-curl matrix is A = C^T M_2(m) C.
+Since C G = 0, A G = 0 and A is fixed by its meridional block K (see
+``ModeSystem``): only K = C_E^T M_2 C_E, with the meridional columns C_E of
+C, is formed.  ``MeshForms`` owns one mesh's tables and its free DoFs (the
+dirichlet constraints are the same for every m), certifies C G = 0 on them,
+and assembles on them once the X and Y of the Z^1 mass and of the
+1/mu-weighted Z^2 mass; a mode then costs two sparse axpys and one product
+C_E^T M_2 C_E, and its load and error norms on the same tables.  Per mesh
+that is cheaper than keeping X and Y of the product, which takes two
+products, for up to two mirror pairs of modes.
 """
 
 from __future__ import annotations
@@ -375,7 +378,9 @@ def _curlcurl(curl, M2) -> sp.csr_matrix:
     are scipy's sum's, with no buffer for it.  SpGEMM drops sums that are
     exactly 0, which can leave an entry of round-off size without its
     mirror; then the pattern differs, mostly already in the row counts,
-    and scipy adds the two."""
+    and scipy adds the two.  Where the dropped sums come in mirror pairs,
+    the pattern stays symmetric, but SpGEMM's arrays keep the size it
+    bounded them by, and are compacted too."""
     A = curl.T.tocsr() @ (M2 @ curl)    # CSR products, the cheaper order
     T = A.T.tocsr()                     # sorted indices
     if np.array_equal(T.indptr, A.indptr):
@@ -384,9 +389,9 @@ def _curlcurl(curl, M2) -> sp.csr_matrix:
             A.data += T.data
             if not A.data.all():    # scipy's sum drops entries that are 0
                 A.eliminate_zeros()
-                A = _compact(A)
             A.data *= 0.5
-            return A
+            base = A.data.base
+            return A if base is None or base.size == A.nnz else _compact(A)
     A = A + T
     A.data *= 0.5
     return _compact(A)
@@ -514,22 +519,48 @@ def essential_dofs(complex_: DeRhamComplex2D, k: int,
 # mode system
 # ---------------------------------------------------------------------------
 
+KERNEL_TOL = 1e3 * np.finfo(float).eps   # most kernel_residual
+
+
+def _kernel_residual(curl, G) -> float:
+    """max|C G| / (max|C| max|G|), 0 where C G has no stored entry."""
+    CG = curl @ G
+    if not CG.nnz:
+        return 0.0
+    return float(abs(CG).max() / (abs(curl).max() * abs(G).max()))
+
+
 @dataclass
 class ModeSystem:
     """Assembled matrices of one Fourier mode on the free DoFs of its mesh.
 
-    ``free_z1`` / ``free_z0`` index the unconstrained DoFs of the full
+    The last k = len(free_z0) free Z^1 DoFs are the theta ones, where the
+    gradient G = [D; -I] has its -I.  The curl-curl matrix is
+    A = C^T M_2 C, and C G = 0 (certified by ``MeshForms``) gives A G = 0,
+    so A = [I; D^T] K [I, D] is fixed by its meridional block
+    K = A[:n-k, :n-k], the one block that is stored; the solvers take K and
+    G.  ``free_z1`` / ``free_z0`` index the unconstrained DoFs of the full
     coefficient spaces; ``expand_z1`` puts a free Z^1 vector back on them.
     """
 
     m: int
     complex: DeRhamComplex2D
-    A: sp.csr_matrix            # curl-curl (weight 1/mu) on free Z1
+    K: sp.csr_matrix            # curl-curl (weight 1/mu), meridional block
     M: sp.csr_matrix            # mass (weight eps) on free Z1
     G: sp.csr_matrix            # gradient, free Z0 -> free Z1: the kernel of A
     f: np.ndarray               # load on free Z1
     free_z1: np.ndarray
     free_z0: np.ndarray
+
+    @property
+    def A(self) -> sp.csr_matrix:
+        """The curl-curl matrix on free Z^1, [I; D^T] K [I, D], formed on
+        each read and symmetrized as ``_curlcurl`` does; the solvers keep no
+        A."""
+        lead = self.K.shape[0]
+        T = sp.hstack([sp.identity(lead, format="csr"), self.G[:lead]],
+                      format="csr")
+        return _curlcurl(T, self.K)
 
     @property
     def B(self) -> sp.csr_matrix:
@@ -538,8 +569,8 @@ class ModeSystem:
         return (self.M @ self.G).tocsr()
 
     def reduced(self):
-        """(A, M, f), the system the solvers take with ``G``."""
-        return self.A, self.M, self.f
+        """(K, M, f), the system the solvers take with ``G``."""
+        return self.K, self.M, self.f
 
     def expand_z1(self, u_red: np.ndarray) -> np.ndarray:
         u = np.zeros(self.complex.dim(1))
@@ -551,45 +582,57 @@ class MeshForms:
     """One mesh's quadrature, boundary conditions and the mode-independent
     parts of its Galerkin matrices.
 
-    The constructor does the work: the quadrature table of all elements and
+    The constructor does the work: the free Z^1/Z^0 DoFs, those not fixed
+    on a dirichlet edge; the gradient G between them and the kernel
+    certificate ``kernel_residual``, max|C G| / (max|C| max|G|) with the
+    curl C from the free Z^1 DoFs, which must not exceed KERNEL_TOL (else
+    an AssemblyError that names range(G)): since every A = C^T M_2 C, it
+    gives A G = 0 for every mode; the quadrature table of all elements and
     one per neumann edge, each with the basis matrix of every 1D space of
     the factors tabulated once, on which every mode's load and error norms
-    run; the free Z^1/Z^0 DoFs, those not fixed on a dirichlet edge; the
-    eps-weighted Z^1 mass on them and the 1/mu-weighted Z^2 mass (Z^2 has
-    no essential DoFs), each split as X + Y / m**2; the curl C from the
-    free Z^1 DoFs, and the gradient G between the free DoFs.
+    run; the eps-weighted Z^1 mass on the free DoFs and the 1/mu-weighted
+    Z^2 mass (Z^2 has no essential DoFs), each split as X + Y / m**2; and
+    ``curl``, the columns of C of the meridional free DoFs, all but the
+    last len(free_z0).
     """
 
     def __init__(self, complex_: DeRhamComplex2D, geometry: NurbsGeometry,
                  materials: MaterialConstants = VACUUM):
         self.complex = complex_
-        self.table = tab = _QuadTable(complex_, geometry)
-        self.edge_tables = [_QuadTable(complex_, geometry, edge=edge)
-                            for edge in EDGES
-                            if geometry.edge_labels[edge] == "neumann"]
         self.free_z1, self.free_z0 = (
             np.setdiff1d(np.arange(complex_.dim(k)),
                          essential_dofs(complex_, k, geometry.edge_labels))
             for k in (1, 0))
         r = self.free_z1
+        curl = complex_.C[:, r]
+        self.G = complex_.G[r][:, self.free_z0]
+        self.kernel_residual = _kernel_residual(curl, self.G)
+        if not self.kernel_residual <= KERNEL_TOL:
+            raise AssemblyError(
+                f"range(G) is not in the kernel of C: max|C G| / (max|C| "
+                f"max|G|) = {self.kernel_residual:.2e}")
+        self.curl = curl[:, :len(r) - len(self.free_z0)]
+        self.table = tab = _QuadTable(complex_, geometry)
+        self.edge_tables = [_QuadTable(complex_, geometry, edge=edge)
+                            for edge in EDGES
+                            if geometry.edge_labels[edge] == "neumann"]
         self.mass = list(_mass_parts(tab, 1, materials.eps, r))
         self.mass2 = list(_mass_parts(tab, 2, 1.0 / materials.mu))
-        self.curl = complex_.C[:, r]
-        self.G = complex_.G[r][:, self.free_z0]
 
 
 def build_mode_system(forms: MeshForms, m: int, source=None,
                       neumann=None) -> ModeSystem:
-    """A_m, M_m and the load of mode m on the free DoFs.
+    """K_m, M_m and the load of mode m on the free DoFs.
 
-    M_m and the Z^2 mass are axpys of the parts in ``forms``, and A_m is
-    the symmetrized C^T M_2 C; only the load (``assemble_load``, on the
-    tables of ``forms``) is integrated per mode.
+    M_m and the Z^2 mass are axpys of the parts in ``forms``, and K_m is
+    the symmetrized C_E^T M_2 C_E of the meridional columns C_E of the
+    curl, the leading block of A_m = C^T M_2 C; only the load
+    (``assemble_load``, on the tables of ``forms``) is integrated per mode.
     """
     f = assemble_load(forms, m, source=source, neumann=neumann)
     return ModeSystem(
         m=m, complex=forms.complex,
-        A=_curlcurl(forms.curl, _at_mode(forms.mass2, m)),
+        K=_curlcurl(forms.curl, _at_mode(forms.mass2, m)),
         M=_at_mode(forms.mass, m),
         G=forms.G, f=f[forms.free_z1],
         free_z1=forms.free_z1, free_z0=forms.free_z0,

@@ -1,15 +1,21 @@
 """Linear-algebra backends: sparse generalized eigensolver, saddle-point
 solve, and log-log rate fitting.
 
-Both solvers use the exactness of the sequence: the kernel of A is
-range(G), and the last k rows of G = [D_rho; D_z; -I] are a nonsingular
-diagonal block, so the first n - k DoFs (the meridional ones) span an exact
-complement of the kernel, on which A is definite.  Each solver factors the
-SPD leading block K = A[:n-k, :n-k] once, with no shift, and applies
-E K^{-1} E^T (E the first n - k unit vectors) between the M-orthogonal
-projections onto the complement of range(G); the kernel costs the factor no
-fill.  The eigensolver certifies ker A = range(G) exactly: a nonsingular K
-leaves ker A at most k dimensions, and A G = 0 puts range(G) inside it.
+Both solvers use the exactness of the sequence: the kernel of the curl-curl
+matrix A is range(G), and the last k rows of G = [D; d] are a nonsingular
+diagonal block d (the -I of G = [D_rho; D_z; -I]).  So A G = 0 fixes A by
+its meridional block K = A[:n-k, :n-k]: with W = -D d^{-1},
+A = [I; W^T] K [I, W].  Both solvers take K, M and G and never form A;
+they apply A as x -> [K w; W^T K w] with w = x[:n-k] + W x[n-k:] (the
+saddle-point solve in long double, see ``solve_saddle_point``).  The
+first n - k DoFs (the meridional ones) span an exact complement of the
+kernel, on which A is definite: each solver factors the SPD K once, with no
+shift and on its own arrays (K is symmetric, so its CSR arrays are its CSC
+arrays), and applies E K^{-1} E^T (E the first n - k unit vectors) between
+the M-orthogonal projections onto the complement of range(G); the kernel
+costs the factor no fill.  A nonsingular K leaves ker A exactly range(G);
+that the K of a mesh is the leading block of C^T M_2 C with C G = 0 is
+certified once per mesh, by ``assembly.MeshForms``.
 
 The cavity eigensolver is shift-invert Lanczos (ARPACK) at 0 on that
 operator, so its memory grows with the factors and not with n**2.  The
@@ -43,7 +49,7 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Smallest nonzero eigenpairs of A v = lambda M v.
+    """Smallest nonzero eigenpairs of A v = lambda M v, for the A of K and G.
 
     ``residuals`` holds the relative residuals
     ||A v - lambda M v|| / (||A v|| + |lambda| ||M v||) per returned pair.
@@ -55,17 +61,15 @@ class EigenResult:
     num_filtered: int          # kernel dimension: columns of the basis G
     threshold: float           # eps * max(diag A / diag M), the round-off
                                # floor that lambda_0 must clear
-    kernel_residual: float     # max|A G| / (max|A| max|G|), 0 without G
-    factor_nnz: int            # entries SuperLU stores for the L and U of
-                               # A[:n-k, :n-k] (relaxed supernodes store
-                               # some zeros)
+    factor_nnz: int            # entries SuperLU stores for the L and U of K
+                               # (relaxed supernodes store some zeros)
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
     op_applications: int       # calls of the Lanczos run's operator
+    m_products: int            # products with M in the Lanczos run
 
 
 KERNEL_GAP = 1e6   # least lambda_0 / threshold
-KERNEL_TOL = 1e3 * np.finfo(float).eps   # most kernel_residual
 _EXTRA = 4         # Ritz pairs computed beyond the requested count
 _SEED = 0          # ARPACK start vector and restarts: results repeat exactly
 
@@ -125,7 +129,10 @@ def _release_heap():
     """Give the heap's free memory back to the system.  glibc keeps what
     freed transients (assembly, the input check) leave there, and SuperLU's
     factors, which are mmapped, never reuse it; released before the
-    factors, it no longer adds to the peak RSS."""
+    factors, it no longer adds to the peak RSS.  The transients of the
+    factors (M G, G^T M G, SuperLU's work arrays) fault released pages back
+    in, and glibc keeps them through a whole Lanczos run, so the
+    eigensolver releases once more before it."""
     trim = _libc_malloc_trim()
     if trim is not None:
         trim(0)
@@ -133,9 +140,9 @@ def _release_heap():
 
 def _symmetric_lu(csc, failure: str):
     """SuperLU factor of a CSC matrix with no pivoting and a symmetric
-    ordering, as for G^T M G and A's definite leading block; a singular
-    factor is a SolveError that begins with ``failure``.  Callers build the
-    CSC in the argument, so that no other copy lives through the factor."""
+    ordering, as for G^T M G and K; a singular factor is a SolveError that
+    begins with ``failure``.  Callers build the CSC in the argument, so that
+    no other copy lives through the factor."""
     try:
         return splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                     options={"SymmetricMode": True})
@@ -149,19 +156,22 @@ def _max_abs(X) -> float:
     return max(X.data.max(initial=0.0), -X.data.min(initial=0.0))
 
 
-def _pencil(A, M, G):
-    """A, M and G as float CSR (ARPACK's products with M run faster on it),
-    checked for shapes, for a symmetric A and for a positive diagonal of M."""
-    A, M, G = (sp.csr_matrix(a, dtype=float) for a in (A, M, G))
-    n = A.shape[0]
-    if A.shape != M.shape or A.shape != (n, n) or G.shape[0] != n:
-        raise SolveError("A and M must be square with equal shapes and G "
-                         "must have their order of rows")
-    if _max_abs(A - A.T) > 1e-10 * _max_abs(A):
-        raise SolveError("A is not symmetric")
+def _pencil(K, M, G):
+    """K, M and G as float CSR (ARPACK's products with M run faster on it),
+    checked for shapes (M of order n, G of n rows and K of order n - k for
+    the k columns of G), for a symmetric K and for a positive diagonal of
+    M."""
+    K, M, G = (sp.csr_matrix(a, dtype=float) for a in (K, M, G))
+    n, k = G.shape
+    if M.shape != (n, n) or K.shape != (n - k, n - k):
+        raise SolveError("inconsistent shapes: M must be square of the order "
+                         "n of the rows of G, and K of order n - k for its "
+                         "k columns")
+    if _max_abs(K - K.T) > 1e-10 * _max_abs(K):
+        raise SolveError("K is not symmetric")
     if not np.all(M.diagonal() > 0):
         raise SolveError("M is not positive definite")
-    return A, M, G
+    return K, M, G
 
 
 def _gauge_projection(G, M):
@@ -178,30 +188,65 @@ def _gauge_projection(G, M):
             lambda x: x - M @ (G @ lu.solve(Gt @ x)), _max_abs(B))
 
 
-def _complement_inverse(A, G, project, dual):
-    """The inverse of A on the complement of range(G), x -> P E K^{-1} E^T
-    P^T x, and the entries SuperLU stores for the L and U of
-    K = A[:n-k, :n-k].
-
-    The last k rows of G must be a nonsingular diagonal block: then the
-    first n - k unit vectors E span a complement of range(G), and K is SPD
-    when range(G) holds the kernel of A.  For x in range(A) = ker G^T,
-    E K^{-1} E^T x is a preimage of x under A, and P picks the one
-    M-orthogonal to range(G).  P^T first sends the round-off part of x
-    outside range(A) to 0; E K^{-1} E^T would send it to a non-kernel
-    vector."""
+def _meridional_map(G) -> sp.csr_matrix:
+    """W = -D d^{-1} for G = [D; d], once the last k rows of G are checked
+    to be a nonsingular diagonal block d: then A = [I; W^T] K [I, W] is the
+    A with kernel range(G) and leading block K.  W is D itself for d = -I."""
     n, k = G.shape
     lead = n - k
-    D = G[lead:].tocoo()
-    D.sum_duplicates()
-    D.eliminate_zeros()
-    if D.nnz != k or np.any(D.row != D.col):
+    d = G[lead:].tocoo()
+    d.sum_duplicates()
+    d.eliminate_zeros()
+    if d.nnz != k or np.any(d.row != d.col):
         raise SolveError("the last k rows of the kernel basis G must be a "
                          "nonsingular diagonal block")
-    lu = _symmetric_lu(sp.csc_matrix(A[:lead, :lead]),
-                       f"no gap above the {k}-dimensional kernel: the "
-                       f"leading block of A of order {lead} is singular, so "
-                       f"range(G) misses part of the kernel of A")
+    return (G[:lead] @ sp.diags(-1.0 / G[lead:].diagonal())).tocsr()
+
+
+def _stiffness(K, W):
+    """x -> A x for A = [I; W^T] K [I, W], on a vector or on the columns
+    of an (n, r) array, in the precision of the entries of K and W."""
+    lead = K.shape[0]
+
+    def apply(x):
+        Kw = K @ (x[:lead] + W @ x[lead:])
+        return np.concatenate([Kw, W.T @ Kw])
+
+    return apply
+
+
+def _stiffness_diagonal(K, W) -> np.ndarray:
+    """diag A for A = [I; W^T] K [I, W]: diag K, then the column sums of
+    W * (K W), which are diag(D^T K D) / d**2."""
+    tail = np.asarray(W.multiply(K @ W).sum(axis=0)).ravel()
+    return np.concatenate([K.diagonal(), tail])
+
+
+def _extended(X) -> sp.csr_matrix:
+    """The CSR X with its entries in long double, which is extended
+    precision on x86 (and double where the platform has no wider type),
+    sharing the index arrays of X."""
+    return sp.csr_matrix((X.data.astype(np.longdouble), X.indices,
+                          X.indptr), shape=X.shape)
+
+
+def _complement_inverse(K, k: int, project, dual):
+    """The inverse of A on the complement of range(G), x -> P E K^{-1} E^T
+    P^T x, and the entries SuperLU stores for the L and U of K, the leading
+    block of order n - k.
+
+    The first n - k unit vectors E span a complement of range(G) when its
+    last k rows are a nonsingular diagonal block (``_meridional_map``), and
+    K is SPD when range(G) holds the kernel of A.  For x in range(A) =
+    ker G^T, E K^{-1} E^T x is a preimage of x under A, and P picks the one
+    M-orthogonal to range(G).  P^T first sends the round-off part of x
+    outside range(A) to 0; E K^{-1} E^T would send it to a non-kernel
+    vector.  K is symmetric, so its transpose, a CSC view of its own
+    arrays, is factored: no copy of K is made."""
+    lead = K.shape[0]
+    lu = _symmetric_lu(K.T, f"no gap above the {k}-dimensional kernel: the "
+                       f"leading block K of A of order {lead} is singular, "
+                       f"so range(G) misses part of the kernel of A")
 
     def inverse(x):
         y = np.zeros_like(x)
@@ -213,39 +258,35 @@ def _complement_inverse(A, G, project, dual):
     return inverse, lu.nnz
 
 
-def _kernel_residual(A, G) -> float:
-    """max|A G| / (max|A| max|G|), 0 for a G with no columns.  A G dies on
-    return, before the Lanczos run."""
-    AG = A @ G
-    return float(_max_abs(AG) / (_max_abs(A) * _max_abs(G))) if AG.nnz else 0.0
+def solve_generalized_eig(K, M, count: int, G) -> EigenResult:
+    """The ``count`` smallest eigenpairs of (A, M) above the kernel range(G),
+    for the A = [I; W^T] K [I, W] of K and G (see the module docstring).
 
-
-def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
-    """The ``count`` smallest eigenpairs of (A, M) above the kernel range(G).
-
-    A is symmetric positive semi-definite and M symmetric positive definite;
-    the n x k basis G spans the kernel of A (for a curl-curl pencil the
-    gradients of the free Z^0 DoFs, by exactness of the complex), and its
-    last k rows are a nonsingular diagonal block (the -I of G = [D_rho;
-    D_z; -I]).  With P = I - G (G^T M G)^{-1} G^T M, the M-orthogonal
-    projector onto the complement of range(G), and K = A[:n-k, :n-k],
-    shift-invert Lanczos at 0 runs on P E K^{-1} E^T P^T (see
-    ``_complement_inverse``; there is no shift), so the kernel never
-    enters the Krylov space and the converged (tol=0) Ritz pairs need no
-    further projection or Rayleigh-Ritz step; count + 4 pairs are computed
-    and the ``count`` smallest returned.  Input is converted to CSR on
-    entry: no dense n x n array is formed.  The factorizations and the
-    Lanczos run use one thread of scipy's OpenBLAS (see the module
-    docstring).  SolveError is raised when count >= n - k (Lanczos needs
-    one vector more than it returns pairs), when the last k rows of G are
-    not a nonsingular diagonal block, on a singular factor (a singular K
-    means a kernel vector outside range(G)), when ``kernel_residual``
-    exceeds KERNEL_TOL (a column of G outside the kernel), on an ARPACK
-    failure, and unless lambda_0 >= KERNEL_GAP * threshold, the round-off
-    floor eps * max(diag A / diag M): a kernel vector whose K pivot is only
+    K = A[:n-k, :n-k] is symmetric positive definite and M symmetric
+    positive definite; the n x k basis G spans the kernel of A (for a
+    curl-curl pencil the gradients of the free Z^0 DoFs, by exactness of the
+    complex), and its last k rows are a nonsingular diagonal block d (the
+    -I of G = [D_rho; D_z; -I]).  With P = I - G (G^T M G)^{-1} G^T M, the
+    M-orthogonal projector onto the complement of range(G), shift-invert
+    Lanczos at 0 runs on P E K^{-1} E^T P^T (see ``_complement_inverse``;
+    there is no shift), so the kernel never enters the Krylov space and the
+    converged (tol=0) Ritz pairs need no further projection or Rayleigh-Ritz
+    step; count + 4 pairs are computed and the ``count`` smallest returned.
+    ARPACK reads only the shape of the A it is given; it takes M as an
+    operator that counts its products.  Input is converted to CSR on entry:
+    no dense n x n array is formed.  The heap's free memory is given back
+    after the input check and again after both factors, before the Lanczos
+    run.  The factorizations and the Lanczos run use one thread of scipy's
+    OpenBLAS (see the module docstring).  SolveError is raised when
+    count >= n - k (Lanczos needs one vector more than it returns pairs), on
+    inconsistent shapes, when the last k rows of G are not a nonsingular
+    diagonal block, on a singular factor (a singular K means a kernel vector
+    outside range(G)), on an ARPACK failure, and unless
+    lambda_0 >= KERNEL_GAP * threshold, the round-off floor
+    eps * max(diag A / diag M): a kernel vector whose K pivot is only
     round-off fails that check.
     """
-    A, M, G = _pencil(A, M, G)
+    K, M, G = _pencil(K, M, G)
     _release_heap()
     n, k = G.shape
     if count < 1 or count >= n - k:
@@ -253,19 +294,24 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
                          f"above a {k}-dimensional kernel")
     rng = np.random.default_rng(_SEED)
     nev = min(count + _EXTRA, n - k - 1)
-    applications = 0
+    applications = products = 0
     with _one_blas_thread() as threads:
         _, project, dual, _ = _gauge_projection(G, M)
-        inverse, factor_nnz = _complement_inverse(A, G, project, dual)
-        kernel_residual = _kernel_residual(A, G)
-        if not kernel_residual <= KERNEL_TOL:
-            raise SolveError(f"range(G) is not in the kernel of A: max|A G| "
-                             f"/ (max|A| max|G|) = {kernel_residual:.2e}")
+        W = _meridional_map(G)
+        diag_a = _stiffness_diagonal(K, W)
+        inverse, factor_nnz = _complement_inverse(K, k, project, dual)
+        stiffness = _stiffness(K, W)
+        _release_heap()     # what the factors' transients left
 
         def operator(x):
             nonlocal applications
             applications += 1
             return inverse(x)
+
+        def m_product(x):
+            nonlocal products
+            products += 1
+            return M @ x
 
         # tol=0 is ARPACK's tol = eps, and dsconv accepts a Ritz value
         # theta = 1/lambda once its error bound is <= tol * max(eps**(2/3),
@@ -278,7 +324,10 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
         # to theta = O(1) makes the test relative but takes 191 applications
         # instead of 96 at m = 26 (ROADMAP item 6).
         try:
-            vals, V = eigsh(A, nev, M=M, sigma=0.0,
+            vals, V = eigsh(LinearOperator((n, n), stiffness, dtype=float),
+                            nev, M=LinearOperator((n, n), m_product,
+                                                  dtype=float),
+                            sigma=0.0,
                             OPinv=LinearOperator((n, n), operator,
                                                  dtype=float),
                             v0=project(rng.standard_normal(n)),
@@ -289,20 +338,21 @@ def solve_generalized_eig(A, M, count: int, G) -> EigenResult:
     order = np.argsort(vals)[:count]
     vals, vecs = vals[order], V[:, order]
     # a kernel vector left out of G comes back as a round-off eigenvalue
-    floor = np.finfo(float).eps * float((A.diagonal() / M.diagonal()).max())
+    floor = np.finfo(float).eps * float((diag_a / M.diagonal()).max())
     if not vals[0] >= KERNEL_GAP * floor:
         raise SolveError(f"no gap above the {k}-dimensional kernel: lambda = "
                          f"{vals[0]:.3e} after |lambda| = {floor:.3e}")
-    AV, LMV = A @ vecs, (M @ vecs) * vals
+    AV, LMV = stiffness(vecs), (M @ vecs) * vals
     num, av, lmv = (np.linalg.norm(X, axis=0) for X in (AV - LMV, AV, LMV))
     res = np.divide(num, av + lmv, out=np.zeros(count), where=av + lmv > 0)
-    return EigenResult(vals, vecs, res, k, floor, kernel_residual,
-                       factor_nnz, threads, applications)
+    return EigenResult(vals, vecs, res, k, floor, factor_nnz, threads,
+                       applications, products)
 
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Solution of [A B; B^T 0] [u; p] = [f; 0], B = M G, per load column.
+    """Solution of [A B; B^T 0] [u; p] = [f; 0], B = M G, per load column,
+    for the A of K and G.
 
     The residuals are relative and hold for the worst column:
     ``residual_primal`` is ||A u + B p - f|| / (||A u|| + ||B p|| + ||f||)
@@ -315,7 +365,7 @@ class SaddleSolution:
     residual_primal: float
     residual_gauge: float
     factor_nnz: int            # entries SuperLU stores for the L and U of
-                               # A[:n-k, :n-k], as in EigenResult
+                               # K, as in EigenResult
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
 
@@ -326,37 +376,43 @@ def _worst_ratio(num, den) -> float:
                            where=den > 0).max(initial=0.0))
 
 
-def solve_saddle_point(A, M, F, G) -> SaddleSolution:
+def solve_saddle_point(K, M, F, G) -> SaddleSolution:
     """Solve the KKT system with B = M G through the exact sequence, on the
     eigensolver's sparse factors.
 
-    A (n x n) is symmetric positive semi-definite with kernel exactly
-    range(G), M symmetric positive definite, and the last k rows of G a
-    nonsingular diagonal block, as for the eigensolver.  If B^T u = 0 and
-    A u + B p = f, then G^T A = 0 turns G^T of the first row into
-    G^T M G p = G^T f: p comes from the sparse factor of G^T M G.  Then
-    u solves A u = r = f - B p on ker B^T, where A is definite: u is
-    P E K^{-1} E^T P^T, the eigensolver's inverse of A on the complement
-    of range(G) with its factor of K = A[:n-k, :n-k]
+    K, M and G are as for the eigensolver: A = [I; W^T] K [I, W] has the
+    kernel range(G), with K = A[:n-k, :n-k] symmetric positive definite,
+    M symmetric positive definite and the last k rows of G a nonsingular
+    diagonal block.  If B^T u = 0 and A u + B p = f, then G^T A = 0 turns
+    G^T of the first row into G^T M G p = G^T f: p comes from the sparse
+    factor of G^T M G.  Then u solves A u = r = f - B p on ker B^T, where A
+    is definite: u is P E K^{-1} E^T P^T, the eigensolver's inverse of A on
+    the complement of range(G) with its factor of K
     (``_complement_inverse``), applied to r and then once to r - A u.  The
-    inverse is exact up to round-off, and one refinement step in working
-    precision brings the residual to round-off (Skeel, Math. Comp. 35,
-    1980).  Both applications lie in ker B^T, so the gauge is round-off.
+    inverse is exact up to round-off, and one refinement step brings the
+    residual to round-off (Skeel, Math. Comp. 35, 1980) when r - A u is
+    accurate.  Through K and W, A u in double is not: its rounding grows
+    with |K| |W| |u_E + W u_theta| where that of an assembled A grows with
+    |A| |u|, a factor of about 1/h**2 on a mesh of width h (2.3e-14 against
+    4.5e-16 on the p=3 16 x 16 source mesh).  So the refinement's r - A u
+    and the primal residual apply A in long double, as iterative refinement
+    with extended-precision residuals does (Moler, J. ACM 14, 1967), on a
+    long double copy of the entries of K and W made after K's factor.  Both
+    applications lie in ker B^T, so the gauge is round-off.
 
-    A, M and G may be sparse or dense (CSR on entry).  F is one load of
+    K, M and G may be sparse or dense (CSR on entry).  F is one load of
     shape (n,) or r loads as the columns of an (n, r) array, sharing both
     factors; u and p have the shape of F (rows n and k).  The solve runs on
     one thread of scipy's OpenBLAS.  SolveError is raised on inconsistent
     shapes, when the last k rows of G are not a nonsingular diagonal block,
     on a failed factor (a zero G makes G^T M G singular, a kernel vector
     outside range(G) makes K singular) and when ``residual_primal``
-    exceeds sqrt(eps): that is how a G whose range is not the kernel of A
-    shows.
+    exceeds sqrt(eps): that is how a K that is singular to round-off shows.
     """
-    A, M, G = _pencil(A, M, G)
+    K, M, G = _pencil(K, M, G)
     _release_heap()
     F = np.asarray(F, dtype=float)
-    if F.ndim not in (1, 2) or F.shape[0] != A.shape[0]:
+    if F.ndim not in (1, 2) or F.shape[0] != M.shape[0]:
         raise SolveError("inconsistent saddle-point block shapes")
     norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
     with _one_blas_thread() as threads:
@@ -364,11 +420,15 @@ def solve_saddle_point(A, M, F, G) -> SaddleSolution:
         p = s_lu.solve(G.T @ F)
         Bp = M @ (G @ p)
         r = F - Bp
-        inverse, factor_nnz = _complement_inverse(A, G, project, dual)
+        W = _meridional_map(G)
+        inverse, factor_nnz = _complement_inverse(K, G.shape[1], project,
+                                                  dual)
+        stiffness = _stiffness(_extended(K), _extended(W))
         u = inverse(r)
-        u = u + inverse(r - A @ u)
-    Au = A @ u
-    r1 = _worst_ratio(norm(Au + Bp - F), norm(Au) + norm(Bp) + norm(F))
+        u = u + inverse((r - stiffness(u)).astype(float))
+    Au = stiffness(u)
+    r1 = _worst_ratio(norm((Au + Bp - F).astype(float)),
+                      norm(Au.astype(float)) + norm(Bp) + norm(F))
     # B^T u = G^T (M^T u): M^T is a view, and no B is kept for it
     r2 = _worst_ratio(norm(G.T @ (M.T @ u)), max_b * norm(u))
     tol = np.sqrt(np.finfo(float).eps)

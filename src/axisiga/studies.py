@@ -324,45 +324,49 @@ def _pillbox_mesh(config: StudyConfig, geo, pairs, refs, p: int,
     ModeSystem, solved through ``_pillbox_pair``.  Returns the mesh's rows,
     ``eig_solves`` entries and phase records.  The solves need only the
     ModeSystem, so the MeshForms dies before the last pair's, and each
-    pair's system before the next pair's is built."""
+    pair's system before the next pair's is built; the mesh's kernel
+    certificate goes into each pair's ``eig_solves`` entry."""
     part = StudyReport(config)
     with part.phase("forms", p, sub):
         forms = MeshForms(_build_complex(p, sub), geo, config.materials)
+    kernel_residual = forms.kernel_residual
     for i, (pair, ref) in enumerate(zip(pairs, refs)):
         with part.phase("system", p, sub, pair[0]):
             sys_ = build_mode_system(forms, pair[0])
         if i == len(pairs) - 1:
             del forms
-        _pillbox_pair(part, sys_, p, sub, pair, ref)
+        _pillbox_pair(part, sys_, p, sub, pair, ref, kernel_residual)
         del sys_
     return part
 
 
 def _pillbox_pair(part: StudyReport, sys_, p: int, sub: int, pair: list,
-                  ref):
+                  ref, kernel_residual: float):
     """Solve one mirror pair's eigenpencil, its ModeSystem ``sys_``, and add
-    its ``eig_solves`` entry, phases and rows to ``part``.  The pair's
-    factors and eigenvectors die on return."""
+    its ``eig_solves`` entry, phases and rows to ``part``, with the
+    certificate ``kernel_residual`` of its mesh.  The pair's factors and
+    eigenvectors die on return."""
     config = part.config
     omegas_ref, count, target_idx, target_omega = ref
-    A, M, _ = sys_.reduced()
-    # the kernel is the gradients of the free Z^0 DoFs
-    above = A.shape[0] - sys_.G.shape[1]
+    K, M, _ = sys_.reduced()
+    # K's order: the kernel, the gradients of the free Z^0 DoFs, is left out
+    above = K.shape[0]
     if count >= above:    # Lanczos needs one spare vector
         raise StudyError(f"eigs: {count} asked, but the p={p} mesh of "
                          f"{sub}x{sub} elements allows at most "
                          f"{above - 1} for m={pair[0]}")
     with part.phase("solve", p, sub, pair[0]) as solve_phase:
-        res = solve_generalized_eig(A, M, count, sys_.G)
-    dofs = A.shape[0]
+        res = solve_generalized_eig(K, M, count, sys_.G)
+    dofs = M.shape[0]
     part.metadata.setdefault("eig_solves", []).append({
         "p": p, "subdivisions": sub, "m": pair[0], "modes": list(pair),
         "n": dofs, "count": count, "kernel_dim": res.num_filtered,
         "gap_ratio": float(res.eigenvalues[0] / res.threshold),
-        "kernel_residual": res.kernel_residual,
+        "kernel_residual": kernel_residual,
         "max_residual": float(res.residuals.max()),
         "factor_nnz": res.factor_nnz,
         "op_applications": res.op_applications,
+        "m_products": res.m_products,
         "blas_threads": res.blas_threads,
         "seconds": solve_phase["seconds"]})
     with part.phase("post", p, sub, pair[0]):
@@ -449,15 +453,16 @@ def _source_pair(part: StudyReport, forms: MeshForms, manufactured,
     loads = dict(source=manufactured.current, neumann=manufactured.neumann)
     with part.phase("system", p, sub, pair[0]):
         sys_ = build_mode_system(forms, pair[0], **loads)
-        A, M, f = sys_.reduced()
+        K, M, f = sys_.reduced()
         F = np.column_stack([f] + [
             assemble_load(forms, m, **loads)[forms.free_z1]
             for m in pair[1:]])
     with part.phase("solve", p, sub, pair[0]) as solve_phase:
-        sol = solve_saddle_point(A, M, F, sys_.G)
+        sol = solve_saddle_point(K, M, F, sys_.G)
     part.metadata.setdefault("kkt_solves", []).append({
         "p": p, "subdivisions": sub, "modes": list(pair),
-        "n": A.shape[0], "k": sys_.G.shape[1],
+        "n": M.shape[0], "k": sys_.G.shape[1],
+        "kernel_residual": forms.kernel_residual,
         "factor_nnz": sol.factor_nnz,
         "blas_threads": sol.blas_threads,
         "residual_primal": sol.residual_primal,

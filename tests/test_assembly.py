@@ -7,6 +7,8 @@ import sympy
 
 from axisiga.assembly import (
     _INV_M_COMPONENTS,
+    KERNEL_TOL,
+    VACUUM,
     AssemblyError,
     MaterialConstants,
     MeshForms,
@@ -137,7 +139,7 @@ class TestCurlCurl:
         cx = make_complex(2, 2)
         geo = pillbox_section(1.0, 1.0)
         sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
-        A, M, _ = sys_.reduced()
+        A, M = sys_.A, sys_.M
         vals = np.linalg.eigvalsh(
             np.linalg.solve(M.toarray(), A.toarray()) @ np.eye(A.shape[0]))
         # count eigenvalues at numerical zero
@@ -304,9 +306,9 @@ class TestEssentialBC:
         cx = make_complex(2, 3)
         geo = pillbox_section(1.0, 1.0)
         sys_ = build_mode_system(MeshForms(cx, geo, UNIT_MATERIALS), m=1)
-        A, M, _ = sys_.reduced()
+        K, M, _ = sys_.reduced()
         from axisiga.solve import solve_generalized_eig
-        res = solve_generalized_eig(A, M, 1, sys_.G)
+        res = solve_generalized_eig(K, M, 1, sys_.G)
         u = sys_.expand_z1(res.eigenvectors[:, 0])
         ms = ModeSpace(cx, 1)
         ts = np.linspace(0, 1, 11)
@@ -336,13 +338,15 @@ class TestModeSystem:
         n1, n0 = len(sys_.free_z1), len(sys_.free_z0)
         assert n1 < cx.dim(1) and n0 < cx.dim(0)    # PEC walls fix DoFs
         assert sys_.A.shape == sys_.M.shape == (n1, n1)
+        assert sys_.K.shape == (n1 - n0, n1 - n0)
         assert sys_.B.shape == sys_.G.shape == (n1, n0)
         assert sys_.f.shape == (n1,)
 
     @pytest.mark.parametrize("name", ["pillbox-section", "rectangle"])
     def test_free_dofs_equal_restricted_full_space(self, name):
-        # A, M, B, G and f are the full-space ones cut by hand to the
-        # complement of essential_dofs, with difference 0
+        # K, M, B, G and f are the full-space ones cut by hand to the
+        # complement of essential_dofs, with difference 0, K the leading
+        # block of A, which is formed from K to round-off
         geo = BUILTIN_GEOMETRIES[name]()
         cx = make_complex(2, 3)
         mats = MaterialConstants(2.0, 0.25)
@@ -361,7 +365,9 @@ class TestModeSystem:
             assert np.array_equal(sys_.free_z1, r1)
             assert np.array_equal(sys_.free_z0, r0)
             assert np.array_equal(sys_.M.toarray(), cut(M, r1))
-            assert np.array_equal(sys_.A.toarray(), cut(A, r1))
+            lead = len(r1) - len(r0)
+            assert np.array_equal(sys_.K.toarray(), cut(A, r1)[:lead, :lead])
+            assert rel(sys_.A.toarray(), cut(A, r1)) <= 1e-13
             assert np.array_equal(sys_.B.toarray(), cut(M @ cx.G, r0))
             assert np.array_equal(sys_.G.toarray(), cut(cx.G, r0))
             assert np.array_equal(sys_.f, f[r1])
@@ -369,17 +375,20 @@ class TestModeSystem:
             assert not u[con1].any() and u[r1].all()
 
     def test_mode_matrices_are_compact(self):
-        # A and M hold exactly their nnz entries, with no spare capacity of
-        # a scipy sum kept through .base, and A is exactly symmetric
+        # K, M and the A formed from K hold exactly their nnz entries, with
+        # no spare capacity of a scipy sum kept through .base, and K and A
+        # are exactly symmetric
         cx = make_complex(3, 4)
         forms = MeshForms(cx, pillbox_section(1.0, 1.0))
         for m in (1, -2, 26):
             sys_ = build_mode_system(forms, m)
-            for P in (sys_.A, sys_.M, *forms.mass2):
+            A = sys_.A
+            for P in (sys_.K, A, sys_.M, *forms.mass2):
                 for a in (P.data, P.indices):
                     assert a.size == P.nnz
                     assert a.base is None or a.base.size == a.size
-            assert (sys_.A != sys_.A.T).nnz == 0
+            assert (sys_.K != sys_.K.T).nnz == 0
+            assert (A != A.T).nnz == 0
 
     def test_reduced_gradient_is_the_kernel_basis(self):
         # reduced B is reduced M times reduced G exactly, and A G vanishes
@@ -387,11 +396,22 @@ class TestModeSystem:
         geo = pillbox_section(1.0, 1.0)
         for m in (1, -26):
             sys_ = build_mode_system(MeshForms(cx, geo), m)
-            A, M, _ = sys_.reduced()
-            B, G = sys_.B, sys_.G
+            A, M, B, G = sys_.A, sys_.M, sys_.B, sys_.G
             assert G.shape == B.shape
             assert abs(B - M @ G).max() == 0.0
             assert abs(A @ G).max() <= 1e-12 * abs(A).max()
+
+    def test_no_stored_n_by_n_matrix_but_m(self):
+        # the curl-curl matrix A is formed only when read: of the n x n
+        # matrices of a mode only M is stored, with K of order n - k
+        cx = make_complex(2, 3)
+        sys_ = build_mode_system(MeshForms(cx, pillbox_section(1.0, 1.0)), 1)
+        n, k = sys_.G.shape
+        square = [name for name, value in vars(sys_).items()
+                  if getattr(value, "shape", None) == (n, n)]
+        assert square == ["M"]
+        assert sys_.K.shape == (n - k, n - k)
+        assert sys_.A is not sys_.A     # a new matrix on each read
 
     def test_mode_decoupling_is_structural(self):
         # systems for different modes share no mutable state
@@ -400,7 +420,7 @@ class TestModeSystem:
         forms = MeshForms(cx, geo)
         s1 = build_mode_system(forms, m=1)
         s2 = build_mode_system(forms, m=2)
-        assert s1.A is not s2.A
+        assert s1.K is not s2.K
         assert np.abs((s1.A - s2.A).toarray()).max() > 0  # genuinely m-dependent
 
     def test_one_mesh_serves_every_mode(self):
@@ -859,6 +879,25 @@ class TestBandAssembly:
                              _kron_mass_parts(tab, 1, 1.0)):
             self._assert_same(got, want[r][:, r].tocsr())
 
+    @pytest.mark.parametrize("case", _BAND_CASES)
+    def test_k_is_the_leading_block_of_the_restricted_curlcurl(self, case):
+        # K of the meridional columns of the curl is the leading block of
+        # the curl-curl matrix of all columns, cut to the free DoFs, entry
+        # for entry; the A formed from K is that matrix to round-off
+        cx, geo = _BAND_CASES[case]()
+        forms = MeshForms(cx, geo)
+        r = forms.free_z1
+        lead = len(r) - len(forms.free_z0)
+        for m in (1, -3):
+            sys_ = build_mode_system(forms, m)
+            A = assemble_curlcurl(cx, geo, m, 1.0 / VACUUM.mu)[r][:, r]
+            want, got = A[:lead, :lead].tocsr(), sys_.K.copy()
+            want.sort_indices()
+            got.sort_indices()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert rel(sys_.A.toarray(), A.toarray()) <= 1e-13
+
     def test_mode_mass_is_exactly_symmetric(self):
         # a block (h, f) sums the same products in the same order as its
         # transpose (f, h)
@@ -867,6 +906,58 @@ class TestBandAssembly:
         for m in (1, -3):
             M = build_mode_system(forms, m).M
             assert (M != M.T).nnz == 0
+
+
+class TestKernelCertificate:
+    """MeshForms certifies C G = 0 on its free DoFs once per mesh: the
+    ratio max|C G| / (max|C| max|G|) is its ``kernel_residual``, and above
+    KERNEL_TOL it is an AssemblyError that names range(G).  Every A of the
+    mesh is C^T M_2 C, so the certificate gives A G = 0 for every mode."""
+
+    @pytest.mark.parametrize("case", _BAND_CASES)
+    def test_zero_on_the_meshes(self, case):
+        # C G has no stored entry: the certificate reads exactly 0
+        forms = MeshForms(*_BAND_CASES[case]())
+        assert forms.kernel_residual == 0.0
+        assert KERNEL_TOL == 1e3 * np.finfo(float).eps
+
+    def test_non_kernel_column_with_its_diagonal_row_rejected(self):
+        # the meridional part of one gradient replaced by random entries: the
+        # diagonal row stays, so the leading block of A would stay definite
+        cx = make_complex(2, 3)
+        geo = pillbox_section(1.0, 1.0)
+        n, k = cx.G.shape
+        free = MeshForms(cx, geo).free_z0[0]
+        wrong = cx.G.tolil()
+        wrong[:n - k, free] = np.random.default_rng(1).standard_normal(
+            (n - k, 1))
+        cx.G = wrong.tocsr()
+        with pytest.raises(AssemblyError, match=r"range\(G\)"):
+            MeshForms(cx, geo)
+
+    def test_perturbed_curl_entry_rejected(self):
+        # a relative 1e-8 in one entry of C on a free column
+        cx = make_complex(2, 3)
+        geo = pillbox_section(1.0, 1.0)
+        forms = MeshForms(cx, geo)
+        wrong = cx.C.tolil()
+        row, col = forms.curl[:, 0].nonzero()[0][0], forms.free_z1[0]
+        wrong[row, col] *= 1.0 + 1e-8
+        cx.C = wrong.tocsr()
+        with pytest.raises(AssemblyError, match=r"range\(G\)"):
+            MeshForms(cx, geo)
+
+    def test_constrained_dofs_do_not_count(self):
+        # a gradient column of a DoF a dirichlet edge fixes is not in the
+        # free G, and so not certified
+        cx = make_complex(2, 3)
+        geo = pillbox_section(1.0, 1.0)
+        fixed = essential_dofs(cx, 0, geo.edge_labels)[0]
+        n, k = cx.G.shape
+        wrong = cx.G.tolil()
+        wrong[:n - k, fixed] = np.ones((n - k, 1))
+        cx.G = wrong.tocsr()
+        assert MeshForms(cx, geo).kernel_residual == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -972,10 +1063,11 @@ _SYMMETRIZATION_MESHES = {
 
 
 class TestSymmetrization:
-    """A of a mode is scipy's (A + A^T) / 2 of the curl-curl product,
-    bitwise, whether the sum is taken in A's own data (the product's
-    pattern is symmetric) or by scipy (SpGEMM left entries without a
-    mirror)."""
+    """The curl-curl product of the free columns of the curl is scipy's
+    (A + A^T) / 2 of it, bitwise, whether the sum is taken in A's own data
+    (the product's pattern is symmetric) or by scipy (SpGEMM left entries
+    without a mirror), and so is the K of a mode, the product of the
+    meridional columns."""
 
     @pytest.mark.parametrize("mesh,m,unmirrored", [
         ("pillbox-p3-8x8", 1, False), ("pillbox-p3-8x8", 26, False),
@@ -985,17 +1077,19 @@ class TestSymmetrization:
     def test_equals_scipy_sum(self, mesh, m, unmirrored):
         forms = MeshForms(*_SYMMETRIZATION_MESHES[mesh]())
         M2 = _at_mode(forms.mass2, m)
-        product = forms.curl.T.tocsr() @ (M2 @ forms.curl)
+        curl = forms.complex.C[:, forms.free_z1]
+        product = curl.T.tocsr() @ (M2 @ curl)
         assert (_unmirrored(product) > 0) == unmirrored
-        want = _scipy_symmetrized(forms.curl, M2)
-        got = build_mode_system(forms, m).A
-        assert got.data.size == got.indices.size == got.nnz
-        assert (got != got.T).nnz == 0
-        got, want = got.copy(), want.copy()
-        got.sort_indices()
-        want.sort_indices()
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for got, want in ((_curlcurl(curl, M2), _scipy_symmetrized(curl, M2)),
+                          (build_mode_system(forms, m).K,
+                           _scipy_symmetrized(forms.curl, M2))):
+            assert got.data.size == got.indices.size == got.nnz
+            assert (got != got.T).nnz == 0
+            got, want = got.copy(), want.copy()
+            got.sort_indices()
+            want.sort_indices()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_sum_of_exactly_zero_dropped(self):
         # an entry whose mirror is its negative sums to 0, which scipy's

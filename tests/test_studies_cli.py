@@ -668,6 +668,7 @@ class TestCli:
         assert (solve["n"], solve["count"]) == (65, 3)
         assert solve["factor_nnz"] >= 65
         assert solve["op_applications"] >= 1
+        assert solve["m_products"] >= solve["op_applications"]
         assert 0 < solve["seconds"] < 60
         from axisiga.solve import _scipy_openblas
         assert solve["blas_threads"] == (1 if _scipy_openblas() else None)
@@ -684,6 +685,7 @@ class TestCli:
             assert (s["p"], s["subdivisions"], s["n"], s["k"]) \
                 == (2, 2, 33, 12)
             assert s["factor_nnz"] >= 33
+            assert 0 <= s["kernel_residual"] <= 1e3 * np.finfo(float).eps
             assert s["blas_threads"] == solve["blas_threads"]
             assert 0 < s["residual_primal"] <= 1e-10
             assert 0 < s["residual_gauge"] <= 1e-10
