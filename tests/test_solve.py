@@ -735,6 +735,31 @@ class TestKernelBasisContract:
             with pytest.raises(SolveError, match="kernel"):
                 solve_with(_leading(A, G[:, 1:]), M, G[:, 1:])
 
+    @pytest.mark.parametrize("solve_with", SOLVERS)
+    def test_non_kernel_column_with_its_diagonal_row_rejected(
+            self, solve_with):
+        # the leading block stays definite and the solvers form A from K and
+        # G, so range(G) is their kernel by construction: the mesh's
+        # certificate C G = 0 has to catch the basis before either solve
+        def solve_cavity(cx):
+            forms = MeshForms(cx, BUILTIN_GEOMETRIES["pillbox-section"](),
+                              MaterialConstants(1.0, 1.0))
+            sys_ = build_mode_system(forms, 1)
+            K, M, _ = sys_.reduced()
+            return solve_with(K, M, sys_.G)
+
+        solve_cavity(_complex(2, 4))
+        cx = _complex(2, 4)
+        n, k = cx.G.shape
+        free = MeshForms(cx, BUILTIN_GEOMETRIES["pillbox-section"](),
+                         MaterialConstants(1.0, 1.0)).free_z0[0]
+        wrong = cx.G.tolil()
+        wrong[:n - k, free] = np.random.default_rng(1).standard_normal(
+            (n - k, 1))
+        cx.G = wrong.tocsr()
+        with pytest.raises(AssemblyError, match=r"range\(G\)"):
+            solve_cavity(cx)
+
 
 class TestSymmetryCheck:
     """K must be symmetric to 1e-10 of its largest entry, at any scale."""
