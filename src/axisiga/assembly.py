@@ -46,6 +46,7 @@ import scipy.sparse as sp
 
 from .derham import DeRhamComplex2D, DeRhamError, eta_inverse, tilde_push_forward
 from .geometry import EDGES, NurbsGeometry, pullback_values
+from .solve import stiffness_matrix
 from .splines import SplineSpace1D
 
 
@@ -554,13 +555,10 @@ class ModeSystem:
 
     @property
     def A(self) -> sp.csr_matrix:
-        """The curl-curl matrix on free Z^1, [I; D^T] K [I, D], formed on
-        each read and symmetrized as ``_curlcurl`` does; the solvers keep no
-        A."""
-        lead = self.K.shape[0]
-        T = sp.hstack([sp.identity(lead, format="csr"), self.G[:lead]],
-                      format="csr")
-        return _curlcurl(T, self.K)
+        """The curl-curl matrix on free Z^1, the A of K and G that the
+        solvers apply (``solve.stiffness_matrix``), formed on each read;
+        the solvers keep no A."""
+        return stiffness_matrix(self.K, self.G)
 
     @property
     def B(self) -> sp.csr_matrix:

@@ -7,7 +7,8 @@ diagonal block d (the -I of G = [D_rho; D_z; -I]).  So A G = 0 fixes A by
 its meridional block K = A[:n-k, :n-k]: with W = -D d^{-1},
 A = [I; W^T] K [I, W].  Both solvers take K, M and G and never form A;
 they apply A as x -> [K w; W^T K w] with w = x[:n-k] + W x[n-k:] (the
-saddle-point solve in long double, see ``solve_saddle_point``).  The
+saddle-point solve with split products, see ``solve_saddle_point``), and
+``stiffness_matrix`` forms it for reading.  The
 first n - k DoFs (the meridional ones) span an exact complement of the
 kernel, on which A is definite: each solver factors the SPD K once, with no
 shift and on its own arrays (K is symmetric, so its CSR arrays are its CSC
@@ -205,7 +206,7 @@ def _meridional_map(G) -> sp.csr_matrix:
 
 def _stiffness(K, W):
     """x -> A x for A = [I; W^T] K [I, W], on a vector or on the columns
-    of an (n, r) array, in the precision of the entries of K and W."""
+    of an (n, r) array, in double."""
     lead = K.shape[0]
 
     def apply(x):
@@ -222,12 +223,85 @@ def _stiffness_diagonal(K, W) -> np.ndarray:
     return np.concatenate([K.diagonal(), tail])
 
 
-def _extended(X) -> sp.csr_matrix:
-    """The CSR X with its entries in long double, which is extended
-    precision on x86 (and double where the platform has no wider type),
-    sharing the index arrays of X."""
-    return sp.csr_matrix((X.data.astype(np.longdouble), X.indices,
-                          X.indptr), shape=X.shape)
+def stiffness_matrix(K, G) -> sp.csr_matrix:
+    """A = [I; W^T] K [I, W], the matrix with leading block K and kernel
+    range(G) that both solvers apply without forming it, as a CSR matrix
+    with exactly its nonzeros, symmetrized as (A + A^T) / 2 (exactly
+    symmetric); for reading A, as ``ModeSystem.A`` and dense checks do.
+    SolveError is raised unless the last k rows of G are a nonsingular
+    diagonal block."""
+    K = sp.csr_matrix(K, dtype=float)
+    W = _meridional_map(sp.csr_matrix(G, dtype=float))
+    T = sp.hstack([sp.identity(K.shape[0], format="csr"), W], format="csr")
+    A = T.T.tocsr() @ (K @ T)
+    A = A + A.T
+    A.data *= 0.5
+    # a scipy sum keeps room for the entries of both terms
+    return sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr),
+                         shape=A.shape)
+
+
+def _two_sum(a, b):
+    """s = fl(a + b) and e with a + b = s + e exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _accurate_product(X):
+    """(hi, lo) -> X (hi + lo) for a CSR X and a vector or the columns of
+    an (n, r) array given as the unevaluated sum of two doubles, returned
+    the same way, to about 2**-b of the rounding of a product in double,
+    with no wider type: Ozaki's error-free splitting (Ozaki, Ogita, Oishi
+    and Rump, Numer. Algorithms 59, 2012).  Each entry of X is rounded to
+    b bits below the top bit of its row's largest, X = X_1 + X_2, and each
+    column of hi to b bits below the top bit of its largest, hi = x_1 +
+    x_2: with 2 b + log2(row length) <= 52, X_1 x_1 has exact products and
+    exact row sums in double, and X_2 x_1 + X (x_2 + lo), at most 2**-b
+    of the row's largest |X| times the row length and the column's
+    largest |x|, rounds only at that order."""
+    lengths = np.diff(X.indptr)
+    bits = (52 - int(lengths.max(initial=0)).bit_length()) // 2
+
+    def chop(v, exponent):
+        """v rounded to a multiple of 2**(exponent - bits)."""
+        return np.ldexp(np.rint(np.ldexp(v, bits - exponent)),
+                        exponent - bits)
+
+    _, top = np.frexp(abs(X).max(axis=1).toarray().ravel())
+    head = chop(X.data, np.repeat(top, lengths))
+    X1, X2 = (sp.csr_matrix((d, X.indices, X.indptr), shape=X.shape)
+              for d in (head, X.data - head))
+
+    def product(hi, lo):
+        _, top = np.frexp(np.abs(hi).max(axis=0, initial=0.0))
+        x1 = chop(hi, top)
+        return _two_sum(X1 @ x1, X2 @ x1 + X @ ((hi - x1) + lo))
+
+    return product
+
+
+def _accurate_stiffness(K, W):
+    """x -> A x for A = [I; W^T] K [I, W] and a double x, as the unevaluated
+    sum hi + lo of two doubles, with w = x_E + W x_theta and each product
+    split (``_accurate_product``).  In double (``_stiffness``) the rounding
+    grows with eps |K| |W| |x|, about 1/h**2 times the eps |A| |x| of an
+    assembled A on a mesh of width h; split, it grows with about
+    2**-b eps |K| |W| |x|, for b >= 21 bits where rows hold at most 1023
+    entries."""
+    lead = K.shape[0]
+    k_product, w_product = _accurate_product(K), _accurate_product(W)
+    wt_product = _accurate_product(W.T.tocsr())
+
+    def apply(x):
+        head, tail = x[:lead], x[lead:]
+        w_hi, w_lo = w_product(tail, np.zeros_like(tail))
+        w_hi, e = _two_sum(head, w_hi)
+        k_hi, k_lo = k_product(w_hi, w_lo + e)
+        t_hi, t_lo = wt_product(k_hi, k_lo)
+        return (np.concatenate([k_hi, t_hi]), np.concatenate([k_lo, t_lo]))
+
+    return apply
 
 
 def _complement_inverse(K, k: int, project, dual):
@@ -392,13 +466,15 @@ def solve_saddle_point(K, M, F, G) -> SaddleSolution:
     inverse is exact up to round-off, and one refinement step brings the
     residual to round-off (Skeel, Math. Comp. 35, 1980) when r - A u is
     accurate.  Through K and W, A u in double is not: its rounding grows
-    with |K| |W| |u_E + W u_theta| where that of an assembled A grows with
-    |A| |u|, a factor of about 1/h**2 on a mesh of width h (2.3e-14 against
-    4.5e-16 on the p=3 16 x 16 source mesh).  So the refinement's r - A u
-    and the primal residual apply A in long double, as iterative refinement
-    with extended-precision residuals does (Moler, J. ACM 14, 1967), on a
-    long double copy of the entries of K and W made after K's factor.  Both
-    applications lie in ker B^T, so the gauge is round-off.
+    with |K| |W| |u| where that of an assembled A grows with |A| |u|, a
+    factor of about 1/h**2 on a mesh of width h (the primal residual reads
+    about 2e-14 against 8e-16 on the p=3 16 x 16 source mesh).  So the
+    refinement's r - A u and the primal residual take A u and r = f - B p
+    as unevaluated sums of two doubles, A u from error-free splits of the
+    products through W, K and W^T (``_accurate_stiffness``), as iterative
+    refinement with extended-precision residuals does (Moler, J. ACM 14,
+    1967), with no type wider than double.  Both applications lie in
+    ker B^T, so the gauge is round-off.
 
     K, M and G may be sparse or dense (CSR on entry).  F is one load of
     shape (n,) or r loads as the columns of an (n, r) array, sharing both
@@ -419,16 +495,22 @@ def solve_saddle_point(K, M, F, G) -> SaddleSolution:
         s_lu, project, dual, max_b = _gauge_projection(G, M)
         p = s_lu.solve(G.T @ F)
         Bp = M @ (G @ p)
-        r = F - Bp
+        r, r_lo = _two_sum(F, -Bp)
         W = _meridional_map(G)
         inverse, factor_nnz = _complement_inverse(K, G.shape[1], project,
                                                   dual)
-        stiffness = _stiffness(_extended(K), _extended(W))
+        stiffness = _accurate_stiffness(K, W)
+
+        def residual(u):
+            """F - B p - A u, rounded once, and A u."""
+            hi, lo = stiffness(u)
+            s, e = _two_sum(r, -hi)
+            return s + ((e + r_lo) - lo), hi
+
         u = inverse(r)
-        u = u + inverse((r - stiffness(u)).astype(float))
-    Au = stiffness(u)
-    r1 = _worst_ratio(norm((Au + Bp - F).astype(float)),
-                      norm(Au.astype(float)) + norm(Bp) + norm(F))
+        u = u + inverse(residual(u)[0])
+    res, Au = residual(u)
+    r1 = _worst_ratio(norm(res), norm(Au) + norm(Bp) + norm(F))
     # B^T u = G^T (M^T u): M^T is a view, and no B is kept for it
     r2 = _worst_ratio(norm(G.T @ (M.T @ u)), max_b * norm(u))
     tol = np.sqrt(np.finfo(float).eps)

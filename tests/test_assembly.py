@@ -1091,6 +1091,26 @@ class TestSymmetrization:
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
+    def test_k_compacted_where_mirror_zeros_dropped(self):
+        # on this mesh SpGEMM drops exactly-zero sums of the meridional
+        # product in mirror pairs: the pattern stays symmetric, but the
+        # arrays keep the size SpGEMM bounded them by, which K must not
+        forms = MeshForms(make_complex(2, 8), BUILTIN_GEOMETRIES["rectangle"]())
+        for m in (2, -2):
+            M2 = _at_mode(forms.mass2, m)
+            product = forms.curl.T.tocsr() @ (M2 @ forms.curl)
+            assert _unmirrored(product) == 0
+            assert product.data.base.size > product.nnz
+            K = build_mode_system(forms, m).K
+            for a in (K.data, K.indices):
+                assert a.size == K.nnz
+                assert a.base is None or a.base.size == a.size
+            want = _scipy_symmetrized(forms.curl, M2)
+            K.sort_indices()
+            want.sort_indices()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(K, name), getattr(want, name))
+
     def test_sum_of_exactly_zero_dropped(self):
         # an entry whose mirror is its negative sums to 0, which scipy's
         # sum does not store

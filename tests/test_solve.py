@@ -221,6 +221,7 @@ class TestGeneralizedEig:
         # given the CSR M itself returns the same pairs
         x = np.random.default_rng(0).standard_normal(M.shape[0])
         assert np.array_equal(seen[0].matvec(x), M @ x)
+        assert np.shares_memory(solve._pencil(K, M, G)[1].data, M.data)
 
         def plain_eigsh(*args, **kwargs):
             return eigsh(*args, **dict(kwargs, M=M))
@@ -669,6 +670,91 @@ class TestSaddlePointOracle:
         F = np.random.default_rng(3).standard_normal(M.shape[0])
         assert solve_saddle_point(K, M, F, G).factor_nnz \
             == solve_generalized_eig(K, M, 5, G).factor_nnz
+
+
+def _source_system(p, sub, m):
+    """(K, M, F, G) of the rectangle source problem of mode m, with the
+    manufactured load and a random one as the columns of F."""
+    s = lambda: SplineSpace1D(KnotVector.uniform(p, sub))
+    mats = MaterialConstants(1.0, 1.0)
+    forms = MeshForms(DeRhamComplex2D(s(), s()),
+                      BUILTIN_GEOMETRIES["rectangle"](), mats)
+    source = ManufacturedSolution(2.0, mats)
+    sys_ = build_mode_system(forms, m, source=source.current,
+                             neumann=source.neumann)
+    K, M, f = sys_.reduced()
+    F = np.column_stack([f, np.random.default_rng(0).standard_normal(
+        f.size)])
+    return K, M, F, sys_.G
+
+
+def _random_saddle_system(n, k, seed):
+    A, M, G = _kernel_system(n, k, seed=seed)
+    F = np.random.default_rng(10 + seed).standard_normal((n, 3))
+    return _leading(A, G), M, F, G
+
+
+class TestAccurateResidual:
+    """The refinement's r - A u and the primal residual apply A through K
+    and W, which in double rounds about 1/h**2 above an assembled A; split
+    products bring it back to round-off with no type wider than double."""
+
+    @pytest.mark.parametrize("system", [
+        pytest.param(lambda: _random_saddle_system(40, 12, 7), id="40-12-7"),
+        pytest.param(lambda: _source_system(3, 16, 2), id="rectangle-3-16")])
+    def test_round_off_with_double_only(self, monkeypatch, system):
+        K, M, F, G = system()
+        # where long double is double (MSVC, macOS arm64)
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        assert solve_saddle_point(K, M, F, G).residual_primal <= 1e-14
+
+        def in_double(K, W):
+            apply = solve._stiffness(K, W)
+            return lambda x: (apply(x), np.zeros(x.shape))
+
+        # the same solve with A u in double is not at round-off
+        monkeypatch.setattr(solve, "_accurate_stiffness", in_double)
+        assert solve_saddle_point(K, M, F, G).residual_primal > 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_split_product_against_exact_arithmetic(self, seed):
+        from fractions import Fraction
+        rng = np.random.default_rng(seed)
+        X = sp.random(12, 10, density=0.6, random_state=seed, format="csr")
+        X.data = rng.standard_normal(X.nnz) * 10.0 ** rng.integers(
+            -3, 4, X.nnz)
+        hi = rng.standard_normal((10, 2)) * 10.0 ** rng.integers(
+            -3, 4, (10, 2))
+        lo = 1e-17 * hi * rng.standard_normal(hi.shape)
+        got_hi, got_lo = solve._accurate_product(X)(hi, lo)
+        D = X.toarray()
+        for c in range(2):
+            xmax = np.abs(hi[:, c]).max()
+            for i in range(12):
+                exact = sum((Fraction(D[i, j]) * (Fraction(hi[j, c])
+                                                  + Fraction(lo[j, c]))
+                             for j in range(10)), Fraction(0))
+                err = abs(Fraction(got_hi[i, c]) + Fraction(got_lo[i, c])
+                          - exact)
+                bound = (2.0**-20 * np.finfo(float).eps * np.abs(D[i]).max()
+                         * np.count_nonzero(D[i]) * xmax)
+                assert float(err) <= bound
+                # the pair is normalized: lo is below half an ulp of hi
+                assert abs(got_lo[i, c]) <= 0.5 * abs(np.spacing(got_hi[i, c]))
+
+
+class TestStiffnessMatrix:
+    """``stiffness_matrix`` forms the A of K and G that the solvers apply
+    (``test_arpack_gets_a_through_k`` compares the two), for any
+    nonsingular diagonal block d of G."""
+
+    @pytest.mark.parametrize("scale", [1.0, -2.0, 0.5])
+    def test_rebuilds_a_from_its_leading_block(self, scale):
+        A, _, G = _random_pencil(30, 3, seed=0)
+        G = scale * G
+        got = solve.stiffness_matrix(_leading(A, G), G)
+        assert (got != got.T).nnz == 0
+        assert np.abs(got.toarray() - A).max() <= 1e-12 * np.abs(A).max()
 
 
 class TestNoStoredB:
