@@ -366,10 +366,13 @@ def _compact(A: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _at_mode(parts, m: int) -> sp.csr_matrix:
-    """X + Y / m**2 for mode m."""
+    """X + Y / m**2 for mode m.  Y is scaled on its own index arrays (Y / m**2
+    would copy them too), by 1 / m**2 as scipy's division scales."""
     if m == 0:
         raise DeRhamError("mode m must be nonzero")
-    return _compact(parts[0] + parts[1] / m**2)
+    X, Y = parts
+    return _compact(X + sp.csr_matrix((Y.data * (1 / m**2), Y.indices,
+                                       Y.indptr), shape=Y.shape))
 
 
 def _curlcurl(curl, M2) -> sp.csr_matrix:

@@ -11,22 +11,31 @@ saddle-point solve with split products, see ``solve_saddle_point``), and
 ``stiffness_matrix`` forms it for reading.  The
 first n - k DoFs (the meridional ones) span an exact complement of the
 kernel, on which A is definite: each solver factors the SPD K once, with no
-shift and on its own arrays (K is symmetric, so its CSR arrays are its CSC
-arrays), and applies E K^{-1} E^T (E the first n - k unit vectors) between
+shift, and applies E K^{-1} E^T (E the first n - k unit vectors) between
 the M-orthogonal projections onto the complement of range(G); the kernel
 costs the factor no fill.  A nonsingular K leaves ker A exactly range(G);
 that the K of a mesh is the leading block of C^T M_2 C with C G = 0 is
 certified once per mesh, by ``assembly.MeshForms``.
 
+Both SPD factors, of K and of G^T M G, are LAPACK's banded Cholesky
+(``pbtrf``/``pbtrs``), filled straight from the CSR arrays: on a tensor
+B-spline mesh both matrices are narrowly banded once their DoFs follow the
+tensor positions (the band method of George and Liu, Computer Solution of
+Large Sparse Positive Definite Systems, 1981).  G^T M G already is in the
+order of the free Z^0 DoFs, and K is in the order of the first gradient
+DoF each of its rows touches (``_tensor_order``), which G gives.  The
+factor stores one triangle of the band, n (kd + 1) entries for the
+half-bandwidth kd, and a pivot that is not positive fails it, so a factor
+that succeeds certifies K positive definite.
+
 The cavity eigensolver is shift-invert Lanczos (ARPACK) at 0 on that
 operator, so its memory grows with the factors and not with n**2.  The
-saddle-point solve takes the multiplier from the sparse SPD factor of
-G^T M G and the field from K's factor and one refinement step.  Neither
-forms a dense n x n matrix nor one of order n + k, and both run on one
-thread of the OpenBLAS that scipy bundles: their BLAS work (Krylov
-products with the n x ncv Lanczos basis, sparse triangular solves) is
-level-2 and small, and splitting it across threads costs more than it
-saves.
+saddle-point solve takes the multiplier from the factor of G^T M G and the
+field from K's factor and one refinement step.  Neither forms a dense
+n x n matrix nor one of order n + k, and both run on one thread of the
+OpenBLAS that scipy bundles: their BLAS work (Krylov products with the
+n x ncv Lanczos basis, banded factors and triangular solves) is small, and
+splitting it across threads costs more than it saves.
 """
 
 from __future__ import annotations
@@ -41,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 import scipy.sparse as sp
-from scipy.sparse.linalg import (ArpackError, LinearOperator, eigsh, splu)
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 
 class SolveError(RuntimeError):
@@ -62,8 +72,9 @@ class EigenResult:
     num_filtered: int          # kernel dimension: columns of the basis G
     threshold: float           # eps * max(diag A / diag M), the round-off
                                # floor that lambda_0 must clear
-    factor_nnz: int            # entries SuperLU stores for the L and U of K
-                               # (relaxed supernodes store some zeros)
+    factor_nnz: int            # entries the banded Cholesky factor of K
+                               # stores, (n - k)(kd + 1) for its half-
+                               # bandwidth kd in the tensor order
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
     op_applications: int       # calls of the Lanczos run's operator
@@ -128,65 +139,135 @@ def _libc_malloc_trim():
 
 def _release_heap():
     """Give the heap's free memory back to the system.  glibc keeps what
-    freed transients (assembly, the input check) leave there, and SuperLU's
-    factors, which are mmapped, never reuse it; released before the
-    factors, it no longer adds to the peak RSS.  The transients of the
-    factors (M G, G^T M G, SuperLU's work arrays) fault released pages back
-    in, and glibc keeps them through a whole Lanczos run, so the
-    eigensolver releases once more before it."""
+    freed transients (assembly, the input check) leave there; released
+    before the factors, it no longer adds to the peak RSS, which on the
+    criterion 2 pillbox is then set by the assembly of the mode and not by
+    the solve.  The factors' transients (M G, G^T M G, the band fill) are
+    left to glibc: the Lanczos run reuses them and stays below that
+    peak."""
     trim = _libc_malloc_trim()
     if trim is not None:
         trim(0)
 
 
-def _symmetric_lu(csc, failure: str):
-    """SuperLU factor of a CSC matrix with no pivoting and a symmetric
-    ordering, as for G^T M G and K; a singular factor is a SolveError that
-    begins with ``failure``.  Callers build the CSC in the argument, so that
-    no other copy lives through the factor."""
+def _banded_cholesky(A, name: str, failure: str, order=None):
+    """LAPACK's banded Cholesky factor of a symmetric CSR matrix A taken in
+    the order ``order`` (the rows of A as they are factored; None keeps
+    A's own), as x -> A^{-1} x on a vector or on the columns of an (n, r)
+    array, and the entries it stores, n (kd + 1) for the half-bandwidth
+    kd of A in that order.
+
+    The lower band ab[i - j, j] = A[i, j], i >= j, is filled straight from
+    the CSR arrays into a Fortran-ordered (kd + 1, n) array, which
+    ``cholesky_banded`` factors in place.  The fill first scatters the
+    entries below the diagonal and subtracts their mirrors above it, so
+    that max|A - A^T| is read off the strict band with no transpose
+    formed: a SolveError "<name> is not symmetric" is raised above
+    1e-10 max|A|.  Then the band is refilled from the entries on and above
+    the diagonal, which are factored.  A pivot that is not positive (A
+    not positive definite) is a SolveError that begins with ``failure``.
+    """
+    n, nnz = A.shape[0], A.indptr[-1]
+    # positions in the band, n (kd + 1) <= n**2, fit int32 up to n = 46340
+    index = np.int32 if n * n < 2**31 else np.intp
+    row = np.repeat(np.arange(n, dtype=index), np.diff(A.indptr))
+    col = A.indices[:nnz].astype(index, copy=False)
+    if order is not None:
+        position = np.empty(n, dtype=index)
+        position[order] = np.arange(n, dtype=index)
+        row, col = position[row], position[col]
+    offset = col - row
+    upper = offset >= 0
+    kd = int(_max_abs(offset))
+    # slot = the entry's place in the band, built in place, and the index
+    # arrays dropped before the band is allocated
+    slot = np.minimum(row, col, out=row)
+    del col
+    slot *= kd + 1
+    slot += np.abs(offset, out=offset)
+    del offset
+    data = A.data[:nnz]
+    ab = np.zeros((kd + 1) * n)
+    band = ab.reshape((kd + 1, n), order="F")      # a view of ab
+    np.add.at(ab, slot[~upper], data[~upper])
+    np.subtract.at(ab, slot[upper], data[upper])
+    if _max_abs(band[1:]) > 1e-10 * _max_abs(data):
+        raise SolveError(f"{name} is not symmetric")
+    ab[:] = 0.0
+    np.add.at(ab, slot[upper], data[upper])
     try:
-        return splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                    options={"SymmetricMode": True})
-    except RuntimeError as exc:
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True,
+                                 check_finite=False)
+    except LinAlgError as exc:
         raise SolveError(f"{failure}: {exc}") from exc
 
+    def solve(b):
+        if order is None:
+            return cho_solve_banded((factor, True), b, check_finite=False)
+        x = np.empty_like(b)
+        x[order] = cho_solve_banded((factor, True), b[order],
+                                    overwrite_b=True, check_finite=False)
+        return x
 
-def _max_abs(X) -> float:
-    """max|X| over the stored entries of a sparse X, 0 for none; max and min
-    stand in for abs(), which would copy the entries."""
-    return max(X.data.max(initial=0.0), -X.data.min(initial=0.0))
+    return solve, factor.size
+
+
+def _tensor_order(G) -> np.ndarray:
+    """The meridional DoFs, the first n - k rows of G = [D; d], in the
+    order of the first and then the last gradient DoF each row touches;
+    rows that touch none come first, each tie in its own order.  On a
+    tensor mesh it interleaves both components by tensor position, which
+    keeps K narrowly banded (half-width 206 on criterion 2, against 1257
+    in K's own order)."""
+    lead = G.shape[0] - G.shape[1]
+    starts = G.indptr[:lead]
+    touched = G.indptr[1:lead + 1] > starts
+    first, last = np.full(lead, -1), np.full(lead, -1)
+    if touched.any():
+        indices = G.indices[:G.indptr[lead]]
+        first[touched] = np.minimum.reduceat(indices, starts[touched])
+        last[touched] = np.maximum.reduceat(indices, starts[touched])
+    return np.lexsort((last, first))
+
+
+def _max_abs(values) -> float:
+    """max|values|, 0 for none; max and min stand in for abs(), which would
+    copy them."""
+    return max(values.max(initial=0.0), -values.min(initial=0.0))
 
 
 def _pencil(K, M, G):
     """K, M and G as float CSR (ARPACK's products with M run faster on it),
     checked for shapes (M of order n, G of n rows and K of order n - k for
-    the k columns of G), for a symmetric K and for a positive diagonal of
-    M."""
+    the k columns of G) and for a positive diagonal of M; K's symmetry is
+    checked as its band is filled (``_banded_cholesky``)."""
     K, M, G = (sp.csr_matrix(a, dtype=float) for a in (K, M, G))
     n, k = G.shape
     if M.shape != (n, n) or K.shape != (n - k, n - k):
         raise SolveError("inconsistent shapes: M must be square of the order "
                          "n of the rows of G, and K of order n - k for its "
                          "k columns")
-    if _max_abs(K - K.T) > 1e-10 * _max_abs(K):
-        raise SolveError("K is not symmetric")
     if not np.all(M.diagonal() > 0):
         raise SolveError("M is not positive definite")
     return K, M, G
 
 
 def _gauge_projection(G, M):
-    """The sparse factor of S = G^T M G, the M-orthogonal projection
-    P x = x - G S^{-1} G^T (M x) onto ker (M G)^T, which removes the
-    range(G) part of x, its transpose P^T x = x - M (G S^{-1} G^T x) onto
-    ker G^T = range(A), and max|M G|.  M G is formed only for S and its
-    maximum and dies on return: the projections apply M and G in turn,
-    so no n x k matrix besides G lives through a solve.  The transpose
-    of G is a view, taken once here rather than on each application."""
+    """x -> S^{-1} x for S = G^T M G, from its banded Cholesky factor in
+    its own order, the M-orthogonal projection P x = x - G S^{-1} G^T (M x)
+    onto ker (M G)^T, which removes the range(G) part of x, its transpose
+    P^T x = x - M (G S^{-1} G^T x) onto ker G^T = range(A), and max|M G|.
+    M G is formed only for S and its maximum and dies on return: the
+    projections apply M and G in turn, so no n x k matrix besides G lives
+    through a solve.  The transpose of G is a view, taken once here rather
+    than on each application."""
     Gt, B = G.T, M @ G
-    lu = _symmetric_lu(sp.csc_matrix(Gt @ B), "sparse factorization failed")
-    return (lu, lambda x: x - G @ lu.solve(Gt @ (M @ x)),
-            lambda x: x - M @ (G @ lu.solve(Gt @ x)), _max_abs(B))
+    # G^T B comes out CSC; S is symmetric, so its transpose, a CSR view of
+    # the same arrays, is S
+    inverse, _ = _banded_cholesky((Gt @ B).T, "G^T M G",
+                                  "factorization of G^T M G failed")
+    return (inverse, lambda x: x - G @ inverse(Gt @ (M @ x)),
+            lambda x: x - M @ (G @ inverse(Gt @ x)), _max_abs(B.data))
 
 
 def _meridional_map(G) -> sp.csr_matrix:
@@ -304,10 +385,10 @@ def _accurate_stiffness(K, W):
     return apply
 
 
-def _complement_inverse(K, k: int, project, dual):
+def _complement_inverse(K, G, project, dual):
     """The inverse of A on the complement of range(G), x -> P E K^{-1} E^T
-    P^T x, and the entries SuperLU stores for the L and U of K, the leading
-    block of order n - k.
+    P^T x, and the entries the banded Cholesky factor of K, the leading
+    block of order n - k, stores.
 
     The first n - k unit vectors E span a complement of range(G) when its
     last k rows are a nonsingular diagonal block (``_meridional_map``), and
@@ -315,21 +396,21 @@ def _complement_inverse(K, k: int, project, dual):
     ker G^T, E K^{-1} E^T x is a preimage of x under A, and P picks the one
     M-orthogonal to range(G).  P^T first sends the round-off part of x
     outside range(A) to 0; E K^{-1} E^T would send it to a non-kernel
-    vector.  K is symmetric, so its transpose, a CSC view of its own
-    arrays, is factored: no copy of K is made."""
-    lead = K.shape[0]
-    lu = _symmetric_lu(K.T, f"no gap above the {k}-dimensional kernel: the "
-                       f"leading block K of A of order {lead} is singular, "
-                       f"so range(G) misses part of the kernel of A")
+    vector.  K is factored in the tensor order that G gives
+    (``_tensor_order``), and a pivot that is not positive means a kernel
+    vector of A outside range(G)."""
+    lead, k = K.shape[0], G.shape[1]
+    solve, stored = _banded_cholesky(
+        K, "K", f"no gap above the {k}-dimensional kernel: the leading block "
+        f"K of A of order {lead} is not positive definite, so range(G) "
+        f"misses part of the kernel of A", _tensor_order(G))
 
     def inverse(x):
         y = np.zeros_like(x)
-        y[:lead] = lu.solve(dual(x)[:lead])
+        y[:lead] = solve(dual(x)[:lead])
         return project(y)
 
-    # lu.nnz, not lu.L.nnz + lu.U.nnz: reading L or U builds CSC copies of
-    # them that stay cached on lu, which ``inverse`` keeps alive
-    return inverse, lu.nnz
+    return inverse, stored
 
 
 def solve_generalized_eig(K, M, count: int, G) -> EigenResult:
@@ -349,14 +430,14 @@ def solve_generalized_eig(K, M, count: int, G) -> EigenResult:
     ARPACK reads only the shape of the A it is given; it takes M as an
     operator that counts its products.  Input is converted to CSR on entry:
     no dense n x n array is formed.  The heap's free memory is given back
-    after the input check and again after both factors, before the Lanczos
-    run.  The factorizations and the Lanczos run use one thread of scipy's
-    OpenBLAS (see the module docstring).  SolveError is raised when
-    count >= n - k (Lanczos needs one vector more than it returns pairs), on
-    inconsistent shapes, when the last k rows of G are not a nonsingular
-    diagonal block, on a singular factor (a singular K means a kernel vector
-    outside range(G)), on an ARPACK failure, and unless
-    lambda_0 >= KERNEL_GAP * threshold, the round-off floor
+    after the input check, before the factors.  The factorizations and the
+    Lanczos run use one thread of scipy's OpenBLAS (see the module
+    docstring).  SolveError is raised when count >= n - k (Lanczos needs
+    one vector more than it returns pairs), on inconsistent shapes, when
+    the last k rows of G are not a nonsingular diagonal block, on an
+    asymmetric K, on a failed factor (a K that is not positive definite
+    means a kernel vector outside range(G)), on an ARPACK failure, and
+    unless lambda_0 >= KERNEL_GAP * threshold, the round-off floor
     eps * max(diag A / diag M): a kernel vector whose K pivot is only
     round-off fails that check.
     """
@@ -373,9 +454,8 @@ def solve_generalized_eig(K, M, count: int, G) -> EigenResult:
         _, project, dual, _ = _gauge_projection(G, M)
         W = _meridional_map(G)
         diag_a = _stiffness_diagonal(K, W)
-        inverse, factor_nnz = _complement_inverse(K, k, project, dual)
+        inverse, factor_nnz = _complement_inverse(K, G, project, dual)
         stiffness = _stiffness(K, W)
-        _release_heap()     # what the factors' transients left
 
         def operator(x):
             nonlocal applications
@@ -438,8 +518,8 @@ class SaddleSolution:
     p: np.ndarray              # (k,) for a 1-D load, else (k, r)
     residual_primal: float
     residual_gauge: float
-    factor_nnz: int            # entries SuperLU stores for the L and U of
-                               # K, as in EigenResult
+    factor_nnz: int            # entries the banded Cholesky factor of K
+                               # stores, as in EigenResult
     blas_threads: int | None   # scipy's OpenBLAS threads during the solve,
                                # None where they could not be set
 
@@ -452,13 +532,13 @@ def _worst_ratio(num, den) -> float:
 
 def solve_saddle_point(K, M, F, G) -> SaddleSolution:
     """Solve the KKT system with B = M G through the exact sequence, on the
-    eigensolver's sparse factors.
+    eigensolver's banded factors.
 
     K, M and G are as for the eigensolver: A = [I; W^T] K [I, W] has the
     kernel range(G), with K = A[:n-k, :n-k] symmetric positive definite,
     M symmetric positive definite and the last k rows of G a nonsingular
     diagonal block.  If B^T u = 0 and A u + B p = f, then G^T A = 0 turns
-    G^T of the first row into G^T M G p = G^T f: p comes from the sparse
+    G^T of the first row into G^T M G p = G^T f: p comes from the banded
     factor of G^T M G.  Then u solves A u = r = f - B p on ker B^T, where A
     is definite: u is P E K^{-1} E^T P^T, the eigensolver's inverse of A on
     the complement of range(G) with its factor of K
@@ -481,9 +561,10 @@ def solve_saddle_point(K, M, F, G) -> SaddleSolution:
     factors; u and p have the shape of F (rows n and k).  The solve runs on
     one thread of scipy's OpenBLAS.  SolveError is raised on inconsistent
     shapes, when the last k rows of G are not a nonsingular diagonal block,
-    on a failed factor (a zero G makes G^T M G singular, a kernel vector
-    outside range(G) makes K singular) and when ``residual_primal``
-    exceeds sqrt(eps): that is how a K that is singular to round-off shows.
+    on an asymmetric K, on a failed factor (a zero G makes G^T M G
+    singular, a kernel vector outside range(G) makes K singular) and when
+    ``residual_primal`` exceeds sqrt(eps): that is how a K that is singular
+    to round-off shows.
     """
     K, M, G = _pencil(K, M, G)
     _release_heap()
@@ -492,13 +573,12 @@ def solve_saddle_point(K, M, F, G) -> SaddleSolution:
         raise SolveError("inconsistent saddle-point block shapes")
     norm = lambda X: np.linalg.norm(X.reshape(X.shape[0], -1), axis=0)
     with _one_blas_thread() as threads:
-        s_lu, project, dual, max_b = _gauge_projection(G, M)
-        p = s_lu.solve(G.T @ F)
+        s_inverse, project, dual, max_b = _gauge_projection(G, M)
+        p = s_inverse(G.T @ F)
         Bp = M @ (G @ p)
         r, r_lo = _two_sum(F, -Bp)
         W = _meridional_map(G)
-        inverse, factor_nnz = _complement_inverse(K, G.shape[1], project,
-                                                  dual)
+        inverse, factor_nnz = _complement_inverse(K, G, project, dual)
         stiffness = _accurate_stiffness(K, W)
 
         def residual(u):

@@ -155,7 +155,7 @@ class StudyReport:
         the phase, and alloc_mib, the traced size at its end, in MiB;
         otherwise it holds neither.  The reset clears the traced peak of a
         caller that traces around the study.  The traced figures miss
-        what C libraries allocate themselves, such as SuperLU's factors."""
+        what C libraries allocate themselves, such as OpenBLAS's buffers."""
         record = {"phase": phase, "p": p, "subdivisions": sub, "m": m}
         traced = tracemalloc.is_tracing()
         if traced:

@@ -55,9 +55,9 @@ class TestGeneralizedEig:
         assert res.num_filtered == 2
         # the round-off floor eps * max(diag A / diag M) = 10 eps
         assert res.threshold == 10 * np.finfo(float).eps
-        # the factor of A's leading block of order 10: SuperLU stores L's
-        # unit diagonal and U's diagonal
-        assert res.factor_nnz == 2 * 10
+        # the banded factor of A's leading block of order 10, a diagonal:
+        # half-bandwidth 0, one stored entry per row
+        assert res.factor_nnz == 10
         # a dropped column leaves the leading block exactly singular
         with pytest.raises(SolveError, match="no gap"):
             solve_generalized_eig(_leading(A, G[:, 1:]), M, 3, G[:, 1:])
@@ -372,14 +372,14 @@ class TestBlasThreads:
         assert threads() == before
 
     def test_saddle_point_pinned_and_restored(self, threads, monkeypatch):
-        during, splu = [], solve.splu
+        during, factor = [], solve.cholesky_banded
 
-        def counting_splu(*args, **kwargs):
+        def counting_factor(*args, **kwargs):
             during.append(threads())
-            return splu(*args, **kwargs)
+            return factor(*args, **kwargs)
 
         before = threads()
-        monkeypatch.setattr(solve, "splu", counting_splu)
+        monkeypatch.setattr(solve, "cholesky_banded", counting_factor)
         A, M, G = _random_pencil(30, 3, seed=0)
         K = _leading(A, G)
         f = np.random.default_rng(10).standard_normal(30)
@@ -858,6 +858,25 @@ class TestSymmetryCheck:
         with pytest.raises(SolveError, match="not symmetric"):
             solve_with(_leading(scale * A, G), M, G)
 
+    @pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
+    @pytest.mark.parametrize("solve_with", SOLVERS)
+    def test_entry_without_mirror_rejected(self, solve_with, above):
+        # an off-diagonal entry whose mirror K does not store, on either
+        # side of the diagonal; at round-off size it is accepted
+        K, M, G = _cavity_pencil("pillbox-section", 2, 4, 1)
+        K = K.tolil()
+        i, j = next((i, j) for i in range(K.shape[0])
+                     for j in range(i + 1, K.shape[0]) if K[i, j] == 0)
+        if not above:
+            i, j = j, i
+        top = abs(K).max()
+        K[i, j] = 1e-13 * top
+        solve_with(K.tocsr(), M, G)
+        K[i, j] = 1e-6 * top
+        assert K.T[i, j] == 0
+        with pytest.raises(SolveError, match="K is not symmetric"):
+            solve_with(K.tocsr(), M, G)
+
     def test_symmetric_solves_at_small_scale(self):
         A, M, G = _random_pencil(6, 2)
         K = _leading(A, G)
@@ -868,22 +887,110 @@ class TestSymmetryCheck:
             <= 1e-12
 
 
+def _banded_spd(n, kd, seed):
+    """A random SPD matrix of half-bandwidth kd, as a dense array."""
+    rng = np.random.default_rng(seed)
+    L = np.triu(np.tril(rng.standard_normal((n, n))), -kd)
+    return L @ L.T + np.diag(rng.uniform(1.0, 2.0, n))
+
+
+class TestBandedCholesky:
+    """Both factors are LAPACK's banded Cholesky of a CSR matrix, filled in
+    a given order, factored in place, storing n (kd + 1) entries."""
+
+    @pytest.mark.parametrize("ordered", [False, True],
+                             ids=["own-order", "ordered"])
+    def test_solves_match_a_dense_solve(self, ordered):
+        n, kd = 40, 3
+        A = _banded_spd(n, kd, seed=1)
+        order = None
+        if ordered:
+            # A with its rows shuffled: wide in its own order, banded with
+            # half-width kd in the order that undoes the shuffle
+            order = np.random.default_rng(2).permutation(n)
+            A = A[np.ix_(np.argsort(order), np.argsort(order))]
+        solve_, stored = solve._banded_cholesky(sp.csr_matrix(A), "A",
+                                                "failed", order)
+        assert stored == n * (kd + 1)
+        rng = np.random.default_rng(3)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            copy = b.copy()
+            x = solve_(b)
+            assert x.shape == b.shape
+            assert np.array_equal(b, copy)
+            assert _rel(x, np.linalg.solve(A, b)) <= 1e-13
+
+    def test_stored_entries_are_the_band(self):
+        # n (kd + 1) for the half-width kd in the order given, whatever the
+        # matrix's own order
+        for n, kd in ((1, 0), (12, 0), (30, 1), (30, 7), (25, 24)):
+            A = sp.csr_matrix(_banded_spd(n, kd, seed=n + kd))
+            assert solve._banded_cholesky(A, "A", "failed")[1] \
+                == n * (kd + 1)
+        A = sp.csr_matrix(_banded_spd(30, 2, seed=4))
+        reverse = np.arange(30)[::-1]
+        assert solve._banded_cholesky(A, "A", "failed", reverse)[1] \
+            == 30 * 3
+        # row 29, factored first, meets rows 27 and 28, which keep their
+        # places
+        swap = np.r_[29, 1:29, 0]
+        assert solve._banded_cholesky(A, "A", "failed", swap)[1] \
+            == 30 * (28 + 1)
+
+    @pytest.mark.parametrize("solve_with", SOLVERS)
+    def test_indefinite_k_names_the_kernel(self, solve_with):
+        K, M, G = _random_pencil_k()
+        K = K.copy()
+        K[4, 4] = -K[4, 4]
+        with pytest.raises(SolveError, match="kernel.*not positive definite"):
+            solve_with(K, M, G)
+        with pytest.raises(SolveError, match="kernel.*not positive definite"):
+            solve_with(-_random_pencil_k()[0], M, G)
+
+    def test_criterion_2_half_widths(self):
+        # the criterion 2 mesh (p=3, 32 x 32): K in the tensor order G
+        # gives has half-width 206 (1257 in its own order), and G^T M G has
+        # 102 in its own; both are factored in place, in Fortran order
+        K, M, G = _cavity_pencil("pillbox-section", 3, 32, 26)
+        bands, factor = [], solve.cholesky_banded
+
+        def recording_factor(ab, **kwargs):
+            c = factor(ab, **kwargs)
+            bands.append(ab.shape)
+            assert ab.flags.f_contiguous and np.shares_memory(c, ab)
+            return c
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solve, "cholesky_banded", recording_factor)
+            res = solve_generalized_eig(K, M, 10, G)
+        n, k = G.shape
+        assert bands == [(102 + 1, k), (206 + 1, n - k)]   # S, then K
+        assert res.factor_nnz == (n - k) * (206 + 1) == 471546
+
+
 class TestSolverMemory:
     def test_main_lanczos_starts_within_half_the_pencil(self, monkeypatch):
         # numpy memory the eigensolver holds when its main Lanczos run
-        # starts: the factors and the projection's operands, not cached
-        # copies of them (1.01x the bytes of A, M and G while SuperLU's L
-        # and U were read and cached on the factor)
+        # starts, besides the two banded factors (numpy arrays that
+        # tracemalloc sees): the projection's operands, not cached copies
+        # of them (1.01x the bytes of A, M and G while SuperLU's L and U
+        # were read and cached on its factor)
         K, M, G = _cavity_pencil("pillbox-section", 3, 16, 26)
         solve_generalized_eig(K, M, 10, G)      # lazy imports and caches
-        live, eigsh = [], solve.eigsh
+        live, bands = [], []
+        eigsh, factor = solve.eigsh, solve.cholesky_banded
 
         def recording_eigsh(*args, **kwargs):
             if "OPinv" in kwargs:
                 live.append(tracemalloc.get_traced_memory()[0])
             return eigsh(*args, **kwargs)
 
+        def recording_factor(*args, **kwargs):
+            bands.append(factor(*args, **kwargs))
+            return bands[-1]
+
         monkeypatch.setattr(solve, "eigsh", recording_eigsh)
+        monkeypatch.setattr(solve, "cholesky_banded", recording_factor)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -892,14 +999,16 @@ class TestSolverMemory:
             tracemalloc.stop()
         pencil = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
                      for X in (K, M, G))
-        assert live[0] - base <= 0.5 * pencil
+        assert len(bands) == 2      # S, then K
+        held = live[0] - base - sum(band.nbytes for band in bands)
+        assert held <= 0.5 * pencil
 
 
 class TestHeapRelease:
-    """Each solve gives the heap's free memory back once after its input
-    check and before its first factor, and the eigensolver once more after
-    its factors and before the Lanczos run; where the C library has no
-    malloc_trim it does nothing, and the results are the same."""
+    """Each solve gives the heap's free memory back once, after its input
+    check and before its first factor, and not again before the Lanczos
+    run; where the C library has no malloc_trim it does nothing, and the
+    results are the same."""
 
     @pytest.mark.parametrize("solve_with", SOLVERS)
     def test_once_after_the_check_before_the_factors(self, solve_with,
@@ -915,12 +1024,12 @@ class TestHeapRelease:
 
             monkeypatch.setattr(solve, name, recorded)
 
-        for name in ("_pencil", "_release_heap", "_symmetric_lu", "eigsh"):
+        for name in ("_pencil", "_release_heap", "_banded_cholesky", "eigsh"):
             spy(name)
         solve_with(*_cavity_pencil("pillbox-section", 2, 4, 1))
-        lanczos = ["_release_heap", "eigsh"] if solve_with is _eig else []
-        assert events == ["_pencil", "_release_heap", "_symmetric_lu",
-                          "_symmetric_lu"] + lanczos    # S, then K
+        lanczos = ["eigsh"] if solve_with is _eig else []
+        assert events == ["_pencil", "_release_heap", "_banded_cholesky",
+                          "_banded_cholesky"] + lanczos    # S, then K
 
     @pytest.mark.parametrize("solve_with", SOLVERS)
     def test_same_results_without_malloc_trim(self, solve_with,
